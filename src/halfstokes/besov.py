@@ -10,15 +10,30 @@ space-time Littlewood-Paley realization is provided for negative orders
 Conventions: homogeneous norms ignore the spatial mean (the zero mode);
 half-space fields are measured through their even vertical reflection, and
 vector components aggregate in l^q.
+
+Transforms: the data are real, so dyadic blocks use ``rfftn`` once and
+``irfftn`` per block.  Windows are sampled on the half lattice, where the
+last transformed axis keeps its ``n // 2 + 1`` non-negative frequencies
+(``rfftfreq``): the last tangential axis on the boundary, the reflected
+vertical axis (one period, the +X duplicate dropped) on the whole space,
+and time in the space-time norm.  The windows depend on |k| only, so each
+block equals the complex-transform block to roundoff.
+
+Caching: :func:`partition_for` keeps, per ``(grid.key(), domain)``, the
+partition with its half-lattice windows and quadrature weights in a
+:class:`~halfstokes.core.GridCache` of ``GridCache.SIZE`` (8) entries,
+evicting the least recently used.  The space-time windows of
+:func:`aniso_lp_norm` are built per call and not cached.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryField, Field, HalfSpaceGrid, VectorField
+from .core import BoundaryField, Field, GridCache, HalfSpaceGrid, VectorField
 from .errors import NormOrderError, ShapeMismatchError
 from .numerics import smooth_step, trapezoid_weights
 from . import transforms as tr
@@ -71,21 +86,45 @@ class DyadicPartition:
         return w
 
 
-_PARTITIONS: dict = {}
+@dataclass(frozen=True)
+class GridPartition(DyadicPartition):
+    """Dyadic partition of one grid's lattice, with its windows sampled on
+    the half lattice of the real transform and the quadrature weights of
+    the spatial axes (transform layout).  ``windows`` lists ``(j, chi_j)``
+    for every block whose window is not identically zero."""
+
+    windows: tuple = dataclasses.field(compare=False, repr=False)
+    weights: np.ndarray = dataclasses.field(compare=False, repr=False)
 
 
-def partition_for(grid: HalfSpaceGrid, domain: str) -> DyadicPartition:
-    key = (grid.key(), domain)
-    part = _PARTITIONS.get(key)
-    if part is None:
-        ks = tr.tan_wavenumbers(grid)
-        if domain != "boundary":
-            ks = ks + [tr.vert_wavenumbers(grid)]
-        kmin = min(np.min(np.abs(k[np.abs(k) > 0])) for k in ks)
-        kmax = float(np.sqrt(sum(np.max(np.abs(k)) ** 2 for k in ks)))
-        part = DyadicPartition.for_band(kmin, kmax)
-        _PARTITIONS[key] = part
-    return part
+_PARTITIONS = GridCache()
+
+
+def partition_for(grid: HalfSpaceGrid, domain: str) -> GridPartition:
+    return _PARTITIONS.get((grid.key(), domain),
+                           lambda: _build_partition(grid, domain))
+
+
+def _build_partition(grid: HalfSpaceGrid, domain: str) -> GridPartition:
+    nsp = grid.n_tan_axes + (domain != "boundary")
+    ks = _k_vectors(grid, domain, nsp)
+    # rfftn keeps the n // 2 + 1 non-negative frequencies of the last axis
+    ks[-1] = np.abs(ks[-1][..., : ks[-1].shape[-1] // 2 + 1])
+    kabs = np.sqrt(sum(k ** 2 for k in ks))
+    part = DyadicPartition.for_band(float(np.min(kabs[kabs > 0])),
+                                    float(np.max(kabs)))
+    windows = tuple((j, chi) for j in part.blocks
+                    if np.any(chi := part.window(j, kabs)))
+    weights = _weights(grid, domain, nsp, periodic=True)
+    return GridPartition(part.j_min, part.j_max, windows, weights)
+
+
+def _k_vectors(grid: HalfSpaceGrid, domain: str, ndim: int):
+    """Wavenumber lattice of the spatial axes of a boundary or whole-space
+    array, leading in an ``ndim``-array."""
+    if domain == "boundary":
+        return tr.tan_k_vectors(grid, ndim, 0)
+    return tr.whole_k_vectors(grid, ndim, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,31 +132,38 @@ def partition_for(grid: HalfSpaceGrid, domain: str) -> DyadicPartition:
 # ---------------------------------------------------------------------------
 
 
-def _spatial_weight_vectors(grid: HalfSpaceGrid, domain: str):
-    w = [np.full(grid.N_tan, grid.L / grid.N_tan) for _ in range(grid.n_tan_axes)]
+def _weights(grid: HalfSpaceGrid, domain: str, ndim: int, offset: int = 0,
+             periodic: bool = False) -> np.ndarray:
+    """Product quadrature weights of the spatial axes of ``domain``, shaped
+    to broadcast against an ``ndim``-array whose spatial axes start at
+    ``offset``.  Uniform rules on the periodic axes, trapezoid on the half
+    space's vertical nodes; a whole-space axis weighs its +X duplicate 0,
+    or drops it when ``periodic`` (the layout the transforms use)."""
+    vecs = [np.full(grid.N_tan, grid.L / grid.N_tan)] * grid.n_tan_axes
     if domain == "half":
-        w.append(trapezoid_weights(grid.vert_nodes))
+        vecs.append(trapezoid_weights(grid.vert_nodes))
     elif domain == "whole":
-        h = 2.0 * grid.X / (2 * grid.N_vert - 2)
-        wv = np.full(grid.n_vert_whole, h)
-        wv[-1] = 0.0  # duplicate +X slot
-        w.append(wv)
+        nv = 2 * (grid.N_vert - 1) if periodic else grid.n_vert_whole
+        wv = np.full(nv, grid.X / (grid.N_vert - 1))
+        if not periodic:
+            wv[-1] = 0.0
+        vecs.append(wv)
+    w = np.ones([1] * ndim)
+    for a, vec in enumerate(vecs):
+        sh = [1] * ndim
+        sh[offset + a] = len(vec)
+        w = w * vec.reshape(sh)
     return w
 
 
 def field_lq(field: Field, q: float, include_time: bool = True) -> float:
     """Physical L^q norm over space (x time); components aggregate in l^q."""
     grid = field.grid
-    vecs = _spatial_weight_vectors(grid, field.domain)
     data = field.data
-    total = np.abs(data) ** q
-    sp_axes = tuple(range(field.ncomp_axes, field.ncomp_axes + len(vecs)))
-    wfull = np.ones([1] * data.ndim)
-    for a, vec in zip(sp_axes, vecs):
-        sh = [1] * data.ndim
-        sh[a] = len(vec)
-        wfull = wfull * vec.reshape(sh)
-    total = np.sum(total * wfull, axis=sp_axes)
+    nsp = grid.n_tan_axes + (field.domain != "boundary")
+    sp_axes = tuple(range(field.ncomp_axes, field.ncomp_axes + nsp))
+    wfull = _weights(grid, field.domain, data.ndim, field.ncomp_axes)
+    total = np.sum(np.abs(data) ** q * wfull, axis=sp_axes)
     if field.ncomp_axes:
         total = np.sum(total, axis=tuple(range(field.ncomp_axes)))
     if field.time_dependent and include_time:
@@ -138,45 +184,45 @@ def _check_order(s):
         raise NormOrderError(f"order {s} outside the resolvable band +-{_S_CAP}")
 
 
-def _lp_norm_slices(data: np.ndarray, grid: HalfSpaceGrid, domain: str,
-                    s: float, q: float, part: DyadicPartition) -> np.ndarray:
-    """Littlewood-Paley norm of each trailing-time slice.
-
-    ``data`` has layout (*tan[, vert], extra...) where ``extra`` collects any
-    trailing axes (e.g. time); returns an array over the extra axes.
-    """
-    nsp = grid.n_tan_axes + (0 if domain == "boundary" else 1)
+def _periodic(data: np.ndarray, domain: str, vaxis: int) -> np.ndarray:
+    """Drop the +X duplicate of a whole-space vertical axis: what is left
+    is one period of the reflected axis, starting at -X."""
     if domain == "boundary":
-        ks = tr.tan_k_vectors(grid, data.ndim, 0)
-        modes = np.fft.fftn(data, axes=tuple(range(grid.n_tan_axes)))
-    else:
-        ks = tr.whole_k_vectors(grid, data.ndim, 0)
-        modes = tr.whole_fft(data, grid, offset=0)
-    kabs = np.sqrt(sum(k ** 2 for k in ks))
-    vecs = _spatial_weight_vectors(grid, "boundary" if domain == "boundary" else "whole")
-    if domain != "boundary":
-        # block fields come back in fft layout (duplicate already dropped)
-        h = 2.0 * grid.X / (2 * grid.N_vert - 2)
-        vecs[-1] = np.full(2 * grid.N_vert - 2, h)
-    wfull = np.ones([1] * data.ndim)
-    for a, vec in enumerate(vecs):
-        sh = [1] * data.ndim
-        sh[a] = len(vec)
-        wfull = wfull * vec.reshape(sh)
+        return data
+    sl = [slice(None)] * data.ndim
+    sl[vaxis] = slice(0, -1)
+    return data[tuple(sl)]
+
+
+def _lp_blocks(comps: np.ndarray, domain: str, part: GridPartition):
+    """Yield ``(j, block)`` for every dyadic block of every component of
+    ``comps``, laid out (component, *tan[, vert], extra...) on the boundary
+    or the whole space; ``extra`` collects trailing axes such as time."""
+    nsp = part.weights.ndim
+    axes = tuple(range(nsp))
+    for comp in _periodic(comps, domain, nsp):
+        modes = np.fft.rfftn(comp, axes=axes)
+        extra = (1,) * (comp.ndim - nsp)
+        for j, chi in part.windows:
+            yield j, np.fft.irfftn(modes * chi.reshape(chi.shape + extra),
+                                   s=comp.shape[:nsp], axes=axes)
+
+
+def _lp_norm_q(comps: np.ndarray, grid: HalfSpaceGrid, domain: str,
+               s: float, q: float) -> np.ndarray:
+    """q-th power of the Littlewood-Paley norm of each trailing slice of
+    ``comps`` (see :func:`_lp_blocks`), summed over the components."""
+    part = partition_for(grid, domain)
     acc = 0.0
-    sp_axes = tuple(range(nsp))
-    for j in part.blocks:
-        chi = part.window(j, kabs)
-        if not np.any(chi):
-            continue
-        block = np.fft.ifftn(modes * chi, axes=sp_axes).real
-        lq_q = np.sum(wfull * np.abs(block) ** q, axis=sp_axes)
-        acc = acc + 2.0 ** (j * s * q) * lq_q
-    return np.asarray(acc) ** (1.0 / q)
+    for j, block in _lp_blocks(comps, domain, part):
+        np.abs(block, out=block)
+        block **= q
+        acc = acc + 2.0 ** (j * s * q) * np.tensordot(
+            part.weights, block, part.weights.ndim)
+    return acc
 
 
 def lp_norm(field: Field, s: float, q: float,
-            partition: DyadicPartition | None = None,
             extension: str = "even") -> float:
     """Homogeneous spatial Besov norm of order ``s``:
     ``( sum_j 2^{j s q} |block_j f|_{L^q}^q )^{1/q}``.
@@ -193,18 +239,9 @@ def lp_norm(field: Field, s: float, q: float,
         raise ShapeMismatchError("lp_norm expects a single time slice")
     if field.data.size == 0:
         raise ShapeMismatchError("empty field")
-    grid = field.grid
-    if field.domain == "half":
-        field = tr.extend_solenoidal(field) if (
-            extension == "solenoidal" and isinstance(field, VectorField)
-        ) else tr.extend_even(field)
-    domain = field.domain
-    part = partition or partition_for(grid, domain)
-    acc = 0.0
-    for c in range(int(np.prod(field.data.shape[: field.ncomp_axes], dtype=int))):
-        comp = field.data.reshape((-1,) + field.data.shape[field.ncomp_axes:])[c]
-        acc += float(_lp_norm_slices(comp, grid, domain, s, q, part)) ** q
-    return acc ** (1.0 / q)
+    work = _extend(field, extension)
+    flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
+    return float(_lp_norm_q(flat, work.grid, work.domain, s, q)) ** (1.0 / q)
 
 
 def lq_time_lp_space(field: Field, s: float, q: float,
@@ -213,20 +250,21 @@ def lq_time_lp_space(field: Field, s: float, q: float,
     _check_order(s)
     if not field.time_dependent:
         raise ShapeMismatchError("field has no time axis")
-    grid = field.grid
-    work = field
-    if field.domain == "half":
-        work = tr.extend_solenoidal(field) if (
-            extension == "solenoidal" and isinstance(field, VectorField)
-        ) else tr.extend_even(field)
-    part = partition_for(grid, work.domain)
+    work = _extend(field, extension)
     flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
-    per_slice_q = 0.0
-    for comp in flat:
-        vals = _lp_norm_slices(comp, grid, work.domain, s, q, part)
-        per_slice_q = per_slice_q + vals ** q
-    tw = trapezoid_weights(grid.time_nodes)
+    per_slice_q = _lp_norm_q(flat, work.grid, work.domain, s, q)
+    tw = trapezoid_weights(work.grid.time_nodes)
     return float(np.sum(tw * per_slice_q)) ** (1.0 / q)
+
+
+def _extend(field: Field, extension: str = "even") -> Field:
+    """The whole-space reflection of a half-space field (``extension``:
+    "even", or "solenoidal" for vector fields); other fields unchanged."""
+    if field.domain != "half":
+        return field
+    if extension == "solenoidal" and isinstance(field, VectorField):
+        return tr.extend_solenoidal(field)
+    return tr.extend_even(field)
 
 
 def negative_order_norm(field: BoundaryField, s: float, q: float) -> float:
@@ -250,35 +288,34 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
     data = field.data
     D = np.zeros((nt, nt))
     if spatial_norm == "lq":
-        vecs = _spatial_weight_vectors(grid, field.domain)
-        wfull = np.ones([1] * (data.ndim - 1))
-        for a, vec in enumerate(vecs):
-            sh = [1] * (data.ndim - 1)
-            sh[field.ncomp_axes + a] = len(vec)
-            wfull = wfull * vec.reshape(sh)
-        flat_axes = tuple(range(data.ndim - 1))
-        for i in range(nt):
-            diff = data[..., i + 1:] - data[..., i:i + 1]
-            vals = np.sum(wfull[..., np.newaxis] * np.abs(diff) ** q, axis=flat_axes)
-            D[i, i + 1:] = vals ** (1.0 / q)
+        # sum w |f_k - f_i|^q = sum |w^(1/q) f_k - w^(1/q) f_i|^q; one
+        # contiguous row per time node, one row block of differences at a time
+        w = _weights(grid, field.domain, data.ndim, field.ncomp_axes)
+        rows = np.ascontiguousarray((data * w ** (1.0 / q)).reshape(-1, nt).T)
+        for i in range(nt - 1):
+            diff = rows[i + 1:] - rows[i]
+            np.abs(diff, out=diff)
+            diff **= q
+            D[i, i + 1:] = np.sum(diff, axis=1) ** (1.0 / q)
     elif spatial_norm == "abs":
         flat = data.reshape(-1, nt)
         for i in range(nt):
             D[i, i + 1:] = np.max(np.abs(flat[:, i + 1:] - flat[:, i:i + 1]), axis=0)
     elif isinstance(spatial_norm, tuple) and spatial_norm[0] == "besov":
+        # blocks are linear in f: each is transformed once for all times
         s_sp = spatial_norm[1]
-        work = field
-        if field.domain == "half":
-            work = tr.extend_even(field)
-        part = partition_for(grid, work.domain)
+        work = _extend(field)
         flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
-        for i in range(nt):
-            diff = flat[..., i + 1:] - flat[..., i:i + 1]
-            acc = 0.0
-            for comp in diff:
-                vals = _lp_norm_slices(comp, grid, work.domain, s_sp, q, part)
-                acc = acc + vals ** q
-            D[i, i + 1:] = np.asarray(acc) ** (1.0 / q)
+        part = partition_for(grid, work.domain)
+        w = part.weights
+        for j, block in _lp_blocks(flat, work.domain, part):
+            for i in range(nt - 1):
+                diff = block[..., i + 1:] - block[..., i:i + 1]
+                np.abs(diff, out=diff)
+                diff **= q
+                D[i, i + 1:] += 2.0 ** (j * s_sp * q) * np.tensordot(w, diff,
+                                                                     w.ndim)
+        D = D ** (1.0 / q)
     else:
         raise ValueError(f"unknown spatial norm spec {spatial_norm!r}")
     return D + D.T
@@ -374,43 +411,27 @@ def aniso_lp_norm(field: Field, s: float, q: float) -> float:
     if not field.time_dependent:
         raise ShapeMismatchError("space-time norm needs a time axis")
     grid = field.grid
-    work = field if field.domain != "half" else tr.extend_even(field)
-    nt = grid.N_time
-    dt = grid.dt
-    eta = 2.0 * np.pi * np.fft.fftfreq(nt, d=dt)
-    # flatten components, keep (spatial..., time)
+    work = _extend(field)
+    # flatten components, keep (spatial..., time); time is the real axis
     flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
-    if work.domain == "boundary":
-        ks = tr.tan_k_vectors(grid, flat.ndim - 1, 0)
-        vecs = _spatial_weight_vectors(grid, "boundary")
-        modes = np.fft.fftn(flat, axes=tuple(range(1, flat.ndim)))
-    else:
-        flat = tr.whole_to_fft_layout(flat, 1 + grid.n_tan_axes)
-        ks = tr.whole_k_vectors(grid, flat.ndim - 1, 0)
-        h = 2.0 * grid.X / (2 * grid.N_vert - 2)
-        vecs = [np.full(grid.N_tan, grid.L / grid.N_tan)
-                for _ in range(grid.n_tan_axes)] + [np.full(2 * grid.N_vert - 2, h)]
-        modes = np.fft.fftn(flat, axes=tuple(range(1, flat.ndim)))
-    k2 = sum(k ** 2 for k in ks)
-    sh = [1] * (len(vecs) + 1)
-    sh[-1] = nt
-    rho = np.sqrt(k2 + np.abs(eta).reshape(sh))
-    kmin = float(np.min(rho[rho > 0]))
-    kmax = float(np.max(rho))
-    part = DyadicPartition.for_band(kmin, kmax)
-    wfull = np.ones([1] * (len(vecs) + 1))
-    for a, vec in enumerate(vecs):
-        shp = [1] * (len(vecs) + 1)
-        shp[a] = len(vec)
-        wfull = wfull * vec.reshape(shp)
-    wfull = wfull * np.full(nt, dt).reshape(sh)
+    nsp = flat.ndim - 2
+    flat = _periodic(flat, work.domain, nsp)
+    ks = _k_vectors(grid, work.domain, nsp + 1)
+    eta = 2.0 * np.pi * np.fft.rfftfreq(grid.N_time, d=grid.dt)
+    rho = np.sqrt(sum(k ** 2 for k in ks) + eta)
+    part = DyadicPartition.for_band(float(np.min(rho[rho > 0])),
+                                    float(np.max(rho)))
+    weights = _weights(grid, work.domain, nsp + 1, periodic=True) \
+        * np.full(grid.N_time, grid.dt)
+    st_axes = tuple(range(1, nsp + 2))
+    modes = np.fft.rfftn(flat, axes=st_axes)
     acc = 0.0
-    sp_axes = tuple(range(1, modes.ndim))
     for j in part.blocks:
-        chi = part.window(j, rho)
-        block = np.fft.ifftn(modes * chi, axes=sp_axes).real
-        lq_q = np.sum(wfull * np.abs(block) ** q)
-        acc += 2.0 ** (j * s * q) * lq_q
+        block = np.fft.irfftn(modes * part.window(j, rho), s=flat.shape[1:],
+                              axes=st_axes)
+        np.abs(block, out=block)
+        block **= q
+        acc += 2.0 ** (j * s * q) * np.sum(np.tensordot(block, weights, nsp + 1))
     return acc ** (1.0 / q)
 
 

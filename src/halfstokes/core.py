@@ -14,6 +14,7 @@ package are pure functions over them.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +114,31 @@ class HalfSpaceGrid:
                              X=self.X / lam, N_vert=self.N_vert,
                              T=self.T / lam ** 2, N_time=self.N_time,
                              grading=self.grading)
+
+
+class GridCache:
+    """Least-recently-used map for tables derived from a grid, holding at
+    most ``SIZE`` entries: a study works on at most three grids at once (the
+    scaling check's base grid and its two rescalings), each under at most
+    two keys (boundary and whole-space lattices)."""
+
+    SIZE = 8
+
+    def __init__(self):
+        self._entries = OrderedDict()
+
+    def get(self, key, build):
+        """The entry under ``key``, built by ``build()`` on a miss."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        else:
+            self._entries[key] = build()
+            if len(self._entries) > self.SIZE:
+                self._entries.popitem(last=False)
+        return self._entries[key]
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def make_grid(n, L, N_tan, X, N_vert, grading=1.0, T=1.0, N_time=2) -> HalfSpaceGrid:

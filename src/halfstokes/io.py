@@ -4,6 +4,7 @@ and deterministic JSON reports."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +107,10 @@ def export_csv_slice(field, path, component: int = 0,
 
 
 def write_report(report: dict, path) -> None:
-    """Deterministic JSON: sorted keys, no timestamps."""
+    """Deterministic JSON: sorted keys, no timestamps; non-finite numbers
+    are written as null."""
     Path(path).write_text(json.dumps(_sanitize(report), sort_keys=True,
-                                     indent=2) + "\n")
+                                     indent=2, allow_nan=False) + "\n")
 
 
 def _sanitize(obj):
@@ -116,11 +118,11 @@ def _sanitize(obj):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, float) and (obj != obj):  # NaN -> null for JSON
+        return _sanitize(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):  # NaN, +-inf
         return None
     return obj
 

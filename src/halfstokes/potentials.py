@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BoundaryField, Field, HalfSpaceGrid, ScalarField,
-                   TensorField, VectorField)
+from .core import (BoundaryField, Field, GridCache, HalfSpaceGrid,
+                   ScalarField, TensorField, VectorField)
 from .errors import ShapeMismatchError
 from .numerics import (exp_linear_weights, heat_layer_cumulative,
                        lag_convolve, lag_correlate, trapezoid_weights)
@@ -76,14 +76,14 @@ class KernelQuadrature:
     wall_row: np.ndarray     # weights at the wall node only, (n_lam, N_time - 1)
 
 
-_QUAD_CACHE: dict = {}
+_QUAD_CACHE = GridCache()
 
 
 def kernel_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
-    key = grid.key()
-    quad = _QUAD_CACHE.get(key)
-    if quad is not None:
-        return quad
+    return _QUAD_CACHE.get(grid.key(), lambda: _build_quadrature(grid))
+
+
+def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
     ks = tr.tan_wavenumbers(grid)
     mesh = np.meshgrid(*ks, indexing="ij") if len(ks) > 1 else [ks[0]]
     lam = np.sqrt(sum(k ** 2 for k in mesh))
@@ -95,10 +95,8 @@ def kernel_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
                               lam_unique[:, None, None],
                               taus[None, None, :])
     W = np.diff(C, axis=-1)
-    quad = KernelQuadrature(lam_unique=lam_unique, group_index=group,
+    return KernelQuadrature(lam_unique=lam_unique, group_index=group,
                             weights=W, wall_row=W[:, 0, :])
-    _QUAD_CACHE[key] = quad
-    return quad
 
 
 def _interval_values(nodal: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from halfstokes.core import (BesovIndex, BoundaryField, VectorField,
 from halfstokes.errors import NormOrderError, ShapeMismatchError
 from halfstokes import besov, datagen
 from halfstokes import transforms as tr
+from halfstokes.numerics import trapezoid_weights
 
 
 def grid2(N=32, Nv=17, Nt=9, X=np.pi, T=1.0):
@@ -154,7 +157,6 @@ def test_aniso_separable_factorization():
     spatial = besov.lq_time_lp_space(f, alpha, q)
     a_field = BoundaryField(g, a_x[None], time_dependent=False)
     norm_a = besov.lp_norm(a_field, alpha, q)
-    from halfstokes.numerics import trapezoid_weights
     tw = trapezoid_weights(g.time_nodes)
     norm_b_lq = np.sum(tw * np.abs(b_t) ** q) ** (1.0 / q)
     assert np.isclose(spatial, norm_a * norm_b_lq, rtol=1e-10)
@@ -253,3 +255,140 @@ def test_gagliardo_lp_bracket_stable_under_refinement():
         brackets.append(max(ratios) / min(ratios))
     assert brackets[0] < 8.0 and brackets[1] < 8.0
     assert abs(brackets[1] - brackets[0]) / brackets[0] < 0.5
+
+
+# ---------------------------------------------------------------------------
+# agreement with a complex-transform reference
+# ---------------------------------------------------------------------------
+#
+# The reference below is the textbook realization: complex FFTs over the
+# full lattice, windows evaluated per block, |block|^q weighted by the cell
+# volume.  The engine uses real transforms on the half lattice, cached
+# windows and pre-scaled pair differences; both must agree to roundoff.
+
+def _ref_lp_q(data, grid, domain, s, q):
+    """q-th power of the LP norm per trailing slice; data (*spatial, ...)."""
+    nsp = grid.n_tan_axes + (domain != "boundary")
+    axes = tuple(range(nsp))
+    cell = (grid.L / grid.N_tan) ** grid.n_tan_axes
+    if domain == "boundary":
+        modes = np.fft.fftn(data, axes=axes)
+        ks = tr.tan_k_vectors(grid, data.ndim, 0)
+    else:
+        modes = np.fft.fftn(tr.whole_to_fft_layout(data, nsp - 1), axes=axes)
+        ks = tr.whole_k_vectors(grid, data.ndim, 0)
+        cell *= grid.X / (grid.N_vert - 1)
+    kabs = np.sqrt(sum(k ** 2 for k in ks))
+    part = besov.DyadicPartition.for_band(np.min(kabs[kabs > 0]), np.max(kabs))
+    acc = 0.0
+    for j in part.blocks:
+        block = np.fft.ifftn(modes * part.window(j, kabs), axes=axes).real
+        acc = acc + 2.0 ** (j * s * q) * cell * np.sum(np.abs(block) ** q,
+                                                      axis=axes)
+    return acc
+
+
+def _ref_components_q(field, s, q):
+    work = tr.extend_even(field) if field.domain == "half" else field
+    flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
+    return sum(_ref_lp_q(c, work.grid, work.domain, s, q) for c in flat)
+
+
+def _ref_aniso_lp(field, s, q):
+    grid = field.grid
+    work = tr.extend_even(field) if field.domain == "half" else field
+    flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
+    nsp = flat.ndim - 2
+    cell = (grid.L / grid.N_tan) ** grid.n_tan_axes * grid.dt
+    if work.domain == "boundary":
+        ks = tr.tan_k_vectors(grid, flat.ndim - 1, 0)
+    else:
+        flat = tr.whole_to_fft_layout(flat, nsp)
+        ks = tr.whole_k_vectors(grid, flat.ndim - 1, 0)
+        cell *= grid.X / (grid.N_vert - 1)
+    eta = 2.0 * np.pi * np.fft.fftfreq(grid.N_time, d=grid.dt)
+    rho = np.sqrt(sum(k ** 2 for k in ks) + np.abs(eta))
+    part = besov.DyadicPartition.for_band(np.min(rho[rho > 0]), np.max(rho))
+    axes = tuple(range(1, flat.ndim))
+    modes = np.fft.fftn(flat, axes=axes)
+    total = sum(2.0 ** (j * s * q) * cell * np.sum(
+        np.abs(np.fft.ifftn(modes * part.window(j, rho), axes=axes).real) ** q)
+        for j in part.blocks)
+    return total ** (1.0 / q)
+
+
+def _ref_pair_diffs(field, q, spatial_norm):
+    grid = field.grid
+    nt = grid.N_time
+    D = np.zeros((nt, nt))
+    if spatial_norm == "lq":
+        vecs = [np.full(grid.N_tan, grid.L / grid.N_tan)] * grid.n_tan_axes
+        if field.domain == "half":
+            vecs.append(trapezoid_weights(grid.vert_nodes))
+        elif field.domain == "whole":
+            vecs.append(np.r_[np.full(2 * grid.N_vert - 2,
+                                      grid.X / (grid.N_vert - 1)), 0.0])
+        w = functools.reduce(np.multiply.outer, vecs)
+        for i in range(nt):
+            for k in range(i + 1, nt):
+                diff = field.data[..., k] - field.data[..., i]
+                D[i, k] = np.sum(w * np.abs(diff) ** q) ** (1.0 / q)
+    else:
+        work = tr.extend_even(field) if field.domain == "half" else field
+        flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
+        for i in range(nt):
+            diff = flat[..., i + 1:] - flat[..., i:i + 1]
+            D[i, i + 1:] = sum(_ref_lp_q(c, grid, work.domain, spatial_norm[1], q)
+                               for c in diff) ** (1.0 / q)
+    return D + D.T
+
+
+def _random_fields(grid, rng, time_dependent):
+    """Random vector fields on the boundary, the half and the whole space."""
+    nt = (grid.N_time,) if time_dependent else ()
+    tan = grid.tan_shape
+    return {
+        "boundary": BoundaryField(
+            grid, rng.standard_normal((2,) + tan + nt),
+            time_dependent=time_dependent),
+        "half": VectorField(
+            grid, rng.standard_normal((grid.n,) + tan + (grid.N_vert,) + nt),
+            domain="half", time_dependent=time_dependent),
+        "whole": VectorField(
+            grid, rng.standard_normal((grid.n,) + tan + (grid.n_vert_whole,) + nt),
+            domain="whole", time_dependent=time_dependent),
+    }
+
+
+# (n, N_tan, N_time): even and odd lengths on the real axes (the last
+# tangential axis and time); the refined ratio-study grid has N_time = 63
+AGREEMENT_GRIDS = [(2, 16, 9), (2, 15, 8), (3, 8, 7), (3, 7, 6)]
+
+
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("n, N, Nt", AGREEMENT_GRIDS)
+def test_engine_agrees_with_complex_transform_reference(n, N, Nt, q,
+                                                        monkeypatch):
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
+                  N_time=Nt)
+    rng = np.random.default_rng(100 * n + N + Nt)
+    s, s_neg, s2 = 0.7, -0.4, 0.45
+    for domain, f in _random_fields(g, rng, time_dependent=False).items():
+        ref = float(_ref_components_q(f, s, q)) ** (1.0 / q)
+        assert besov.lp_norm(f, s, q) == pytest.approx(ref, rel=1e-12), domain
+    cases = _random_fields(g, rng, time_dependent=True)
+    tw = trapezoid_weights(g.time_nodes)
+    for domain, f in cases.items():
+        ref = np.sum(tw * _ref_components_q(f, s, q)) ** (1.0 / q)
+        assert besov.lq_time_lp_space(f, s, q) == pytest.approx(ref, rel=1e-12)
+        assert besov.aniso_lp_norm(f, s_neg, q) ==             pytest.approx(_ref_aniso_lp(f, s_neg, q), rel=1e-12), domain
+    for spatial_norm in ("lq", ("besov", -1.0 / q)):
+        values = {d: besov.gagliardo_time_norm(f, s2, q, spatial_norm)
+                  for d, f in cases.items()}
+        monkeypatch.setattr(besov, "_pair_diff_norms",
+                            lambda f, q, sn: _ref_pair_diffs(f, q, sn))
+        for domain, f in cases.items():
+            ref = besov.gagliardo_time_norm(f, s2, q, spatial_norm)
+            assert values[domain] == pytest.approx(ref, rel=1e-12), \
+                (domain, spatial_norm)
+        monkeypatch.undo()

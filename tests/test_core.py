@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from halfstokes.core import (BesovIndex, BoundaryField, IterationTrace,
-                             ScalarField, VectorField, make_grid,
-                             parabolic_scale)
+from halfstokes import besov, potentials
+from halfstokes.core import (BesovIndex, BoundaryField, GridCache,
+                             IterationTrace, ScalarField, VectorField,
+                             make_grid, parabolic_scale)
 from halfstokes.errors import InvalidGridError, ShapeMismatchError
 
 
@@ -136,3 +137,19 @@ def test_iteration_trace_bookkeeping():
         bad = IterationTrace(data_norm=1.0, beta=0.5, p=1.25)
         bad.add(float("nan"))
         bad.validate()
+
+
+@pytest.mark.parametrize("lookup, cache", [
+    (lambda g: besov.partition_for(g, "whole"), besov._PARTITIONS),
+    (potentials.kernel_quadrature, potentials._QUAD_CACHE),
+], ids=["partition_for", "kernel_quadrature"])
+def test_grid_caches_stay_bounded(lookup, cache):
+    # a scaling study adds grids without end; the per-grid tables must not
+    grids = [make_grid(2, L=1.0 + 0.1 * i, N_tan=4, X=1.0, N_vert=3, T=1.0,
+                       N_time=3) for i in range(GridCache.SIZE + 3)]
+    first = lookup(grids[0])
+    for g in grids:
+        lookup(g)
+    assert len(cache) == GridCache.SIZE
+    assert lookup(grids[-1]) is lookup(grids[-1])
+    assert lookup(grids[0]) is not first  # least recently used, evicted

@@ -42,6 +42,22 @@ def test_report_determinism(tmp_path):
         (tmp_path / "r2.json").read_bytes()
 
 
+
+def test_report_nonfinite_values_are_valid_json(tmp_path):
+    rep = {"inf": float("inf"), "ninf": -float("inf"),
+           "np_inf": np.float64(np.inf), "nan": np.float64(np.nan),
+           "arr": np.array([1.0, np.inf, -np.inf]), "ok": np.float64(0.5)}
+    io.write_report(rep, tmp_path / "r.json")
+
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    back = json.loads((tmp_path / "r.json").read_text(),
+                      parse_constant=reject)
+    assert back == {"inf": None, "ninf": None, "np_inf": None, "nan": None,
+                    "arr": [1.0, None, None], "ok": 0.5}
+
+
 CONFIG = """
 [grid]
 n = 2
