@@ -107,7 +107,7 @@ def partition_for(grid: HalfSpaceGrid, domain: str) -> GridPartition:
 
 def _build_partition(grid: HalfSpaceGrid, domain: str) -> GridPartition:
     nsp = grid.n_tan_axes + (domain != "boundary")
-    ks = _k_vectors(grid, domain, nsp)
+    ks = tr.k_vectors(grid, domain, nsp)
     # rfftn keeps the n // 2 + 1 non-negative frequencies of the last axis
     ks[-1] = np.abs(ks[-1][..., : ks[-1].shape[-1] // 2 + 1])
     kabs = np.sqrt(sum(k ** 2 for k in ks))
@@ -117,14 +117,6 @@ def _build_partition(grid: HalfSpaceGrid, domain: str) -> GridPartition:
                     if np.any(chi := part.window(j, kabs)))
     weights = _weights(grid, domain, nsp, periodic=True)
     return GridPartition(part.j_min, part.j_max, windows, weights)
-
-
-def _k_vectors(grid: HalfSpaceGrid, domain: str, ndim: int):
-    """Wavenumber lattice of the spatial axes of a boundary or whole-space
-    array, leading in an ``ndim``-array."""
-    if domain == "boundary":
-        return tr.tan_k_vectors(grid, ndim, 0)
-    return tr.whole_k_vectors(grid, ndim, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +384,7 @@ def _time_besov(field: Field, sigma: float, q: float) -> float:
     if sigma < 1.0:
         return gagliardo_time_norm(field, sigma, q, spatial_norm="lq")
     # one time derivative plus a Gagliardo remainder of order sigma - 1
-    dt = field.grid.dt
-    data = np.gradient(field.data, dt, axis=-1)
-    deriv = type(field)(field.grid, data, domain=field.domain,
-                        time_dependent=True) if not isinstance(field, BoundaryField) \
-        else BoundaryField(field.grid, data, ncomp=field.ncomp)
+    deriv = field._like(np.gradient(field.data, field.grid.dt, axis=-1))
     return gagliardo_time_norm(deriv, sigma - 1.0, q, spatial_norm="lq")
 
 
@@ -416,7 +404,7 @@ def aniso_lp_norm(field: Field, s: float, q: float) -> float:
     flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
     nsp = flat.ndim - 2
     flat = _periodic(flat, work.domain, nsp)
-    ks = _k_vectors(grid, work.domain, nsp + 1)
+    ks = tr.k_vectors(grid, work.domain, nsp + 1)
     eta = 2.0 * np.pi * np.fft.rfftfreq(grid.N_time, d=grid.dt)
     rho = np.sqrt(sum(k ** 2 for k in ks) + eta)
     part = DyadicPartition.for_band(float(np.min(rho[rho > 0])),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from pathlib import Path
 
@@ -21,7 +20,8 @@ from . import __version__, besov, datagen, io, verify
 from . import navier_stokes as nsmod
 from . import stokes as stk
 from .core import BesovIndex, BoundaryField, VectorField, make_grid
-from .errors import ConfigError, HalfStokesError, PicardDivergenceError
+from .errors import (ConfigError, HalfStokesError, NormOrderError,
+                     PicardDivergenceError, ShapeMismatchError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,6 +74,8 @@ def _build_data(cfg: dict, grid, seed: int):
     sec = cfg.get("data", {})
     family = sec.get("family", "stream_compatible")
     amp = float(sec.get("amplitude", 1.0))
+    if not np.isfinite(amp):
+        raise ConfigError(f"amplitude must be finite, got {amp}")
     if family == "zero":
         h = VectorField(grid, np.zeros((grid.n,) + grid.tan_shape
                                        + (grid.N_vert,)),
@@ -114,8 +116,6 @@ def _common_setup(args):
     cfg = _parse_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     grid = _build_grid(cfg)
     index = _build_index(cfg, grid.n)
     report = io.base_report(cfg)
@@ -195,21 +195,29 @@ def cmd_verify_ops(args) -> int:
 
 def cmd_norms(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
-    field = io.load_field(args.field)
+    try:
+        field = io.load_field(args.field)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"field snapshot not found: {exc}") from exc
     sec = cfg.get("norms", {})
     kind = sec.get("kind", "aniso")
     s = float(sec.get("s", index.alpha))
     q = float(sec.get("q", index.q))
-    if kind == "aniso":
-        value = besov.aniso_norm(field, s, q)
-    elif kind == "lp":
-        value = besov.lp_norm(field, s, q)
-    elif kind == "lq":
-        value = besov.field_lq(field, q)
-    elif kind == "lq_time_lp_space":
-        value = besov.lq_time_lp_space(field, s, q)
-    else:
-        return _fail(report, out_dir, EXIT_CONFIG, f"unknown norm kind {kind!r}")
+    try:
+        if kind == "aniso":
+            value = besov.aniso_norm(field, s, q)
+        elif kind == "lp":
+            value = besov.lp_norm(field, s, q)
+        elif kind == "lq":
+            value = besov.field_lq(field, q)
+        elif kind == "lq_time_lp_space":
+            value = besov.lq_time_lp_space(field, s, q)
+        else:
+            return _fail(report, out_dir, EXIT_CONFIG,
+                         f"unknown norm kind {kind!r}")
+    except (ShapeMismatchError, NormOrderError) as exc:
+        raise ConfigError(f"norm kind {kind!r} does not fit the field: {exc}") \
+            from exc
     report["norms"] = {kind: value, "s": s, "q": q}
     io.write_report(report, out_dir / "report.json")
     print(f"{kind} norm = {value!r}")
@@ -253,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0)
         p.add_argument("--tolerance-scale", type=float, default=1.0,
                        dest="tolerance_scale")
         if name == "norms":

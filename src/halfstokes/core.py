@@ -210,16 +210,6 @@ class Field:
             raise ShapeMismatchError("boundary fields have no vertical axis")
         return self.ncomp_axes + self.grid.n_tan_axes
 
-    @property
-    def tan_axes(self) -> tuple:
-        return tuple(range(self.ncomp_axes, self.ncomp_axes + self.grid.n_tan_axes))
-
-    @property
-    def time_axis(self) -> int:
-        if not self.time_dependent:
-            raise ShapeMismatchError("field has no time axis")
-        return self.data.ndim - 1
-
     # convenience arithmetic -------------------------------------------------
 
     def _like(self, data):
@@ -442,15 +432,3 @@ def parabolic_scale(h: VectorField, g: BoundaryField, lam: float):
     g_scaled = BoundaryField(new_grid, lam * g.data, ncomp=g.ncomp,
                              time_dependent=g.time_dependent)
     return h_scaled, g_scaled
-
-
-def scale_field(f: Field, lam: float) -> Field:
-    """Apply the same relabeling rescale to any single field."""
-    if lam <= 0:
-        raise ValueError(f"scaling factor must be positive, got {lam}")
-    new_grid = f.grid.scaled(lam)
-    if isinstance(f, BoundaryField):
-        return BoundaryField(new_grid, lam * f.data, ncomp=f.ncomp,
-                             time_dependent=f.time_dependent)
-    return type(f)(new_grid, lam * f.data, domain=f.domain,
-                   time_dependent=f.time_dependent)

@@ -17,6 +17,13 @@ from .core import (BoundaryField, HalfSpaceGrid, ScalarField, TensorField,
                    VectorField)
 from .errors import ShapeMismatchError
 
+
+def _require_2d(grid: HalfSpaceGrid):
+    if grid.n != 2:
+        raise ShapeMismatchError(
+            f"this generator is two-dimensional, got a grid with n = {grid.n}")
+
+
 # ---------------------------------------------------------------------------
 # deterministic analytic families
 # ---------------------------------------------------------------------------
@@ -27,8 +34,7 @@ def stream_mode_initial_data(grid: HalfSpaceGrid, k1: int = 1, m: int = 1,
     """Divergence-free initial data from the stream function
     a cos(k1 x1) sin(kappa y): tangential component even in y, normal odd,
     so the reflection extension is exact and band-limited."""
-    if grid.n != 2:
-        raise ShapeMismatchError("stream-mode data is two-dimensional")
+    _require_2d(grid)
     kx = 2.0 * np.pi * k1 / grid.L
     kap = np.pi * m / grid.X
     x = grid.tan_nodes[:, None]
@@ -44,6 +50,7 @@ def compatible_boundary_data(grid: HalfSpaceGrid, h: VectorField,
                              k_extra: int = 2) -> BoundaryField:
     """Boundary data strongly compatible with ``h``: equals the wall trace of
     h at t = 0 and relaxes toward an independent tangential profile."""
+    _require_2d(grid)
     x = grid.tan_nodes
     t = grid.time_nodes[None, :]
     wall = h.data[:, :, 0]  # (n, N_tan)
@@ -77,6 +84,7 @@ class ForcedManufactured:
 
     def _profiles(self, grid):
         """phi, phi', phi'', phi''' of phi(y) = A y^5 exp(-a y^2)."""
+        _require_2d(grid)
         a = self.decay
         y = grid.vert_nodes
         p = Polynomial([0.0] * 5 + [0.125])
@@ -111,6 +119,7 @@ class ForcedManufactured:
         """Initial data as the discrete curl of the sampled stream function,
         exactly solenoidal on every grid (matches the analytic velocity up to
         the sampling-aliasing level)."""
+        _require_2d(grid)
         from . import transforms as trm
 
         a = self.decay
@@ -155,8 +164,7 @@ def harmonic_gradient_solution(grid: HalfSpaceGrid, k1: int = 2,
                                amplitude: float = 1.0):
     """Exact homogeneous Stokes solution u = grad(phi) with a harmonic,
     boundary-driven phi; returns (u exact, h, g)."""
-    if grid.n != 2:
-        raise ShapeMismatchError("two-dimensional family")
+    _require_2d(grid)
     kx = 2.0 * np.pi * k1 / grid.L
     x = grid.tan_nodes[:, None, None]
     y = grid.vert_nodes[None, :, None]
@@ -175,6 +183,7 @@ def gaussian_boundary_pulse(grid: HalfSpaceGrid, width: float = 0.35,
                             amplitude: float = 1.0) -> BoundaryField:
     """Scalar boundary pulse exp(-|x - x0|^2 / (4 a)) with a smooth ramp in
     time; spatially well inside the resolvable band for desk-scale grids."""
+    _require_2d(grid)
     if center is None:
         center = grid.L / 2.0
     x = grid.tan_nodes
@@ -214,6 +223,7 @@ def random_boundary_field(grid: HalfSpaceGrid, rng, ncomp: int = 1,
                           kmax: int = 3, time_profile: str = "taper0",
                           zero_normal: bool = False) -> BoundaryField:
     """Band-limited random boundary data with the requested time envelope."""
+    _require_2d(grid)
     x = grid.tan_nodes
     t = grid.time_nodes
     comps = []
@@ -235,8 +245,7 @@ def random_divfree_initial(grid: HalfSpaceGrid, rng, kmax: int = 2,
                            mmax: int = 2) -> VectorField:
     """Random solenoidal initial data built from stream-function modes whose
     reflection extension is exact."""
-    if grid.n != 2:
-        raise ShapeMismatchError("two-dimensional sampler")
+    _require_2d(grid)
     x = grid.tan_nodes[:, None]
     y = grid.vert_nodes[None, :]
     u1 = np.zeros((grid.N_tan, grid.N_vert))
@@ -257,6 +266,7 @@ def random_whole_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None,
                        kmax: int = 2, mmax: int = 2,
                        time_profile: str = "taper_both") -> VectorField | ScalarField:
     """Random band-limited space-time field on the reflected whole axis."""
+    _require_2d(grid)
     x = grid.tan_nodes[:, None, None]
     y = grid.whole_vert_nodes[None, :, None]
     nc = grid.n if ncomp is None else ncomp
@@ -285,8 +295,7 @@ def random_divfree_whole(grid: HalfSpaceGrid, rng, kmax: int = 2,
     component has a nonzero wall trace in general."""
     from . import transforms as trm
 
-    if grid.n != 2:
-        raise ShapeMismatchError("two-dimensional sampler")
+    _require_2d(grid)
     x = grid.tan_nodes[:, None]
     y = grid.whole_vert_nodes[None, :]
     psi = np.zeros((grid.N_tan, grid.n_vert_whole))
@@ -306,6 +315,7 @@ def random_divfree_whole(grid: HalfSpaceGrid, rng, kmax: int = 2,
 def random_whole_steady(grid: HalfSpaceGrid, rng, kmax: int = 2,
                         mmax: int = 2) -> VectorField:
     """Random band-limited steady data on the whole reflected axis."""
+    _require_2d(grid)
     x = grid.tan_nodes[:, None]
     y = grid.whole_vert_nodes[None, :]
     comps = []
@@ -325,6 +335,7 @@ def random_whole_steady(grid: HalfSpaceGrid, rng, kmax: int = 2,
 
 def random_boundary_steady(grid: HalfSpaceGrid, rng, kmax: int = 3) -> BoundaryField:
     """Random band-limited steady scalar boundary data."""
+    _require_2d(grid)
     x = grid.tan_nodes
     acc = np.zeros(grid.N_tan)
     for k in range(1, kmax + 1):
@@ -338,6 +349,7 @@ def random_halfspace_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None,
                            time_profile: str = "taper_both"):
     """Random band-limited field supported on the half space (vanishes at the
     wall and the top, so the zero extension stays tame)."""
+    _require_2d(grid)
     x = grid.tan_nodes[:, None, None]
     y = grid.vert_nodes[None, :, None]
     nc = grid.n if ncomp is None else ncomp
@@ -414,8 +426,7 @@ class StreamTestFunction:
         grad_phi (2, 2, nx, ny, nt) indexed [deriv, comp], wall_dy (2, nx, nt),
         phi0 (2, nx, ny).
         """
-        if grid.n != 2:
-            raise ShapeMismatchError("test family is two-dimensional")
+        _require_2d(grid)
         kx = 2.0 * np.pi * self.k / grid.L
         X, T = grid.X, grid.T
         P = self._P(X)

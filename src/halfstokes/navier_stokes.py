@@ -4,9 +4,9 @@ quadratic self-advection flux, with contraction monitoring.
 The first iterate solves with zero force; subsequent iterates feed back the
 tensor -u (x) u (its divergence is taken inside the volume potential).  The
 iteration stops when the increment norm falls below ``tol`` times the first
-iterate's norm; three consecutive non-contracting steps raise
-:class:`PicardDivergenceError` (the data are too large for the small-data
-regime).
+iterate's norm; three consecutive non-contracting steps, or an iterate,
+flux or norm that overflows, raise :class:`PicardDivergenceError` (the data
+are too large for the small-data regime).
 """
 
 from __future__ import annotations
@@ -31,6 +31,14 @@ def nonlinear_flux(u: VectorField) -> TensorField:
                        time_dependent=u.time_dependent)
 
 
+def _require_finite(trace: IterationTrace, *values):
+    """Stop the iteration as divergent, with the trace so far, unless every
+    value is finite (an overflowing iterate, flux or norm)."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        trace.stop_reason = f"overflow after {len(trace.steps)} steps"
+        raise PicardDivergenceError(trace.stop_reason, trace=trace)
+
+
 def picard_solve(h: VectorField, g: BoundaryField, index, max_iter: int = 50,
                  tol: float = 1e-8):
     """Iterated Stokes solves with the quadratic flux.
@@ -51,6 +59,7 @@ def picard_solve(h: VectorField, g: BoundaryField, index, max_iter: int = 50,
     sol = stk.solve_stokes(h, g, None, index=index, with_norms=False)
     u = sol.u
     first_norm = besov.aniso_norm(u, alpha, q)
+    _require_finite(trace, first_norm)
     trace.add(first_norm)
     if first_norm == 0.0:
         trace.converged = True
@@ -60,11 +69,13 @@ def picard_solve(h: VectorField, g: BoundaryField, index, max_iter: int = 50,
     bad_streak = 0
     for m in range(1, max_iter + 1):
         F = nonlinear_flux(u)
+        _require_finite(trace, F.data)
         sol = stk.solve_stokes(h, g, F, index=index, with_norms=False)
         u_next = sol.u
         increment = VectorField(u.grid, u_next.data - u.data, domain="half")
         inc_norm = besov.aniso_norm(increment, alpha, q)
         sol_norm = besov.aniso_norm(u_next, alpha, q)
+        _require_finite(trace, inc_norm, sol_norm)
         trace.add(sol_norm, inc_norm)
         u = u_next
         ratios = trace.ratios()

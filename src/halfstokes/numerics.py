@@ -10,7 +10,7 @@ Littlewood-Paley windows.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, erfcx
+from scipy.special import erfcx
 
 
 def fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
@@ -136,16 +136,6 @@ def heat_layer_cumulative(y, lam, T):
 
 def _erfc_stable(x):
     return np.exp(-x * x) * erfcx(x)
-
-
-def heat_wall_cumulative(lam, T):
-    """Special case y = 0 of :func:`heat_layer_cumulative`: erf(lam sqrt(T))/(2 lam)."""
-    lam = np.asarray(lam, dtype=float)
-    T = np.asarray(T, dtype=float)
-    out = np.where(lam > 0,
-                   erf(lam * np.sqrt(np.maximum(T, 0.0))) / np.where(lam > 0, 2 * lam, 1.0),
-                   np.sqrt(np.maximum(T, 0.0) / np.pi))
-    return out
 
 
 def smooth_step(x):

@@ -84,11 +84,9 @@ def kernel_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
 
 
 def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
-    ks = tr.tan_wavenumbers(grid)
-    mesh = np.meshgrid(*ks, indexing="ij") if len(ks) > 1 else [ks[0]]
-    lam = np.sqrt(sum(k ** 2 for k in mesh))
-    lam_unique, group = np.unique(np.round(lam, 12), return_inverse=True)
-    group = group.reshape(lam.shape)
+    lam_unique, group = np.unique(np.round(tr.tan_modulus(grid), 12),
+                                  return_inverse=True)
+    group = group.reshape(grid.tan_shape)
     taus = grid.dt * np.arange(grid.N_time)
     y = grid.vert_nodes
     C = heat_layer_cumulative(y[None, :, None],
@@ -281,15 +279,10 @@ def stokes_volume_potential(F: TensorField) -> VectorField:
     modes = tr.whole_fft(Fw.data, grid, offset=2)  # (n, n, *tan, M, nt)
     ks = [k[..., np.newaxis]
           for k in tr.whole_k_vectors(grid, grid.n_tan_axes + 1, 0, deriv=True)]
-    k2t = sum(k ** 2 for k in ks)
     # f_i = D_k F_{ki}
     fhat = np.stack([sum(1j * ks[k] * modes[k, i] for k in range(grid.n))
                      for i in range(grid.n)])
-    # Leray projection (zero mode passes through)
-    inv = np.where(k2t > 0, 1.0 / np.where(k2t > 0, k2t, 1.0), 0.0)
-    kdotf = sum(ks[i] * fhat[i] for i in range(grid.n))
-    proj = np.stack([fhat[i] - ks[i] * kdotf * inv for i in range(grid.n)])
-    out = _duhamel_forward(proj, _spatial_k2(grid), grid.dt)
+    out = _duhamel_forward(tr.leray(fhat, ks), _spatial_k2(grid), grid.dt)
     data = tr.whole_ifft(out, grid, offset=1)
     return VectorField(grid, data, domain="whole")
 
@@ -394,10 +387,7 @@ def strip_newton_potential(f: ScalarField, return_vertical_derivative=False):
     modes = tr.tan_fft(f.data, grid, offset=0)
     flat = modes.reshape((-1, grid.N_vert)
                          + ((grid.N_time,) if f.time_dependent else ()))
-    ks = tr.tan_wavenumbers(grid)
-    mesh = np.meshgrid(*ks, indexing="ij") if len(ks) > 1 else [ks[0]]
-    lam = np.sqrt(sum(k ** 2 for k in mesh)).reshape(-1)
-    S, dS = strip_newton_modes(flat, lam, grid.vert_nodes)
+    S, dS = strip_newton_modes(flat, tr.tan_modulus(grid), grid.vert_nodes)
     shape = grid.tan_shape + (grid.N_vert,) \
         + ((grid.N_time,) if f.time_dependent else ())
     Sfield = ScalarField(grid, tr.tan_ifft(S.reshape(shape), grid, 0),

@@ -25,13 +25,14 @@ and attains (G', 0) on the wall through the double-layer jump relation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (BoundaryField, HalfSpaceGrid, TensorField,
                    VectorField)
-from .errors import ShapeMismatchError
+from .errors import HalfStokesError, ShapeMismatchError
 from . import besov
 from . import potentials as pot
 from . import transforms as tr
@@ -111,9 +112,8 @@ def build_w(G: BoundaryField, tol: float = 1e-10) -> VectorField:
     quad = pot.kernel_quadrature(grid)
     nt, nv = grid.N_time, grid.N_vert
     ks = tr.tan_wavenumbers(grid, deriv=True)
-    mesh = np.meshgrid(*ks, indexing="ij") if len(ks) > 1 else [ks[0]]
-    xi = [m.reshape(-1) for m in mesh]
-    lam = np.sqrt(sum(x ** 2 for x in xi))
+    xi = [m.reshape(-1) for m in np.meshgrid(*ks, indexing="ij")]
+    lam = tr.tan_modulus(grid, deriv=True)
 
     D = derivative_matrix(grid.vert_nodes)
     betas = []
@@ -124,14 +124,10 @@ def build_w(G: BoundaryField, tol: float = 1e-10) -> VectorField:
     sigma = sum(1j * xi[j][:, None, None] * betas[j] for j in range(n - 1))
     S, dS = pot.strip_newton_modes(sigma, lam, grid.vert_nodes)
 
-    inv_lam = np.where(lam > 0, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-    comps = []
-    for i in range(n - 1):
-        w_i = -2.0 * betas[i] + 4.0 * 1j * xi[i][:, None, None] * S
-        comps.append(w_i)
+    comps = [-2.0 * betas[i] + 4.0 * 1j * xi[i][:, None, None] * S
+             for i in range(n - 1)]
     # -2 sum_j R'_j beta_j = 2 sigma / lam  with the zero-mode convention
-    w_n = 2.0 * inv_lam[:, None, None] * sigma + 4.0 * dS
-    comps.append(w_n)
+    comps.append(2.0 * tr.inv_or_zero(lam)[:, None, None] * sigma + 4.0 * dS)
     shape = grid.tan_shape + (nv, nt)
     data = np.stack([tr.tan_ifft(c.reshape(shape), grid, 0) for c in comps])
     return VectorField(grid, data, domain="half")
@@ -145,8 +141,13 @@ def compat_defect(h: VectorField, g: BoundaryField, index):
     defect at t = 0).  The t = 0 magnitude is the strong-compatibility
     diagnostic.
     """
-    h_ext = tr.extend_solenoidal(h)
-    d = BoundaryField(g.grid, g.data - pot.heat_trace(h_ext).data)
+    return _compat(g, pot.heat_trace(tr.extend_solenoidal(h)), index)
+
+
+def _compat(g: BoundaryField, v_wall: BoundaryField, index):
+    """:func:`compat_defect` from the wall trace ``v_wall`` of the heat
+    evolution of the initial data."""
+    d = BoundaryField(g.grid, g.data - v_wall.data)
     s_b = index.alpha - 1.0 / index.q
     norm = besov.aniso_norm(d, s_b, index.q) if s_b > 0 else float("nan")
     d0 = float(np.max(np.abs(d.data[..., 0])))
@@ -164,6 +165,23 @@ def _zero_like_parts(grid: HalfSpaceGrid):
     wall = BoundaryField(grid, np.zeros((grid.n,) + grid.tan_shape
                                         + (grid.N_time,)))
     return zero, wall
+
+
+@contextmanager
+def _part(name: str):
+    """Prefix the message of an exception raised while building part
+    ``name``; the exception object and its type are kept."""
+    try:
+        yield
+    except Exception as exc:
+        exc.args = (f"part {name}: {exc.args[0] if exc.args else ''}",) \
+            + exc.args[1:]
+        raise
+
+
+def _relative(num: float, den: float) -> float:
+    """``num / den``, or ``num`` itself when ``den`` is zero."""
+    return num / max(den, 1e-300) if den > 0 else num
 
 
 def gradient_scale(u: VectorField) -> float:
@@ -193,34 +211,30 @@ def solve_stokes(h: VectorField, g: BoundaryField,
     if g.ncomp != grid.n:
         raise ShapeMismatchError("boundary data must carry n components")
 
-    try:
+    for name, f in (("h", h), ("g", g), ("F", F)):
+        if f is not None and not np.all(np.isfinite(f.data)):
+            raise HalfStokesError(f"{name} contains non-finite values")
+
+    with _part("v"):
         v, v_whole = build_v(h)
         v_wall = tr.trace_boundary(v_whole)
-    except Exception as exc:
-        raise type(exc)(f"part v: {exc}") from exc
 
     if F is not None:
-        try:
+        with _part("V"):
             V_whole = pot.stokes_volume_potential(F)
             V = tr.restrict_half(V_whole)
             V_wall = tr.trace_boundary(V_whole)
-        except Exception as exc:
-            raise type(exc)(f"part V: {exc}") from exc
     else:
         V, V_wall = _zero_like_parts(grid)
 
     n = grid.n
     psi = BoundaryField(grid, (g.data[n - 1] - v_wall.data[n - 1]
                                - V_wall.data[n - 1])[None])
-    try:
+    with _part("grad_phi"):
         grad_phi = build_grad_phi(psi)
-    except Exception as exc:
-        raise type(exc)(f"part grad_phi: {exc}") from exc
-    try:
+    with _part("w"):
         G = build_G(g, v_wall, V_wall)
         w = build_w(G)
-    except Exception as exc:
-        raise type(exc)(f"part w: {exc}") from exc
 
     u = VectorField(grid, v.data + V.data + grad_phi.data + w.data,
                     domain="half")
@@ -229,19 +243,15 @@ def solve_stokes(h: VectorField, g: BoundaryField,
     div = tr.divergence(u)
     gscale = max(gradient_scale(u), 1e-300)
     diags["div_residual"] = besov.field_lq(div, 2.0) / gscale
-    u_wall = tr.trace_boundary(u)
-    bnd = BoundaryField(grid, u_wall.data - g.data)
-    gnorm = max(besov.field_lq(g, 2.0), 1e-300)
-    diags["boundary_residual"] = besov.field_lq(bnd, 2.0) / gnorm \
-        if besov.field_lq(g, 2.0) > 0 else besov.field_lq(bnd, 2.0)
-    u0 = VectorField(grid, u.data[..., 0], domain="half", time_dependent=False)
-    init = VectorField(grid, u0.data - h.data, domain="half",
+    bnd = BoundaryField(grid, tr.trace_boundary(u).data - g.data)
+    diags["boundary_residual"] = _relative(besov.field_lq(bnd, 2.0),
+                                           besov.field_lq(g, 2.0))
+    init = VectorField(grid, u.data[..., 0] - h.data, domain="half",
                        time_dependent=False)
-    h_scale = max(besov.field_lq(h, 2.0), 1e-300)
-    diags["initial_residual"] = besov.field_lq(init, 2.0) / h_scale \
-        if besov.field_lq(h, 2.0) > 0 else besov.field_lq(init, 2.0)
+    diags["initial_residual"] = _relative(besov.field_lq(init, 2.0),
+                                          besov.field_lq(h, 2.0))
     if index is not None:
-        _, compat_norm, compat_t0 = compat_defect(h, g, index)
+        _, compat_norm, compat_t0 = _compat(g, v_wall, index)
         diags["compat_norm"] = compat_norm
         diags["compat_t0"] = compat_t0
         if with_norms:

@@ -68,6 +68,36 @@ def whole_k_vectors(grid: HalfSpaceGrid, ndim: int, offset: int,
     return _mesh(axes, ndim, offset)
 
 
+def k_vectors(grid: HalfSpaceGrid, domain: str, ndim: int, offset: int = 0,
+              deriv: bool = False):
+    """Wavenumber lattice of the spatial axes of a boundary or whole-space
+    array, starting at axis ``offset`` of an ``ndim``-array."""
+    if domain == "boundary":
+        return tan_k_vectors(grid, ndim, offset, deriv)
+    if domain == "whole":
+        return whole_k_vectors(grid, ndim, offset, deriv)
+    raise ShapeMismatchError("half-space fields have no full spectral lattice")
+
+
+def tan_modulus(grid: HalfSpaceGrid, deriv: bool = False) -> np.ndarray:
+    """|xi| on the tangential lattice, flattened in C order."""
+    ks = tan_k_vectors(grid, grid.n_tan_axes, 0, deriv)
+    return np.sqrt(sum(k ** 2 for k in ks)).reshape(-1)
+
+
+def inv_or_zero(x: np.ndarray) -> np.ndarray:
+    """1 / x where x > 0, and 0 elsewhere (the zero mode)."""
+    return np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), 0.0)
+
+
+def leray(modes: np.ndarray, ks) -> np.ndarray:
+    """Leray projection of vector modes (components on the first axis):
+    symbol delta_ij - k_i k_j / |k|^2; the zero mode passes through."""
+    inv = inv_or_zero(sum(k ** 2 for k in ks))
+    kdotu = sum(k * m for k, m in zip(ks, modes))
+    return np.stack([m - k * kdotu * inv for k, m in zip(ks, modes)])
+
+
 # ---------------------------------------------------------------------------
 # transform helpers (operate on raw arrays)
 # ---------------------------------------------------------------------------
@@ -120,33 +150,6 @@ def whole_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int,
     if real:
         work = work.real
     return fft_to_whole_layout(work, vaxis)
-
-
-def _spatial_axes_count(field: Field) -> int:
-    return field.grid.n_tan_axes + (0 if field.domain == "boundary" else 1)
-
-
-def _field_k_vectors(field: Field):
-    """Wavenumber lattices matching the field's spatial axes."""
-    grid = field.grid
-    ndim = field.data.ndim
-    offset = field.ncomp_axes
-    if field.domain == "boundary":
-        return tan_k_vectors(grid, ndim, offset)
-    if field.domain == "whole":
-        return whole_k_vectors(grid, ndim, offset)
-    raise ShapeMismatchError("half-space fields have no full spectral lattice")
-
-
-def _scalar_k_vectors(field: Field, deriv: bool = False):
-    """Lattices shaped for arrays with the component axes stripped."""
-    grid = field.grid
-    ndim = field.data.ndim - field.ncomp_axes
-    if field.domain == "boundary":
-        return tan_k_vectors(grid, ndim, 0, deriv)
-    if field.domain == "whole":
-        return whole_k_vectors(grid, ndim, 0, deriv)
-    raise ShapeMismatchError("half-space fields have no full spectral lattice")
 
 
 def _field_fft(field: Field) -> np.ndarray:
@@ -231,17 +234,11 @@ def riesz_apply(field: Field, axis: int) -> Field:
     Boundary fields admit tangential axes only; whole-space fields any
     spatial axis.  The zero mode maps to zero.
     """
-    nsp = _spatial_axes_count(field)
-    if not 0 <= axis < nsp:
+    ks = k_vectors(field.grid, field.domain, field.data.ndim, field.ncomp_axes,
+                   deriv=True)
+    if not 0 <= axis < len(ks):
         raise ShapeMismatchError(
-            f"axis {axis} invalid for a {field.domain} field with {nsp} spatial axes")
-    if field.domain == "half":
-        raise ShapeMismatchError("Riesz transform needs boundary or whole-space fields")
-    grid = field.grid
-    if field.domain == "boundary":
-        ks = tan_k_vectors(grid, field.data.ndim, field.ncomp_axes, deriv=True)
-    else:
-        ks = whole_k_vectors(grid, field.data.ndim, field.ncomp_axes, deriv=True)
+            f"axis {axis} invalid for a {field.domain} field with {len(ks)} spatial axes")
     kabs = np.sqrt(sum(k ** 2 for k in ks))
     with np.errstate(divide="ignore", invalid="ignore"):
         symbol = np.where(kabs > 0, -1j * ks[axis] / np.where(kabs > 0, kabs, 1.0), 0.0)
@@ -256,13 +253,8 @@ def helmholtz_project(field: VectorField) -> VectorField:
     mode (a constant, already solenoidal) passes through unchanged.
     """
     _require_whole_vector(field)
-    ks = _scalar_k_vectors(field)
-    k2 = sum(k ** 2 for k in ks)
-    inv = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
-    modes = _field_fft(field)
-    kdotu = sum(ks[i] * modes[i] for i in range(field.grid.n))
-    proj = np.stack([modes[i] - ks[i] * kdotu * inv for i in range(field.grid.n)])
-    return field._like(_field_ifft(field, proj))
+    ks = whole_k_vectors(field.grid, field.data.ndim - 1, 0)
+    return field._like(_field_ifft(field, leray(_field_fft(field), ks)))
 
 
 def q_potential(field: VectorField) -> ScalarField:
@@ -272,9 +264,8 @@ def q_potential(field: VectorField) -> ScalarField:
     normalized to zero.
     """
     _require_whole_vector(field)
-    ks = _scalar_k_vectors(field, deriv=True)
-    k2 = sum(k ** 2 for k in ks)
-    inv = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+    ks = whole_k_vectors(field.grid, field.data.ndim - 1, 0, deriv=True)
+    inv = inv_or_zero(sum(k ** 2 for k in ks))
     modes = _field_fft(field)
     qhat = -1j * sum(ks[i] * modes[i] for i in range(field.grid.n)) * inv
     out = whole_ifft(qhat, field.grid, offset=0)
@@ -287,8 +278,7 @@ def spectral_gradient(field: ScalarField) -> VectorField:
     if field.domain != "whole":
         raise ShapeMismatchError("spectral gradient needs a whole-space scalar")
     grid = field.grid
-    ks = _mesh(tan_wavenumbers(grid, deriv=True) + [vert_wavenumbers(grid, deriv=True)],
-               field.data.ndim, 0)
+    ks = whole_k_vectors(grid, field.data.ndim, 0, deriv=True)
     modes = whole_fft(field.data, grid, offset=0)
     comps = [whole_ifft(1j * ks[i] * modes, grid, offset=0)
              for i in range(grid.n)]
@@ -299,7 +289,7 @@ def spectral_gradient(field: ScalarField) -> VectorField:
 def spectral_divergence(field: VectorField) -> ScalarField:
     """Divergence of a whole-space vector field, all axes spectral."""
     _require_whole_vector(field)
-    ks = _scalar_k_vectors(field, deriv=True)
+    ks = whole_k_vectors(field.grid, field.data.ndim - 1, 0, deriv=True)
     modes = _field_fft(field)
     div = sum(1j * ks[i] * modes[i] for i in range(field.grid.n))
     out = whole_ifft(div, field.grid, offset=0)
@@ -474,18 +464,5 @@ def normal_trace_norm(u: VectorField, index, tol: float = 1e-8) -> float:
                        time_dependent=u.time_dependent)
     # LP realization directly: the order -1/q sits on the duality-window
     # boundary for q = 2, where negative_order_norm would refuse
-    s = -1.0 / index.q
-    if not u.time_dependent:
-        return besov.lp_norm(un, s, index.q)
-    slices = []
-    for m in range(u.grid.N_time):
-        sl = BoundaryField(u.grid, un.data[..., m], time_dependent=False)
-        slices.append(besov.lp_norm(sl, s, index.q))
-    w = np.asarray(_time_weights(u.grid))
-    return float((np.sum(w * np.asarray(slices) ** index.q)) ** (1.0 / index.q))
-
-
-def _time_weights(grid: HalfSpaceGrid) -> np.ndarray:
-    from .numerics import trapezoid_weights
-
-    return trapezoid_weights(grid.time_nodes)
+    norm = besov.lq_time_lp_space if u.time_dependent else besov.lp_norm
+    return norm(un, -1.0 / index.q, index.q)

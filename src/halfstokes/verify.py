@@ -180,17 +180,6 @@ def oracle_heat_trace(grid: HalfSpaceGrid, amps, width_tan, width_vert,
     return np.stack([A * tanfac * vertfac for A in amps])
 
 
-def gaussian_whole_bump(grid: HalfSpaceGrid, amps, width_tan, width_vert,
-                        center_tan, center_vert) -> VectorField:
-    """Sampled Gaussian bump on the whole reflected axis (steady)."""
-    x = grid.tan_nodes[:, None]
-    y = grid.whole_vert_nodes[None, :]
-    prof = np.exp(-((x - center_tan) ** 2) / (4.0 * width_tan)) \
-        * np.exp(-((y - center_vert) ** 2) / (4.0 * width_vert))
-    return VectorField(grid, np.stack([A * prof for A in amps]),
-                       domain="whole", time_dependent=False)
-
-
 def oracle_poisson(f_profile, grid: HalfSpaceGrid, points_x, points_y):
     """Harmonic extension by quadrature of the periodized Poisson kernel
     (1/L) sinh(2 pi y/L) / (cosh(2 pi y/L) - cos(2 pi v/L)); panels graded
@@ -274,11 +263,7 @@ def oracle_strip_newton(f: ScalarField, points, n_panels=10, order=12):
 def _trig_interp_matrix(grid: HalfSpaceGrid, zp: np.ndarray) -> np.ndarray:
     """Evaluation matrix of the trigonometric interpolant at points ``zp``."""
     k = 2.0 * np.pi * np.fft.fftfreq(grid.N_tan, d=grid.L / grid.N_tan)
-    if grid.N_tan % 2 == 0:
-        k = k.copy()
-        # split the Nyquist mode symmetrically for a real interpolant
-    E = np.exp(1j * np.outer(zp, k)) / grid.N_tan
-    return E
+    return np.exp(1j * np.outer(zp, k)) / grid.N_tan
 
 
 def _sample_field_2d(data, grid, zp, zn):
@@ -290,12 +275,6 @@ def _sample_field_2d(data, grid, zp, zn):
     for i in range(vals_nodes.shape[0]):
         out[i] = np.interp(zn, grid.vert_nodes, vals_nodes[i])
     return out
-
-
-def _trig_interp(data, grid, zp):
-    modes = np.fft.fft(data, axis=0)
-    E = _trig_interp_matrix(grid, np.atleast_1d(zp))
-    return np.real(E @ modes)
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +371,6 @@ def oracle_boundary_potential(grid: HalfSpaceGrid, ramp: np.ndarray,
         w2 = 4.0 * np.sum(wzp[:, None] * zn_w[None, :] * ker1 * beta1)
         results.append((w1, w2))
     return np.array(results)
-
-
-def oracle_potential(kind: str, *args, **kwargs):
-    """Dispatcher for the coarse-grid quadrature oracles."""
-    table = {
-        "single_layer": oracle_single_layer,
-        "heat_trace": oracle_heat_trace,
-        "strip_newton": oracle_strip_newton,
-        "boundary_potential": oracle_boundary_potential,
-        "poisson": oracle_poisson,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown oracle kind {kind!r}")
-    return table[kind](*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -131,6 +132,24 @@ def test_cli_divergence_exit_code(tmp_path):
     assert report["error"]["code"] == cli.EXIT_DIVERGED
 
 
+def test_cli_overflowing_picard_exits_diverged(tmp_path):
+    cfg = write_config(tmp_path, amplitude=1e60, max_iter=20)
+    out = tmp_path / "blowup"
+    code = cli.main(["solve-ns", "--config", cfg, "--out", str(out)])
+    assert code == cli.EXIT_DIVERGED
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["code"] == cli.EXIT_DIVERGED
+    steps = report["trace"]["steps"]
+    assert steps and all(s["solution_norm"] is not None for s in steps)
+
+
+def test_cli_nonfinite_amplitude_is_config_error(tmp_path):
+    cfg = write_config(tmp_path, amplitude="nan")
+    code = cli.main(["solve-stokes", "--config", cfg,
+                     "--out", str(tmp_path / "nan")])
+    assert code == cli.EXIT_CONFIG
+
+
 def test_cli_config_error_exit_code(tmp_path):
     missing = str(tmp_path / "nope.ini")
     assert cli.main(["solve-stokes", "--config", missing,
@@ -161,6 +180,24 @@ def test_cli_norms_subcommand(tmp_path):
                      "--field", str(out / "velocity")]) == 0
     report = json.loads((out2 / "report.json").read_text())
     assert report["norms"]["aniso"] > 0
+
+
+def test_cli_norms_missing_field_is_config_error(tmp_path):
+    cfg = write_config(tmp_path)
+    code = cli.main(["norms", "--config", cfg, "--out", str(tmp_path / "n"),
+                     "--field", str(tmp_path / "absent")])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_cli_norms_lp_on_time_dependent_field_is_config_error(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "r"
+    assert cli.main(["solve-stokes", "--config", cfg, "--out", str(out)]) == 0
+    lp_cfg = tmp_path / "lp.ini"
+    lp_cfg.write_text(Path(cfg).read_text() + "\n[norms]\nkind = lp\n")
+    code = cli.main(["norms", "--config", str(lp_cfg), "--out",
+                     str(tmp_path / "n"), "--field", str(out / "velocity")])
+    assert code == cli.EXIT_CONFIG
 
 
 def test_cli_verification_failure_exit_code(tmp_path):

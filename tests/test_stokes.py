@@ -3,7 +3,8 @@ import pytest
 
 from halfstokes.core import (BesovIndex, BoundaryField, VectorField,
                              make_grid)
-from halfstokes.errors import ShapeMismatchError
+from halfstokes.errors import (HalfStokesError, NotDivergenceFreeError,
+                               ShapeMismatchError)
 from halfstokes import besov, datagen, potentials as pot, stokes as stk
 from halfstokes import transforms as tr
 
@@ -160,8 +161,34 @@ def test_solve_reports_failing_part():
                                      np.cos(x) * np.sin(np.pi * y / g.X)]),
                         domain="half", time_dependent=False)
     gb = BoundaryField(g, np.zeros((2, g.N_tan, g.N_time)))
-    with pytest.raises(Exception, match="part v"):
+    with pytest.raises(NotDivergenceFreeError, match="part v"):
         stk.solve_stokes(bad_h, gb, index=IDX, with_norms=False)
+
+
+@pytest.mark.parametrize("bad", ["h", "g", "F"])
+def test_solve_rejects_nonfinite_data(bad):
+    g = grid2()
+    h = datagen.stream_mode_initial_data(g, k1=1, m=2)
+    gb = datagen.compatible_boundary_data(g, h)
+    F = datagen.ForcedManufactured().stress(g)
+    data = {"h": h, "g": gb, "F": F}
+    poisoned = data[bad].data.copy()
+    poisoned.flat[3] = np.nan
+    data[bad] = data[bad]._like(poisoned)
+    with pytest.raises(HalfStokesError, match=f"^{bad} contains non-finite"):
+        stk.solve_stokes(data["h"], data["g"], data["F"], index=IDX,
+                         with_norms=False)
+
+
+def test_solve_compat_diagnostics_match_compat_defect():
+    g = grid2()
+    h = datagen.stream_mode_initial_data(g, k1=1, m=2)
+    gb = datagen.random_boundary_field(g, np.random.default_rng(6), ncomp=2,
+                                       time_profile="smooth")
+    sol = stk.solve_stokes(h, gb, index=IDX, with_norms=False)
+    _, norm, d0 = stk.compat_defect(h, gb, IDX)
+    assert sol.diagnostics["compat_norm"] == norm
+    assert sol.diagnostics["compat_t0"] == d0
 
 
 def test_compat_defect_trivial_cases():

@@ -17,6 +17,20 @@ def test_oracle_grid_guard():
         verify.oracle_single_layer(g, np.zeros(9), 0.3, np.pi)
 
 
+@pytest.mark.parametrize("sampler", [
+    lambda g, rng: datagen.random_boundary_field(g, rng),
+    lambda g, rng: datagen.random_halfspace_field(g, rng),
+    lambda g, rng: datagen.random_whole_field(g, rng),
+    lambda g, rng: datagen.random_whole_steady(g, rng),
+    lambda g, rng: datagen.random_boundary_steady(g, rng),
+], ids=["boundary", "halfspace", "whole", "whole_steady", "boundary_steady"])
+def test_two_dimensional_samplers_reject_3d_grids(sampler):
+    g = make_grid(3, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=5, T=1.0,
+                  N_time=5)
+    with pytest.raises(ShapeMismatchError, match="two-dimensional"):
+        sampler(g, np.random.default_rng(0))
+
+
 def test_single_layer_oracle_agreement():
     g = make_grid(2, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=17, T=0.5,
                   N_time=17)
