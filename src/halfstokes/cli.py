@@ -30,7 +30,7 @@ EXIT_VERIFY = 4
 
 
 def _parse_config(path: str) -> dict:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = cp.read(path)
     if not read:
         raise ConfigError(f"config file {path!r} not found")
@@ -40,40 +40,55 @@ def _parse_config(path: str) -> dict:
     return cfg
 
 
-def _build_grid(cfg: dict):
-    g = cfg["grid"]
+def _number(cfg: dict, section: str, key: str, default=None, kind=float):
+    """``kind`` of the value of ``key`` under ``[section]`` (``default`` when
+    it is absent); a missing required value, or one that does not parse, is
+    a :class:`ConfigError` naming the section and key."""
+    raw = cfg.get(section, {}).get(key, default)
+    if raw is None:
+        raise ConfigError(f"[{section}] {key} is required")
     try:
-        return make_grid(n=int(g.get("n", 2)), L=float(g.get("l", 2 * np.pi)),
-                         N_tan=int(g.get("n_tan", 32)),
-                         X=float(g.get("x", 2 * np.pi)),
-                         N_vert=int(g.get("n_vert", 33)),
-                         grading=float(g.get("grading", 1.0)),
-                         T=float(g.get("t", 1.0)),
-                         N_time=int(g.get("n_time", 32)))
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r} does not parse: "
+                          f"{exc}") from exc
+
+
+def _build_grid(cfg: dict):
+    try:
+        return make_grid(n=_number(cfg, "grid", "n", 2, int),
+                         L=_number(cfg, "grid", "l", 2 * np.pi),
+                         N_tan=_number(cfg, "grid", "n_tan", 32, int),
+                         X=_number(cfg, "grid", "x", 2 * np.pi),
+                         N_vert=_number(cfg, "grid", "n_vert", 33, int),
+                         grading=_number(cfg, "grid", "grading", 1.0),
+                         T=_number(cfg, "grid", "t", 1.0),
+                         N_time=_number(cfg, "grid", "n_time", 32, int))
     except (ValueError, HalfStokesError) as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
 
 def _build_index(cfg: dict, n: int) -> BesovIndex:
     sec = cfg.get("index", {})
-    alpha = float(sec.get("alpha", 1.0))
     try:
+        alpha = _number(cfg, "index", "alpha", 1.0)
         if sec.get("critical", "true").lower() in ("1", "true", "yes"):
             idx = BesovIndex.critical_index(alpha, n)
         else:
-            idx = BesovIndex(alpha=alpha, q=float(sec["q"]), n=n)
+            idx = BesovIndex(alpha=alpha, q=_number(cfg, "index", "q"), n=n)
         if "beta" in sec and "p" in sec:
             idx = BesovIndex(alpha=idx.alpha, q=idx.q, n=n,
-                             beta=float(sec["beta"]), p=float(sec["p"]))
+                             beta=_number(cfg, "index", "beta"),
+                             p=_number(cfg, "index", "p"))
         return idx
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad index: {exc}") from exc
 
 
 def _build_data(cfg: dict, grid, seed: int):
     sec = cfg.get("data", {})
     family = sec.get("family", "stream_compatible")
-    amp = float(sec.get("amplitude", 1.0))
+    amp = _number(cfg, "data", "amplitude", 1.0)
     if not np.isfinite(amp):
         raise ConfigError(f"amplitude must be finite, got {amp}")
     if family == "zero":
@@ -84,22 +99,21 @@ def _build_data(cfg: dict, grid, seed: int):
                                          + (grid.N_time,)))
         return h, g, None
     if family == "stream_compatible":
-        h0 = datagen.stream_mode_initial_data(grid, k1=int(sec.get("k1", 1)),
-                                              m=int(sec.get("m", 2)),
-                                              amplitude=1.0)
+        h0 = datagen.stream_mode_initial_data(
+            grid, k1=_number(cfg, "data", "k1", 1, int),
+            m=_number(cfg, "data", "m", 2, int), amplitude=1.0)
         g0 = datagen.compatible_boundary_data(grid, h0)
         h = VectorField(grid, amp * h0.data, domain="half",
                         time_dependent=False)
         g = BoundaryField(grid, amp * g0.data)
         return h, g, None
     if family == "forced_mms":
-        mms = datagen.ForcedManufactured(k1=int(sec.get("k1", 2)),
-                                         amplitude=amp)
+        mms = datagen.ForcedManufactured(
+            k1=_number(cfg, "data", "k1", 2, int), amplitude=amp)
         return mms.initial_data(grid), mms.boundary_data(grid), mms.stress(grid)
     if family == "harmonic_gradient":
-        _, h, g = datagen.harmonic_gradient_solution(grid,
-                                                     k1=int(sec.get("k1", 2)),
-                                                     amplitude=amp)
+        _, h, g = datagen.harmonic_gradient_solution(
+            grid, k1=_number(cfg, "data", "k1", 2, int), amplitude=amp)
         return h, g, None
     if family == "random_band":
         rng = np.random.default_rng(seed)
@@ -150,9 +164,8 @@ def cmd_solve_stokes(args) -> int:
 def cmd_solve_ns(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
     h, g, _ = _build_data(cfg, grid, args.seed)
-    sec = cfg.get("picard", {})
-    max_iter = int(sec.get("max_iter", 50))
-    tol = float(sec.get("tol", 1e-8)) * args.tolerance_scale
+    max_iter = _number(cfg, "picard", "max_iter", 50, int)
+    tol = _number(cfg, "picard", "tol", 1e-8) * args.tolerance_scale
     try:
         u, trace = nsmod.picard_solve(h, g, index, max_iter=max_iter, tol=tol)
     except PicardDivergenceError as exc:
@@ -170,8 +183,8 @@ def cmd_solve_ns(args) -> int:
 def cmd_verify_ops(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
     sec = cfg.get("verify", {})
-    samples = int(sec.get("samples", 20))
-    refinements = int(sec.get("refinements", 1))
+    samples = _number(cfg, "verify", "samples", 20, int)
+    refinements = _number(cfg, "verify", "refinements", 1, int)
     names = [s.strip() for s in sec.get(
         "targets", ",".join(verify.ratio_targets(index))).split(",") if s.strip()]
     study = verify.operator_ratio_study(names, index, grid, samples=samples,
@@ -201,8 +214,8 @@ def cmd_norms(args) -> int:
         raise ConfigError(f"field snapshot not found: {exc}") from exc
     sec = cfg.get("norms", {})
     kind = sec.get("kind", "aniso")
-    s = float(sec.get("s", index.alpha))
-    q = float(sec.get("q", index.q))
+    s = _number(cfg, "norms", "s", index.alpha)
+    q = _number(cfg, "norms", "q", index.q)
     try:
         if kind == "aniso":
             value = besov.aniso_norm(field, s, q)
@@ -227,8 +240,8 @@ def cmd_norms(args) -> int:
 def cmd_scaling(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
     h, g, _ = _build_data(cfg, grid, args.seed)
-    sec = cfg.get("scaling", {})
-    lambdas = [float(s) for s in sec.get("lambdas", "0.5,2.0").split(",")]
+    lambdas = _number(cfg, "scaling", "lambdas", "0.5,2.0",
+                      lambda text: [float(s) for s in text.split(",")])
     study = verify.scaling_invariance_check(h, g, index, lambdas)
     report["ratio_studies"] = [study]
     io.write_report(report, out_dir / "report.json")

@@ -117,10 +117,10 @@ class HalfSpaceGrid:
 
 
 class GridCache:
-    """Least-recently-used map for tables derived from a grid, holding at
-    most ``SIZE`` entries: a study works on at most three grids at once (the
-    scaling check's base grid and its two rescalings), each under at most
-    two keys (boundary and whole-space lattices)."""
+    """Least-recently-used map for tables derived from a grid or its node
+    sets, holding at most ``SIZE`` entries: a study works on at most three
+    grids at once (the scaling check's base grid and its two rescalings),
+    each under at most two keys (boundary and whole-space lattices)."""
 
     SIZE = 8
 

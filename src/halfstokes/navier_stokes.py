@@ -1,8 +1,10 @@
 """Nonlinear solver: fixed-point iteration of linear Stokes solves with the
 quadratic self-advection flux, with contraction monitoring.
 
-The first iterate solves with zero force; subsequent iterates feed back the
-tensor -u (x) u (its divergence is taken inside the volume potential).  The
+The first iterate is a full checked linear solve with zero force;
+subsequent iterates feed back the tensor -u (x) u (its divergence is taken
+inside the volume potential).  Those iterates reuse the first solve's heat
+part v, which does not depend on the iterate, and carry no diagnostics.  The
 iteration stops when the increment norm falls below ``tol`` times the first
 iterate's norm; three consecutive non-contracting steps, or an iterate,
 flux or norm that overflows, raise :class:`PicardDivergenceError` (the data
@@ -17,6 +19,7 @@ from .core import (BoundaryField, IterationTrace, TensorField, VectorField)
 from .errors import PicardDivergenceError
 from . import besov
 from . import stokes as stk
+from . import transforms as tr
 from .numerics import trapezoid_weights
 
 
@@ -66,12 +69,12 @@ def picard_solve(h: VectorField, g: BoundaryField, index, max_iter: int = 50,
         trace.stop_reason = "zero data"
         return u, trace
 
+    v, v_wall = sol.v, tr.trace_boundary(sol.v)
     bad_streak = 0
     for m in range(1, max_iter + 1):
         F = nonlinear_flux(u)
         _require_finite(trace, F.data)
-        sol = stk.solve_stokes(h, g, F, index=index, with_norms=False)
-        u_next = sol.u
+        u_next = stk.assemble(g, F, v, v_wall).u
         increment = VectorField(u.grid, u_next.data - u.data, domain="half")
         inc_norm = besov.aniso_norm(increment, alpha, q)
         sol_norm = besov.aniso_norm(u_next, alpha, q)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erfcx
 
+from .core import GridCache
+
 
 def fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
     """Finite-difference weights of the given derivative order at ``x0``.
@@ -46,21 +48,30 @@ def fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
     return c[:, order]
 
 
+_DERIVATIVES = GridCache()
+
+
 def derivative_matrix(nodes: np.ndarray, stencil: int = 5) -> np.ndarray:
     """Dense first-derivative matrix on arbitrary nodes.
 
     Uses ``stencil`` nearest nodes per row (one-sided at the ends), which
-    gives fourth-order accuracy at the wall for the default width.
+    gives fourth-order accuracy at the wall for the default width.  Built
+    once per node set and stencil and returned read-only.
     """
     nodes = np.asarray(nodes, dtype=float)
-    n = len(nodes)
-    width = min(stencil, n)
-    D = np.zeros((n, n))
-    for i in range(n):
-        lo = min(max(i - width // 2, 0), n - width)
-        sel = slice(lo, lo + width)
-        D[i, sel] = fornberg_weights(nodes[i], nodes[sel], 1)
-    return D
+
+    def build():
+        n = len(nodes)
+        width = min(stencil, n)
+        D = np.zeros((n, n))
+        for i in range(n):
+            lo = min(max(i - width // 2, 0), n - width)
+            sel = slice(lo, lo + width)
+            D[i, sel] = fornberg_weights(nodes[i], nodes[sel], 1)
+        D.flags.writeable = False
+        return D
+
+    return _DERIVATIVES.get((stencil, nodes.tobytes()), build)
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:

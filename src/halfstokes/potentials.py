@@ -347,30 +347,32 @@ def strip_newton_modes(flat: np.ndarray, lam: np.ndarray, y: np.ndarray):
     nv = len(y)
     S = np.zeros_like(flat)
     dS = np.zeros_like(flat)
-    J = np.zeros_like(flat[:, 0])
-    A = np.zeros_like(flat[:, 0])
-    B = np.zeros_like(flat[:, 0])
-    zero = lam == 0
-    nz = ~zero
+    zero = np.flatnonzero(lam == 0)
+    nz = np.flatnonzero(lam != 0)
+    f_zero = flat[zero]
     tail = (1,) * (flat.ndim - 2)
     lam_nz = lam[nz].reshape((-1,) + tail)
+    d = np.diff(y)
+    E, w_old, w_new = (w.reshape(w.shape + tail)
+                       for w in exp_linear_weights(lam[nz], d[:, None]))
+    f_prev = flat[nz, 0]
+    J = np.zeros_like(f_prev)
+    A = np.zeros_like(f_zero[:, 0])
+    B = np.zeros_like(f_zero[:, 0])
+    dS[nz, 0] = -f_prev / (2.0 * lam_nz)
     for i in range(1, nv):
-        d = y[i] - y[i - 1]
-        E, w_old, w_new = exp_linear_weights(lam[nz], d)
-        J[nz] = (E.reshape((-1,) + tail) * J[nz]
-                 + w_old.reshape((-1,) + tail) * flat[nz, i - 1]
-                 + w_new.reshape((-1,) + tail) * flat[nz, i])
-        A = A + 0.5 * d * (flat[:, i - 1] + flat[:, i])
-        B = B + (flat[:, i - 1] * (y[i] ** 2 - y[i - 1] ** 2) / 2.0
-                 + (flat[:, i] - flat[:, i - 1]) / d
+        f_i = flat[nz, i]
+        J = E[i - 1] * J + w_old[i - 1] * f_prev + w_new[i - 1] * f_i
+        S[nz, i] = -J / (2.0 * lam_nz)
+        dS[nz, i] = -f_i / (2.0 * lam_nz) + J / 2.0
+        f_prev = f_i
+        A = A + 0.5 * d[i - 1] * (f_zero[:, i - 1] + f_zero[:, i])
+        B = B + (f_zero[:, i - 1] * (y[i] ** 2 - y[i - 1] ** 2) / 2.0
+                 + (f_zero[:, i] - f_zero[:, i - 1]) / d[i - 1]
                  * ((y[i] ** 3 - y[i - 1] ** 3) / 3.0
                     - y[i - 1] * (y[i] ** 2 - y[i - 1] ** 2) / 2.0))
-        S[nz, i] = -J[nz] / (2.0 * lam_nz)
-        dS[nz, i] = -flat[nz, i] / (2.0 * lam_nz) + J[nz] / 2.0
-        S[zero, i] = (y[i] * A[zero] - B[zero]) / 2.0
-        dS[zero, i] = A[zero] / 2.0
-    if np.any(nz):
-        dS[nz, 0] = -flat[nz, 0] / (2.0 * lam_nz)
+        S[zero, i] = (y[i] * A - B) / 2.0
+        dS[zero, i] = A / 2.0
     return S, dS
 
 

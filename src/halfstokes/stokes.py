@@ -120,7 +120,7 @@ def build_w(G: BoundaryField, tol: float = 1e-10) -> VectorField:
     for j in range(n - 1):
         ghat = tr.tan_fft(G.data[j], grid, offset=0).reshape(-1, nt)
         theta = pot.single_layer_modes(ghat, quad, grid)   # (modes, nv, nt)
-        betas.append(np.einsum("ab,mbt->mat", D, theta))
+        betas.append(np.matmul(D, theta))
     sigma = sum(1j * xi[j][:, None, None] * betas[j] for j in range(n - 1))
     S, dS = pot.strip_newton_modes(sigma, lam, grid.vert_nodes)
 
@@ -198,6 +198,34 @@ def gradient_scale(u: VectorField) -> float:
     return float(np.sqrt(total))
 
 
+def assemble(g: BoundaryField, F: TensorField | None, v: VectorField,
+             v_wall: BoundaryField) -> StokesSolution:
+    """``u = v + V + grad(phi) + w`` from the boundary data ``g``, the force
+    ``F``, the heat part ``v`` of the initial data and its wall trace
+    ``v_wall``; no checks and no diagnostics."""
+    grid = g.grid
+    if F is not None:
+        with _part("V"):
+            V_whole = pot.stokes_volume_potential(F)
+            V = tr.restrict_half(V_whole)
+            V_wall = tr.trace_boundary(V_whole)
+    else:
+        V, V_wall = _zero_like_parts(grid)
+
+    n = grid.n
+    psi = BoundaryField(grid, (g.data[n - 1] - v_wall.data[n - 1]
+                               - V_wall.data[n - 1])[None])
+    with _part("grad_phi"):
+        grad_phi = build_grad_phi(psi)
+    with _part("w"):
+        G = build_G(g, v_wall, V_wall)
+        w = build_w(G)
+
+    u = VectorField(grid, v.data + V.data + grad_phi.data + w.data,
+                    domain="half")
+    return StokesSolution(u=u, v=v, V=V, grad_phi=grad_phi, w=w, G=G)
+
+
 def solve_stokes(h: VectorField, g: BoundaryField,
                  F: TensorField | None = None, index=None,
                  with_norms: bool = True) -> StokesSolution:
@@ -218,28 +246,10 @@ def solve_stokes(h: VectorField, g: BoundaryField,
     with _part("v"):
         v, v_whole = build_v(h)
         v_wall = tr.trace_boundary(v_whole)
+    sol = assemble(g, F, v, v_wall)
+    u = sol.u
 
-    if F is not None:
-        with _part("V"):
-            V_whole = pot.stokes_volume_potential(F)
-            V = tr.restrict_half(V_whole)
-            V_wall = tr.trace_boundary(V_whole)
-    else:
-        V, V_wall = _zero_like_parts(grid)
-
-    n = grid.n
-    psi = BoundaryField(grid, (g.data[n - 1] - v_wall.data[n - 1]
-                               - V_wall.data[n - 1])[None])
-    with _part("grad_phi"):
-        grad_phi = build_grad_phi(psi)
-    with _part("w"):
-        G = build_G(g, v_wall, V_wall)
-        w = build_w(G)
-
-    u = VectorField(grid, v.data + V.data + grad_phi.data + w.data,
-                    domain="half")
-
-    diags = {}
+    diags = sol.diagnostics
     div = tr.divergence(u)
     gscale = max(gradient_scale(u), 1e-300)
     diags["div_residual"] = besov.field_lq(div, 2.0) / gscale
@@ -259,9 +269,8 @@ def solve_stokes(h: VectorField, g: BoundaryField,
             diags["norms"] = {
                 "u": besov.aniso_norm(u, alpha, q),
                 "v": besov.aniso_norm(v, alpha, q),
-                "V": besov.aniso_norm(V, alpha, q),
-                "grad_phi": besov.aniso_norm(grad_phi, alpha, q),
-                "w": besov.aniso_norm(w, alpha, q),
+                "V": besov.aniso_norm(sol.V, alpha, q),
+                "grad_phi": besov.aniso_norm(sol.grad_phi, alpha, q),
+                "w": besov.aniso_norm(sol.w, alpha, q),
             }
-    return StokesSolution(u=u, v=v, V=V, grad_phi=grad_phi, w=w, G=G,
-                          diagnostics=diags)
+    return sol

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halfstokes import besov, potentials
+from halfstokes import besov, numerics, potentials
 from halfstokes.core import (BesovIndex, BoundaryField, GridCache,
                              IterationTrace, ScalarField, VectorField,
                              make_grid, parabolic_scale)
@@ -142,14 +142,24 @@ def test_iteration_trace_bookkeeping():
 @pytest.mark.parametrize("lookup, cache", [
     (lambda g: besov.partition_for(g, "whole"), besov._PARTITIONS),
     (potentials.kernel_quadrature, potentials._QUAD_CACHE),
-], ids=["partition_for", "kernel_quadrature"])
+    (lambda g: numerics.derivative_matrix(g.vert_nodes),
+     numerics._DERIVATIVES),
+], ids=["partition_for", "kernel_quadrature", "derivative_matrix"])
 def test_grid_caches_stay_bounded(lookup, cache):
     # a scaling study adds grids without end; the per-grid tables must not
-    grids = [make_grid(2, L=1.0 + 0.1 * i, N_tan=4, X=1.0, N_vert=3, T=1.0,
-                       N_time=3) for i in range(GridCache.SIZE + 3)]
+    grids = [make_grid(2, L=1.0 + 0.1 * i, N_tan=4, X=1.0 + 0.1 * i,
+                       N_vert=3, T=1.0, N_time=3)
+             for i in range(GridCache.SIZE + 3)]
     first = lookup(grids[0])
     for g in grids:
         lookup(g)
     assert len(cache) == GridCache.SIZE
     assert lookup(grids[-1]) is lookup(grids[-1])
     assert lookup(grids[0]) is not first  # least recently used, evicted
+
+
+def test_cached_derivative_matrix_is_read_only():
+    D = numerics.derivative_matrix(np.linspace(0.0, 1.0, 7))
+    with pytest.raises(ValueError):
+        D[0, 0] = 1.0
+    assert numerics.derivative_matrix(np.linspace(0.0, 1.0, 7))[0, 0] != 1.0

@@ -1,7 +1,10 @@
+import configparser
 import json
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from halfstokes.core import BoundaryField, make_grid
 from halfstokes import cli, datagen, io
@@ -148,6 +151,52 @@ def test_cli_nonfinite_amplitude_is_config_error(tmp_path):
     code = cli.main(["solve-stokes", "--config", cfg,
                      "--out", str(tmp_path / "nan")])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("solve-stokes", "data", "amplitude", "abc"),
+    ("solve-stokes", "data", "k1", "1.5"),
+    ("solve-stokes", "index", "alpha", "one"),
+    ("solve-stokes", "grid", "n_tan", "many"),
+    ("solve-ns", "picard", "max_iter", "many"),
+    ("solve-ns", "picard", "tol", "small"),
+    ("verify-ops", "verify", "samples", "two"),
+    ("norms", "norms", "q", "abc"),
+    ("scaling", "scaling", "lambdas", "0.5,x"),
+])
+def test_cli_non_numeric_value_is_config_error(tmp_path, capsys, command,
+                                               section, key, value):
+    cp = configparser.ConfigParser()
+    cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
+    if section not in cp:
+        cp.add_section(section)
+    cp[section][key] = value
+    cfg = tmp_path / "cfg.ini"
+    with cfg.open("w") as fh:
+        cp.write(fh)
+    extra = []
+    if command == "norms":
+        io.save_field(datagen.random_halfspace_field(
+            make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0,
+                      N_time=5), np.random.default_rng(0)), tmp_path / "snap")
+        extra = ["--field", str(tmp_path / "snap")]
+    code = cli.main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")] + extra)
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"[{section}] {key}" in err[0]
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = cli._parse_config(str(path))
+    assert cfg["grid"]["grading"] == "1.0"
+    assert cfg["data"]["family"] == "stream_compatible"
+    assert cfg["index"]["critical"] == "true"
+    assert cli._build_grid(cfg).N_tan == 32
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -104,6 +104,49 @@ def test_picard_fixed_point_self_consistency():
     assert resid <= 1e-6 * besov.aniso_norm(u, IDX.alpha, IDX.q)
 
 
+def _picard_full_solves(h, gb, index, max_iter, tol):
+    """The iteration with a full checked linear solve, diagnostics included,
+    on every step; returns (velocity, solution norms, increment norms,
+    stop reason)."""
+    alpha, q = index.alpha, index.q
+    u = stk.solve_stokes(h, gb, None, index=index, with_norms=False).u
+    first = besov.aniso_norm(u, alpha, q)
+    sols, incs = [first], [None]
+    for _ in range(max_iter):
+        u_next = stk.solve_stokes(h, gb, ns.nonlinear_flux(u), index=index,
+                                  with_norms=False).u
+        incs.append(besov.aniso_norm(
+            VectorField(u.grid, u_next.data - u.data, domain="half"),
+            alpha, q))
+        sols.append(besov.aniso_norm(u_next, alpha, q))
+        u = u_next
+        if incs[-1] <= tol * first:
+            return u, sols, incs, \
+                f"increment below {tol:g} x first-iterate norm"
+    return u, sols, incs, f"max_iter={max_iter} reached"
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5])
+def test_picard_agrees_with_full_solve_per_step(eps):
+    # later iterates reuse the first solve's heat part; the iteration must
+    # match one that reruns the whole linear solve on every step
+    g = grid2()
+    h, gb = small_data(g, eps)
+    u, trace = ns.picard_solve(h, gb, IDX, max_iter=12, tol=1e-9)
+    u_ref, sols, incs, reason = _picard_full_solves(
+        h, gb, IDX.with_default_force_pair(), max_iter=12, tol=1e-9)
+    assert len(trace.steps) == len(sols)
+    assert trace.stop_reason == reason
+    first = sols[0]
+    for step, sol_norm, inc_norm in zip(trace.steps, sols, incs):
+        assert abs(step.solution_norm - sol_norm) <= 1e-12 * sol_norm
+        if inc_norm is None:
+            assert step.increment_norm is None
+        else:
+            assert abs(step.increment_norm - inc_norm) <= 1e-12 * first
+    assert np.max(np.abs(u.data - u_ref.data)) <= 1e-12 * u_ref.max_abs()
+
+
 def test_picard_divergence_detection():
     g = grid2(N=8, Nv=9, Nt=8)
     h, gb = small_data(g, 40.0)
