@@ -148,8 +148,9 @@ def _weights(grid: HalfSpaceGrid, domain: str, ndim: int, offset: int = 0,
     return w
 
 
-def field_lq(field: Field, q: float, include_time: bool = True) -> float:
+def field_lq(field: Field, q: float) -> float:
     """Physical L^q norm over space (x time); components aggregate in l^q."""
+    _check_exponent(q)
     grid = field.grid
     data = field.data
     nsp = grid.n_tan_axes + (field.domain != "boundary")
@@ -158,7 +159,7 @@ def field_lq(field: Field, q: float, include_time: bool = True) -> float:
     total = np.sum(np.abs(data) ** q * wfull, axis=sp_axes)
     if field.ncomp_axes:
         total = np.sum(total, axis=tuple(range(field.ncomp_axes)))
-    if field.time_dependent and include_time:
+    if field.time_dependent:
         tw = trapezoid_weights(grid.time_nodes)
         total = np.sum(total * tw, axis=-1)
     return float(total) ** (1.0 / q)
@@ -172,8 +173,14 @@ _S_CAP = 4.0
 
 
 def _check_order(s):
-    if abs(s) > _S_CAP:
+    if not abs(s) <= _S_CAP:
         raise NormOrderError(f"order {s} outside the resolvable band +-{_S_CAP}")
+
+
+def _check_exponent(q):
+    """Every norm here needs a finite integrability exponent q > 1."""
+    if not 1.0 < q < np.inf:
+        raise NormOrderError(f"q must lie in (1, inf), got {q}")
 
 
 def _periodic(data: np.ndarray, domain: str, vaxis: int) -> np.ndarray:
@@ -225,8 +232,7 @@ def lp_norm(field: Field, s: float, q: float,
     "solenoidal").
     """
     _check_order(s)
-    if q <= 1.0 or not np.isfinite(q):
-        raise NormOrderError(f"q must lie in (1, inf), got {q}")
+    _check_exponent(q)
     if field.time_dependent:
         raise ShapeMismatchError("lp_norm expects a single time slice")
     if field.data.size == 0:
@@ -236,13 +242,14 @@ def lp_norm(field: Field, s: float, q: float,
     return float(_lp_norm_q(flat, work.grid, work.domain, s, q)) ** (1.0 / q)
 
 
-def lq_time_lp_space(field: Field, s: float, q: float,
-                     extension: str = "even") -> float:
-    """``L^q`` in time of the order-``s`` spatial Besov norm."""
+def lq_time_lp_space(field: Field, s: float, q: float) -> float:
+    """``L^q`` in time of the order-``s`` spatial Besov norm; half-space
+    fields are measured through their even vertical reflection."""
     _check_order(s)
+    _check_exponent(q)
     if not field.time_dependent:
         raise ShapeMismatchError("field has no time axis")
-    work = _extend(field, extension)
+    work = _extend(field)
     flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
     per_slice_q = _lp_norm_q(flat, work.grid, work.domain, s, q)
     tw = trapezoid_weights(work.grid.time_nodes)
@@ -262,6 +269,7 @@ def _extend(field: Field, extension: str = "even") -> Field:
 def negative_order_norm(field: BoundaryField, s: float, q: float) -> float:
     """Boundary Besov norm of negative order within the duality window
     ``-1 + 1/q < s < 0``."""
+    _check_exponent(q)
     if not (-1.0 + 1.0 / q < s < 0.0):
         raise NormOrderError(
             f"order {s} outside the duality window (-1 + 1/q, 0) for q={q}")
@@ -324,6 +332,7 @@ def gagliardo_time_norm(field: Field, s2: float, q: float,
     """
     if not 0.0 < s2 < 1.0:
         raise NormOrderError(f"time order s2 must lie in (0, 1), got {s2}")
+    _check_exponent(q)
     if not field.time_dependent:
         raise ShapeMismatchError("field has no time axis")
     grid = field.grid
@@ -369,13 +378,14 @@ def gagliardo_time_norm(field: Field, s2: float, q: float,
 # ---------------------------------------------------------------------------
 
 
-def aniso_norm(field: Field, alpha: float, q: float,
-               extension: str = "even") -> float:
+def aniso_norm(field: Field, alpha: float, q: float) -> float:
     """Space-time norm of positive order ``(alpha, alpha/2)`` as the max of
-    the two mixed norms (intersection convention)."""
+    the two mixed norms (intersection convention); half-space fields are
+    measured through their even vertical reflection."""
     if not 0.0 < alpha < 2.0:
         raise NormOrderError(f"alpha must lie in (0, 2), got {alpha}")
-    spatial = lq_time_lp_space(field, alpha, q, extension=extension)
+    _check_exponent(q)
+    spatial = lq_time_lp_space(field, alpha, q)
     temporal = _time_besov(field, alpha / 2.0, q)
     return max(spatial, temporal)
 
@@ -396,6 +406,7 @@ def aniso_lp_norm(field: Field, s: float, q: float) -> float:
     for fields that vanish near both ends of the time window.
     """
     _check_order(s)
+    _check_exponent(q)
     if not field.time_dependent:
         raise ShapeMismatchError("space-time norm needs a time axis")
     grid = field.grid

@@ -98,15 +98,15 @@ def _build_data(cfg: dict, grid, seed: int):
         g = BoundaryField(grid, np.zeros((grid.n,) + grid.tan_shape
                                          + (grid.N_time,)))
         return h, g, None
-    if family == "stream_compatible":
-        h0 = datagen.stream_mode_initial_data(
-            grid, k1=_number(cfg, "data", "k1", 1, int),
-            m=_number(cfg, "data", "m", 2, int), amplitude=1.0)
-        g0 = datagen.compatible_boundary_data(grid, h0)
-        h = VectorField(grid, amp * h0.data, domain="half",
-                        time_dependent=False)
-        g = BoundaryField(grid, amp * g0.data)
-        return h, g, None
+    if family in ("stream_compatible", "random_band"):
+        if family == "stream_compatible":
+            h0 = datagen.stream_mode_initial_data(
+                grid, k1=_number(cfg, "data", "k1", 1, int),
+                m=_number(cfg, "data", "m", 2, int), amplitude=1.0)
+        else:
+            h0 = datagen.random_divfree_initial(grid,
+                                                np.random.default_rng(seed))
+        return amp * h0, amp * datagen.compatible_boundary_data(grid, h0), None
     if family == "forced_mms":
         mms = datagen.ForcedManufactured(
             k1=_number(cfg, "data", "k1", 2, int), amplitude=amp)
@@ -114,14 +114,6 @@ def _build_data(cfg: dict, grid, seed: int):
     if family == "harmonic_gradient":
         _, h, g = datagen.harmonic_gradient_solution(
             grid, k1=_number(cfg, "data", "k1", 2, int), amplitude=amp)
-        return h, g, None
-    if family == "random_band":
-        rng = np.random.default_rng(seed)
-        h0 = datagen.random_divfree_initial(grid, rng)
-        g0 = datagen.compatible_boundary_data(grid, h0)
-        h = VectorField(grid, amp * h0.data, domain="half",
-                        time_dependent=False)
-        g = BoundaryField(grid, amp * g0.data)
         return h, g, None
     raise ConfigError(f"unknown data family {family!r}")
 
@@ -153,8 +145,7 @@ def cmd_solve_stokes(args) -> int:
                              if k != "norms"}
     report["norms"] = sol.diagnostics.get("norms", {})
     io.save_field(sol.u, out_dir / "velocity")
-    io.export_csv_slice(sol.u, out_dir / "velocity_wall.csv",
-                        vertical_index=0)
+    io.export_csv_slice(sol.u, out_dir / "velocity_wall.csv")
     io.write_report(report, out_dir / "report.json")
     print(f"solve-stokes ok: residuals div={report['diagnostics']['div_residual']:.3e} "
           f"boundary={report['diagnostics']['boundary_residual']:.3e}")
@@ -182,11 +173,20 @@ def cmd_solve_ns(args) -> int:
 
 def cmd_verify_ops(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
-    sec = cfg.get("verify", {})
     samples = _number(cfg, "verify", "samples", 20, int)
+    if samples < 1:
+        raise ConfigError(f"[verify] samples = {samples} must be at least 1")
     refinements = _number(cfg, "verify", "refinements", 1, int)
-    names = [s.strip() for s in sec.get(
-        "targets", ",".join(verify.ratio_targets(index))).split(",") if s.strip()]
+    if refinements < 0:
+        raise ConfigError(f"[verify] refinements = {refinements} must not "
+                          "be negative")
+    known = verify.ratio_targets(index)
+    names = [s.strip() for s in cfg.get("verify", {}).get(
+        "targets", ",".join(known)).split(",") if s.strip()]
+    unknown = [s for s in names if s not in known]
+    if unknown:
+        raise ConfigError(f"[verify] targets: unknown {unknown}, "
+                          f"known are {sorted(known)}")
     study = verify.operator_ratio_study(names, index, grid, samples=samples,
                                         refinements=refinements,
                                         seed=args.seed)
@@ -242,6 +242,10 @@ def cmd_scaling(args) -> int:
     h, g, _ = _build_data(cfg, grid, args.seed)
     lambdas = _number(cfg, "scaling", "lambdas", "0.5,2.0",
                       lambda text: [float(s) for s in text.split(",")])
+    bad = [lam for lam in lambdas if not 0.0 < lam < np.inf]
+    if bad:
+        raise ConfigError(f"[scaling] lambdas must be finite and positive, "
+                          f"got {bad}")
     study = verify.scaling_invariance_check(h, g, index, lambdas)
     report["ratio_studies"] = [study]
     io.write_report(report, out_dir / "report.json")

@@ -56,6 +56,8 @@ class HalfSpaceGrid:
             raise InvalidGridError(f"spatial dimension must be 2 or 3, got {self.n}")
         if min(self.N_tan, self.N_vert, self.N_time) < 2:
             raise InvalidGridError("N_tan, N_vert and N_time must all be >= 2")
+        if not all(map(math.isfinite, (self.L, self.X, self.T, self.grading))):
+            raise InvalidGridError("L, X, T and grading must be finite")
         if min(self.L, self.X, self.T) <= 0:
             raise InvalidGridError("L, X and T must be positive")
         if self.grading <= 0:
@@ -142,12 +144,8 @@ class GridCache:
 
 
 def make_grid(n, L, N_tan, X, N_vert, grading=1.0, T=1.0, N_time=2) -> HalfSpaceGrid:
-    """Build a grid, materializing node coordinates.
-
-    ``grading`` may be the string ``"uniform"`` or a spacing ratio > 0.
-    """
-    if grading == "uniform":
-        grading = 1.0
+    """Build a grid, materializing node coordinates; ``grading`` is the
+    vertical spacing ratio (> 0)."""
     return HalfSpaceGrid(n=n, L=float(L), N_tan=int(N_tan), X=float(X),
                          N_vert=int(N_vert), T=float(T), N_time=int(N_time),
                          grading=float(grading))
@@ -323,8 +321,8 @@ class BesovIndex:
         return abs(self.q - (self.n + 2) / (self.alpha + 1)) <= _CRITICAL_TOL
 
     @classmethod
-    def critical_index(cls, alpha, n, beta=None, p=None) -> "BesovIndex":
-        return cls(alpha=alpha, q=(n + 2) / (alpha + 1), n=n, beta=beta, p=p)
+    def critical_index(cls, alpha, n) -> "BesovIndex":
+        return cls(alpha=alpha, q=(n + 2) / (alpha + 1), n=n)
 
     def validate_force_pair(self, beta, p):
         n, alpha, q = self.n, self.alpha, self.q

@@ -45,11 +45,10 @@ def stream_mode_initial_data(grid: HalfSpaceGrid, k1: int = 1, m: int = 1,
                        time_dependent=False)
 
 
-def compatible_boundary_data(grid: HalfSpaceGrid, h: VectorField,
-                             extra_amplitude: float = 0.3,
-                             k_extra: int = 2) -> BoundaryField:
+def compatible_boundary_data(grid: HalfSpaceGrid, h: VectorField) -> BoundaryField:
     """Boundary data strongly compatible with ``h``: equals the wall trace of
-    h at t = 0 and relaxes toward an independent tangential profile."""
+    h at t = 0 and relaxes toward an independent tangential profile
+    (0.3 cos(4 pi x / L) in the first component)."""
     _require_2d(grid)
     x = grid.tan_nodes
     t = grid.time_nodes[None, :]
@@ -60,7 +59,7 @@ def compatible_boundary_data(grid: HalfSpaceGrid, h: VectorField,
     for i in range(grid.n):
         base = wall[i][:, None] * rho
         comps.append(base)
-    extra = extra_amplitude * np.cos(2.0 * np.pi * k_extra * x / grid.L)[:, None] * eta
+    extra = 0.3 * np.cos(2.0 * np.pi * 2 * x / grid.L)[:, None] * eta
     comps[0] = comps[0] + extra
     return BoundaryField(grid, np.stack(comps))
 
@@ -179,8 +178,7 @@ def harmonic_gradient_solution(grid: HalfSpaceGrid, k1: int = 2,
 
 
 def gaussian_boundary_pulse(grid: HalfSpaceGrid, width: float = 0.35,
-                            center: float | None = None,
-                            amplitude: float = 1.0) -> BoundaryField:
+                            center: float | None = None) -> BoundaryField:
     """Scalar boundary pulse exp(-|x - x0|^2 / (4 a)) with a smooth ramp in
     time; spatially well inside the resolvable band for desk-scale grids."""
     _require_2d(grid)
@@ -191,8 +189,7 @@ def gaussian_boundary_pulse(grid: HalfSpaceGrid, width: float = 0.35,
     prof = sum(np.exp(-((x - center + m * grid.L) ** 2) / (4.0 * width))
                for m in range(-3, 4))  # periodized profile
     ramp = np.sin(np.pi * np.minimum(t / max(t[-1], 1e-300), 1.0)) ** 2
-    data = amplitude * prof[:, None] * ramp[None, :]
-    return BoundaryField(grid, data[None])
+    return BoundaryField(grid, (prof[:, None] * ramp[None, :])[None])
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +197,10 @@ def gaussian_boundary_pulse(grid: HalfSpaceGrid, width: float = 0.35,
 # ---------------------------------------------------------------------------
 
 
-def _time_profile(rng, t, kind: str, n_modes: int = 3):
+def _time_profile(rng, t, kind: str):
+    """Random time envelope of ``kind`` from three cosine or sine modes."""
     T = t[-1]
+    n_modes = 3
     if kind == "smooth":
         coef = rng.standard_normal(n_modes + 1)
         out = coef[0] * np.ones_like(t)
@@ -241,17 +240,16 @@ def random_boundary_field(grid: HalfSpaceGrid, rng, ncomp: int = 1,
     return BoundaryField(grid, np.stack(comps))
 
 
-def random_divfree_initial(grid: HalfSpaceGrid, rng, kmax: int = 2,
-                           mmax: int = 2) -> VectorField:
-    """Random solenoidal initial data built from stream-function modes whose
-    reflection extension is exact."""
+def random_divfree_initial(grid: HalfSpaceGrid, rng) -> VectorField:
+    """Random solenoidal initial data built from the stream-function modes
+    k, m = 1, 2, whose reflection extension is exact."""
     _require_2d(grid)
     x = grid.tan_nodes[:, None]
     y = grid.vert_nodes[None, :]
     u1 = np.zeros((grid.N_tan, grid.N_vert))
     u2 = np.zeros_like(u1)
-    for k in range(1, kmax + 1):
-        for m in range(1, mmax + 1):
+    for k in (1, 2):
+        for m in (1, 2):
             amp = rng.standard_normal() / (k + m)
             phase = rng.uniform(0, 2 * np.pi)
             kx = 2 * np.pi * k / grid.L
@@ -263,9 +261,9 @@ def random_divfree_initial(grid: HalfSpaceGrid, rng, kmax: int = 2,
 
 
 def random_whole_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None,
-                       kmax: int = 2, mmax: int = 2,
                        time_profile: str = "taper_both") -> VectorField | ScalarField:
-    """Random band-limited space-time field on the reflected whole axis."""
+    """Random band-limited space-time field on the reflected whole axis
+    (modes k, m = 1, 2)."""
     _require_2d(grid)
     x = grid.tan_nodes[:, None, None]
     y = grid.whole_vert_nodes[None, :, None]
@@ -273,8 +271,8 @@ def random_whole_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None,
     comps = []
     for _ in range(nc):
         acc = np.zeros((grid.N_tan, grid.n_vert_whole, grid.N_time))
-        for k in range(1, kmax + 1):
-            for m in range(1, mmax + 1):
+        for k in (1, 2):
+            for m in (1, 2):
                 amp = rng.standard_normal() / (k + m)
                 phase = rng.uniform(0, 2 * np.pi)
                 vphase = rng.uniform(0, 2 * np.pi)
@@ -288,19 +286,18 @@ def random_whole_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None,
     return VectorField(grid, np.stack(comps), domain="whole")
 
 
-def random_divfree_whole(grid: HalfSpaceGrid, rng, kmax: int = 2,
-                         mmax: int = 2) -> VectorField:
+def random_divfree_whole(grid: HalfSpaceGrid, rng) -> VectorField:
     """Random solenoidal steady field on the whole reflected axis, as the
-    discrete curl of a random band-limited stream function; the normal
-    component has a nonzero wall trace in general."""
+    discrete curl of a random band-limited stream function (modes k = 1, 2,
+    m = 0, 1, 2); the normal component has a nonzero wall trace in general."""
     from . import transforms as trm
 
     _require_2d(grid)
     x = grid.tan_nodes[:, None]
     y = grid.whole_vert_nodes[None, :]
     psi = np.zeros((grid.N_tan, grid.n_vert_whole))
-    for k in range(1, kmax + 1):
-        for m in range(0, mmax + 1):
+    for k in (1, 2):
+        for m in (0, 1, 2):
             amp = rng.standard_normal() / (k + m + 1)
             phase = rng.uniform(0, 2 * np.pi)
             vphase = rng.uniform(0, 2 * np.pi)
@@ -333,22 +330,21 @@ def random_whole_steady(grid: HalfSpaceGrid, rng, kmax: int = 2,
                        time_dependent=False)
 
 
-def random_boundary_steady(grid: HalfSpaceGrid, rng, kmax: int = 3) -> BoundaryField:
-    """Random band-limited steady scalar boundary data."""
+def random_boundary_steady(grid: HalfSpaceGrid, rng) -> BoundaryField:
+    """Random band-limited steady scalar boundary data (modes k = 1, 2, 3)."""
     _require_2d(grid)
     x = grid.tan_nodes
     acc = np.zeros(grid.N_tan)
-    for k in range(1, kmax + 1):
+    for k in (1, 2, 3):
         acc += (rng.standard_normal() / k) \
             * np.cos(2 * np.pi * k * x / grid.L + rng.uniform(0, 2 * np.pi))
     return BoundaryField(grid, acc[None], time_dependent=False)
 
 
-def random_halfspace_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None,
-                           kmax: int = 2, mmax: int = 2,
-                           time_profile: str = "taper_both"):
-    """Random band-limited field supported on the half space (vanishes at the
-    wall and the top, so the zero extension stays tame)."""
+def random_halfspace_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None):
+    """Random band-limited field supported on the half space (modes k, m =
+    1, 2, time envelope ``"taper_both"``; vanishes at the wall and the top,
+    so the zero extension stays tame)."""
     _require_2d(grid)
     x = grid.tan_nodes[:, None, None]
     y = grid.vert_nodes[None, :, None]
@@ -356,11 +352,11 @@ def random_halfspace_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None,
     comps = []
     for _ in range(nc):
         acc = np.zeros((grid.N_tan, grid.N_vert, grid.N_time))
-        for k in range(1, kmax + 1):
-            for m in range(1, mmax + 1):
+        for k in (1, 2):
+            for m in (1, 2):
                 amp = rng.standard_normal() / (k + m)
                 phase = rng.uniform(0, 2 * np.pi)
-                prof = _time_profile(rng, grid.time_nodes, time_profile)
+                prof = _time_profile(rng, grid.time_nodes, "taper_both")
                 acc += amp * np.cos(2 * np.pi * k * x / grid.L + phase) \
                     * np.sin(np.pi * m * y / grid.X) ** 2 \
                     * prof[None, None, :]
@@ -377,7 +373,7 @@ def random_halfspace_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None,
 
 @dataclass
 class StreamTestFunction:
-    """Φ = (d/dy chi, -d/dx chi) for chi = A trig(k x) P(y) theta(t).
+    """Φ = (d/dy chi, -d/dx chi) for chi = trig(k x) P(y) theta(t).
 
     P and three derivatives vanish appropriately at the wall (P(0) = P'(0) =
     0) and near the top; theta vanishes at the final time.  Divergence-free
@@ -387,7 +383,6 @@ class StreamTestFunction:
     k: int
     trig: str          # "sin" or "cos"
     theta: str         # "decay2", "decay3", "bump"
-    amplitude: float = 1.0
 
     def _P(self, X):
         # (y/X)^2 (1 - y/X)^3 expressed as a Polynomial in y
@@ -437,25 +432,24 @@ class StreamTestFunction:
         tg, tgp = self._trigs(x, kx)   # trig, trig'
         th = self._theta(t, T)
         thd = self._theta_dot(t, T)
-        A = self.amplitude
         Py, P1y, P2y, P3y = P(y), P1(y), P2(y), P3(y)
 
-        phi1 = A * tg * P1y * th
-        phi2 = -A * kx * tgp * Py * th
+        phi1 = tg * P1y * th
+        phi2 = -kx * tgp * Py * th
         phi = np.stack([np.broadcast_to(phi1, (grid.N_tan, grid.N_vert,
                                                grid.N_time)).copy(),
                         np.broadcast_to(phi2, (grid.N_tan, grid.N_vert,
                                                grid.N_time)).copy()])
-        dt_phi = np.stack([A * tg * P1y * thd * np.ones_like(phi[0]),
-                           -A * kx * tgp * Py * thd * np.ones_like(phi[0])])
-        lap1 = A * tg * (P3y - kx ** 2 * P1y) * th
-        lap2 = -A * kx * tgp * (P2y - kx ** 2 * Py) * th
+        dt_phi = np.stack([tg * P1y * thd * np.ones_like(phi[0]),
+                           -kx * tgp * Py * thd * np.ones_like(phi[0])])
+        lap1 = tg * (P3y - kx ** 2 * P1y) * th
+        lap2 = -kx * tgp * (P2y - kx ** 2 * Py) * th
         lap_phi = np.stack([np.broadcast_to(lap1, phi[0].shape).copy(),
                             np.broadcast_to(lap2, phi[0].shape).copy()])
-        d1_phi1 = A * kx * tgp * P1y * th
-        d1_phi2 = A * kx ** 2 * tg * Py * th
-        dy_phi1 = A * tg * P2y * th
-        dy_phi2 = -A * kx * tgp * P1y * th
+        d1_phi1 = kx * tgp * P1y * th
+        d1_phi2 = kx ** 2 * tg * Py * th
+        dy_phi1 = tg * P2y * th
+        dy_phi2 = -kx * tgp * P1y * th
         grad = np.stack([
             np.stack([np.broadcast_to(d1_phi1, phi[0].shape).copy(),
                       np.broadcast_to(d1_phi2, phi[0].shape).copy()]),
@@ -468,9 +462,9 @@ class StreamTestFunction:
                 "grad": grad, "wall_dy": wall_dy, "phi0": phi0}
 
 
-def default_test_family(amplitude: float = 1.0):
+def default_test_family():
     """Six-member divergence-free, wall-zero test family."""
     specs = [(1, "sin", "decay2"), (1, "cos", "decay3"), (2, "sin", "bump"),
              (2, "cos", "decay2"), (3, "sin", "decay3"), (1, "sin", "bump")]
-    return [StreamTestFunction(k=k, trig=tr_, theta=th, amplitude=amplitude)
+    return [StreamTestFunction(k=k, trig=tr_, theta=th)
             for k, tr_, th in specs]

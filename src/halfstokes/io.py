@@ -75,22 +75,16 @@ def load_field(prefix):
                time_dependent=sidecar["time_dependent"])
 
 
-def export_csv_slice(field, path, component: int = 0,
-                     vertical_index: int | None = 0) -> None:
-    """CSV of a 1-D/2-D slice: tangential axis (rows) by time (columns) at a
-    fixed vertical node, or by vertical node for steady fields."""
+def export_csv_slice(field, path) -> None:
+    """CSV of a 1-D/2-D slice of the first component at the first node of
+    every tangential axis but the first: tangential axis (rows) by time
+    (columns) at the wall node, or by vertical node for steady fields."""
     grid = field.grid
     data = field.data
-    for _ in range(field.ncomp_axes - 1):
+    for _ in range(field.ncomp_axes + grid.n_tan_axes - 1):
         data = data[0]
-    if field.ncomp_axes:
-        data = data[component]
-    for _ in range(grid.n_tan_axes - 1):
-        data = data[0]
-    if field.domain != "boundary" and vertical_index is not None:
-        vaxis = 1
-        data = np.take(data, vertical_index, axis=vaxis) \
-            if field.time_dependent else data
+    if field.domain != "boundary" and field.time_dependent:
+        data = data[:, 0]
     lines = []
     if data.ndim == 1:
         lines.append("tangential,value")

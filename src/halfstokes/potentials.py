@@ -376,7 +376,7 @@ def strip_newton_modes(flat: np.ndarray, lam: np.ndarray, y: np.ndarray):
     return S, dS
 
 
-def strip_newton_potential(f: ScalarField, return_vertical_derivative=False):
+def strip_newton_potential(f: ScalarField) -> ScalarField:
     """Newtonian potential integrated over the slab 0 < z < x_n.
 
     Per tangential mode the vertical kernel is -exp(-|xi| |x_n - z|)/(2 |xi|)
@@ -389,13 +389,6 @@ def strip_newton_potential(f: ScalarField, return_vertical_derivative=False):
     modes = tr.tan_fft(f.data, grid, offset=0)
     flat = modes.reshape((-1, grid.N_vert)
                          + ((grid.N_time,) if f.time_dependent else ()))
-    S, dS = strip_newton_modes(flat, tr.tan_modulus(grid), grid.vert_nodes)
-    shape = grid.tan_shape + (grid.N_vert,) \
-        + ((grid.N_time,) if f.time_dependent else ())
-    Sfield = ScalarField(grid, tr.tan_ifft(S.reshape(shape), grid, 0),
-                         domain="half", time_dependent=f.time_dependent)
-    if not return_vertical_derivative:
-        return Sfield
-    dfield = ScalarField(grid, tr.tan_ifft(dS.reshape(shape), grid, 0),
-                         domain="half", time_dependent=f.time_dependent)
-    return Sfield, dfield
+    S, _ = strip_newton_modes(flat, tr.tan_modulus(grid), grid.vert_nodes)
+    return ScalarField(grid, tr.tan_ifft(S.reshape(modes.shape), grid, 0),
+                       domain="half", time_dependent=f.time_dependent)

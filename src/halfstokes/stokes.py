@@ -48,7 +48,6 @@ class StokesSolution:
     V: VectorField
     grad_phi: VectorField
     w: VectorField
-    G: BoundaryField
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -99,14 +98,14 @@ def build_G(g: BoundaryField, v_wall: BoundaryField,
     return BoundaryField(grid, np.stack(comps))
 
 
-def build_w(G: BoundaryField, tol: float = 1e-10) -> VectorField:
+def build_w(G: BoundaryField) -> VectorField:
     """Boundary layer with prescribed tangential wall data (G', 0)."""
     grid = G.grid
     n = grid.n
     if G.ncomp != n:
         raise ShapeMismatchError("G must carry n components")
     scale = max(G.max_abs(), 1e-300)
-    if np.max(np.abs(G.data[n - 1])) > tol * scale:
+    if np.max(np.abs(G.data[n - 1])) > 1e-10 * scale:
         raise ShapeMismatchError("boundary layer requires zero normal data")
 
     quad = pot.kernel_quadrature(grid)
@@ -218,12 +217,11 @@ def assemble(g: BoundaryField, F: TensorField | None, v: VectorField,
     with _part("grad_phi"):
         grad_phi = build_grad_phi(psi)
     with _part("w"):
-        G = build_G(g, v_wall, V_wall)
-        w = build_w(G)
+        w = build_w(build_G(g, v_wall, V_wall))
 
     u = VectorField(grid, v.data + V.data + grad_phi.data + w.data,
                     domain="half")
-    return StokesSolution(u=u, v=v, V=V, grad_phi=grad_phi, w=w, G=G)
+    return StokesSolution(u=u, v=v, V=V, grad_phi=grad_phi, w=w)
 
 
 def solve_stokes(h: VectorField, g: BoundaryField,

@@ -19,6 +19,9 @@ from .core import BoundaryField, Field, HalfSpaceGrid, ScalarField, VectorField
 from .errors import NotDivergenceFreeError, ShapeMismatchError
 from .numerics import derivative_matrix
 
+# relative divergence above which a field is not solenoidal
+_SOLENOIDAL_TOL = 1e-8
+
 # ---------------------------------------------------------------------------
 # lattices
 # ---------------------------------------------------------------------------
@@ -108,11 +111,10 @@ def tan_fft(data: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
     return np.fft.fftn(data, axes=axes)
 
 
-def tan_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int,
-             real: bool = True) -> np.ndarray:
+def tan_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
+    """Real part of the inverse FFT over the tangential axes."""
     axes = tuple(range(offset, offset + grid.n_tan_axes))
-    out = np.fft.ifftn(modes, axes=axes)
-    return out.real if real else out
+    return np.fft.ifftn(modes, axes=axes).real
 
 
 def whole_to_fft_layout(data: np.ndarray, vaxis: int) -> np.ndarray:
@@ -142,14 +144,11 @@ def whole_fft(data: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
     return np.fft.fftn(work, axes=axes)
 
 
-def whole_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int,
-               real: bool = True) -> np.ndarray:
+def whole_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
+    """Real part of the inverse of :func:`whole_fft`, in storage layout."""
     vaxis = offset + grid.n_tan_axes
     axes = tuple(range(offset, offset + grid.n_tan_axes + 1))
-    work = np.fft.ifftn(modes, axes=axes)
-    if real:
-        work = work.real
-    return fft_to_whole_layout(work, vaxis)
+    return fft_to_whole_layout(np.fft.ifftn(modes, axes=axes).real, vaxis)
 
 
 def _field_fft(field: Field) -> np.ndarray:
@@ -309,10 +308,8 @@ def divergence(field: VectorField) -> ScalarField:
     for a in range(grid.n_tan_axes):
         acc = acc + 1j * ks[a] * modes[a]
     out = tan_ifft(acc, grid, offset=0)
-    D = derivative_matrix(grid.vert_nodes)
-    vaxis = grid.n_tan_axes
-    dvert = np.tensordot(D, field.data[grid.n - 1], axes=(1, vaxis))
-    dvert = np.moveaxis(dvert, 0, vaxis)
+    dvert = vertical_derivative_array(field.data[grid.n - 1], grid,
+                                      grid.n_tan_axes)
     return ScalarField(grid, out + dvert, domain="half",
                        time_dependent=field.time_dependent)
 
@@ -366,7 +363,7 @@ def extend_even(field: Field) -> Field:
                        time_dependent=field.time_dependent)
 
 
-def extend_solenoidal(h: VectorField, tol: float = 1e-8) -> VectorField:
+def extend_solenoidal(h: VectorField) -> VectorField:
     """Solenoidal extension: tangential components even, normal odd.
 
     The divergence precondition is checked spectrally on the reflected
@@ -374,8 +371,8 @@ def extend_solenoidal(h: VectorField, tol: float = 1e-8) -> VectorField:
     package generates).  A nonzero wall trace of the normal component makes
     the odd reflection jump across the wall; that case is surfaced as a
     warning diagnostic and the extension proceeds.  Fields whose extension
-    divergence exceeds ``tol`` relative without a wall jump to blame are
-    rejected.
+    divergence exceeds ``_SOLENOIDAL_TOL`` relative without a wall jump to
+    blame are rejected.
     """
     if h.domain != "half":
         raise ShapeMismatchError("extension needs a half-space field")
@@ -397,9 +394,10 @@ def extend_solenoidal(h: VectorField, tol: float = 1e-8) -> VectorField:
             f"normal component has wall trace of magnitude {wall_mag:.3e}; "
             "odd reflection extension jumps across the wall",
             RuntimeWarning, stacklevel=2)
-    elif rel > tol:
+    elif rel > _SOLENOIDAL_TOL:
         raise NotDivergenceFreeError(
-            f"relative extension divergence {rel:.3e} exceeds tolerance {tol:.1e}")
+            f"relative extension divergence {rel:.3e} exceeds tolerance "
+            f"{_SOLENOIDAL_TOL:.1e}")
     return ext
 
 
@@ -442,7 +440,7 @@ def trace_boundary(field: Field) -> BoundaryField:
     return BoundaryField(grid, wall, time_dependent=field.time_dependent)
 
 
-def normal_trace_norm(u: VectorField, index, tol: float = 1e-8) -> float:
+def normal_trace_norm(u: VectorField, index) -> float:
     """Negative-order boundary norm of the wall trace of the normal component.
 
     For divergence-free u the wall trace of u_n controls in the
@@ -452,11 +450,11 @@ def normal_trace_norm(u: VectorField, index, tol: float = 1e-8) -> float:
     from . import besov
 
     if u.domain == "half":
-        extend_solenoidal(u, tol=tol)  # raises if not solenoidal
+        extend_solenoidal(u)  # raises if not solenoidal
     else:
         div = spectral_divergence(u)
         scale = max(u.max_abs() / u.grid.X, 1e-300)
-        if div.max_abs() / scale > tol:
+        if div.max_abs() / scale > _SOLENOIDAL_TOL:
             raise NotDivergenceFreeError(
                 "normal trace norm requires a solenoidal field")
     wall = trace_boundary(u)

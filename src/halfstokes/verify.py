@@ -48,9 +48,9 @@ def _gauss_panel(a, b, order=16):
     return nodes, weights
 
 
-def _graded_panels(a, b, toward_b=True, n_panels=8, ratio=3.0, order=12):
-    """Panels of [a, b] geometrically graded toward one endpoint."""
-    fracs = ratio ** np.arange(n_panels)
+def _graded_panels(a, b, toward_b=True, n_panels=8, order=12):
+    """Panels of [a, b] geometrically graded (ratio 3) toward one endpoint."""
+    fracs = 3.0 ** np.arange(n_panels)
     fracs = fracs / fracs.sum()
     widths = (b - a) * fracs
     nodes_all, weights_all = [], []
@@ -99,25 +99,29 @@ def periodic_newton_kernel_du(v, u, L):
     return sgn * (1.0 / (2.0 * L) + dalpha / (2.0 * L))
 
 
-def _gauss_images(v, s, L, n_images=3):
-    """sum_m exp(-(v + m L)^2 / (4 s)) over 2*n_images+1 periodic images."""
+# periodic images on each side summed by the periodized Gaussians
+_N_IMAGES = 3
+
+
+def _gauss_images(v, s, L):
+    """sum_m exp(-(v + m L)^2 / (4 s)) over 2*_N_IMAGES+1 periodic images."""
     out = 0.0
-    for m in range(-n_images, n_images + 1):
+    for m in range(-_N_IMAGES, _N_IMAGES + 1):
         out = out + np.exp(-((v + m * L) ** 2) / (4.0 * s))
     return out
 
 
-def _gauss_images_d1(v, s, L, n_images=3):
+def _gauss_images_d1(v, s, L):
     out = 0.0
-    for m in range(-n_images, n_images + 1):
+    for m in range(-_N_IMAGES, _N_IMAGES + 1):
         vv = v + m * L
         out = out + (-vv / (2.0 * s)) * np.exp(-(vv ** 2) / (4.0 * s))
     return out
 
 
-def _gauss_images_d2(v, s, L, n_images=3):
+def _gauss_images_d2(v, s, L):
     out = 0.0
-    for m in range(-n_images, n_images + 1):
+    for m in range(-_N_IMAGES, _N_IMAGES + 1):
         vv = v + m * L
         out = out + (vv ** 2 / (4.0 * s * s) - 1.0 / (2.0 * s)) \
             * np.exp(-(vv ** 2) / (4.0 * s))
@@ -207,13 +211,14 @@ def oracle_poisson(f_profile, grid: HalfSpaceGrid, points_x, points_y):
 # ---------------------------------------------------------------------------
 
 
-def oracle_strip_newton(f: ScalarField, points, n_panels=10, order=12):
+def oracle_strip_newton(f: ScalarField, points):
     """Direct quadrature of the slab Newtonian potential at selected
     (x', x_n) points (single time slice, two dimensions).
 
     The tangential profile is integrated against the periodized log kernel;
     the vertical dependence uses the same piecewise-linear interpolant the
     fast path integrates, so the two routes evaluate the same function.
+    Order-12 Gauss panels, 10 graded panels around the log singularity.
     """
     grid = f.grid
     if grid.n != 2:
@@ -235,20 +240,18 @@ def oracle_strip_newton(f: ScalarField, points, n_panels=10, order=12):
             if hi <= lo:
                 break
             if hi >= yp - 1e-14:
-                x_, w_ = _graded_panels(lo, yp, toward_b=True,
-                                        n_panels=n_panels, order=order)
+                x_, w_ = _graded_panels(lo, yp, toward_b=True, n_panels=10)
             else:
-                x_, w_ = _gauss_panel(lo, hi, order)
+                x_, w_ = _gauss_panel(lo, hi, 12)
             zn_nodes.append(x_)
             zn_w.append(w_)
         zn_nodes = np.concatenate(zn_nodes)
         zn_w = np.concatenate(zn_w)
         # tangential panels graded toward z' = xp
         left_n, left_w = _graded_panels(xp - grid.L / 2.0, xp, toward_b=True,
-                                        n_panels=n_panels, order=order)
+                                        n_panels=10)
         right_n, right_w = _graded_panels(xp, xp + grid.L / 2.0,
-                                          toward_b=False,
-                                          n_panels=n_panels, order=order)
+                                          toward_b=False, n_panels=10)
         zp = np.concatenate([left_n, right_n])
         wzp = np.concatenate([left_w, right_w])
         total = 0.0
@@ -288,12 +291,13 @@ def _erfc_half(y, tau):
     return 0.5 * erfc(y / (2.0 * np.sqrt(tau)))
 
 
-def _layer_derivative_sum(v, y, rbar, dt, a, L, deriv_order, n_gl=24):
+def _layer_derivative_sum(v, y, rbar, dt, a, L, deriv_order):
     """sum_k rbar_k int_{I_k} (d^deriv/dv^deriv G_a)(v, tau) d/dy m(y, tau) dtau.
 
     Exact splitting: the lag-peaked factor -(y / 2 tau) m integrates in
     closed form against the tangential factor frozen at tau = 0; the smooth
-    remainder uses Gauss-Legendre in sqrt(tau).  ``v``, ``y`` may be arrays.
+    remainder uses 24-point Gauss-Legendre in sqrt(tau).  ``v``, ``y`` may
+    be arrays.
     """
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -314,7 +318,7 @@ def _layer_derivative_sum(v, y, rbar, dt, a, L, deriv_order, n_gl=24):
     for j in range(nt1):
         t1, t2 = j * dt, (j + 1) * dt
         peak = -tan0 * (_erfc_half(y, t2) - (_erfc_half(y, t1) if j else 0.0))
-        s_nodes, s_w = _gauss_panel(np.sqrt(t1), np.sqrt(t2), n_gl)
+        s_nodes, s_w = _gauss_panel(np.sqrt(t1), np.sqrt(t2), 24)
         acc = 0.0
         for sn, sw in zip(s_nodes, s_w):
             tau = sn ** 2
@@ -577,7 +581,7 @@ def stokes_residual_suite(sol: stk.StokesSolution, h, g, F, test_family) -> dict
     """Weak-form gaps per test function plus the strong diagnostics."""
     gaps = []
     for tf in test_family:
-        gap, ref = ns.weak_form_gap(sol.u, h, g, tf, F=F, quadratic=False)
+        gap, ref = ns.weak_form_gap(sol.u, h, g, tf, F=F)
         gaps.append(gap / ref)
     out = {"weak_gaps": gaps, "max_weak_gap": max(gaps)}
     out.update({k: v for k, v in sol.diagnostics.items()})

@@ -31,7 +31,7 @@ def test_lp_norm_single_mode_closed_form():
     part = besov.partition_for(g, "boundary")
     s, q = 0.6, 2.5
     val = besov.lp_norm(bf, s, q)
-    lq = besov.field_lq(bf, q, include_time=False)
+    lq = besov.field_lq(bf, q)
     expected = sum((2.0 ** (j * s) * part.window(j, np.array([4.0]))[0]) ** q
                    for j in part.blocks) ** (1.0 / q) * lq
     assert np.isclose(val, expected, rtol=1e-12)
@@ -89,7 +89,7 @@ def test_negative_order_single_mode_weight():
     part = besov.partition_for(g, "boundary")
     s, q = -0.4, 3.0
     val = besov.negative_order_norm(f, s, q)
-    lq = besov.field_lq(f, q, include_time=False)
+    lq = besov.field_lq(f, q)
     expected = sum((2.0 ** (j * s) * part.window(j, np.array([2.0]))[0]) ** q
                    for j in part.blocks) ** (1.0 / q) * lq
     assert np.isclose(val, expected, rtol=1e-12)
@@ -167,7 +167,7 @@ def test_aniso_separable_factorization():
                            np.broadcast_to(b_t, (1, 2, g.N_time)).copy())
     gag_b = besov.gagliardo_time_norm(scalar, alpha / 2.0, q,
                                       spatial_norm="abs")
-    norm_a_lq = besov.field_lq(a_field, q, include_time=False)
+    norm_a_lq = besov.field_lq(a_field, q)
     assert np.isclose(temporal, gag_b * norm_a_lq, rtol=1e-10)
 
 

@@ -40,6 +40,16 @@ def test_grid_rejects_bad_parameters(kwargs):
         make_grid(**kwargs)
 
 
+@pytest.mark.parametrize("key", ["L", "X", "T", "grading"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_grid_rejects_non_finite_parameters(key, value):
+    kwargs = dict(n=2, L=1.0, N_tan=8, X=1.0, N_vert=5, T=1.0, N_time=4,
+                  grading=1.0)
+    kwargs[key] = value
+    with pytest.raises(InvalidGridError, match="finite"):
+        make_grid(**kwargs)
+
+
 def test_fields_reject_shape_mismatch():
     g = make_grid(2, L=2 * np.pi, N_tan=8, X=1.0, N_vert=5, T=1.0, N_time=4)
     with pytest.raises(ShapeMismatchError):

@@ -52,3 +52,100 @@ def test_no_unreferenced_definitions():
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in refs)
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def _defaulted(tree):
+    """(name, parameter, position) for every defaulted parameter of a
+    function or method.  The position counts from the first argument a call
+    passes (``self`` and ``cls`` are skipped) and is None for keyword-only
+    parameters; a class's ``__init__`` goes by the class name."""
+    owner = {id(item): node.name for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for item in node.body}
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = owner.get(id(fn)) if fn.name == "__init__" else fn.name
+        if name is None or _is_dunder(name):
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in fn.decorator_list)
+        skip = int(id(fn) in owner and not static)
+        params = fn.args.posonlyargs + fn.args.args
+        first_default = len(params) - len(fn.args.defaults)
+        out += [(name, arg.arg, pos - skip) for pos, arg in enumerate(params)
+                if pos >= first_default]
+        out += [(name, arg.arg, None) for arg, default
+                in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _record_calls(tree, calls):
+    """Add every call in ``tree`` to ``calls`` ({callee name: [largest
+    positional count, keyword names]}); ``functools.partial(f, ...)`` counts
+    as a call of ``f``, and a call with ``*args`` or ``**kwargs`` sets every
+    parameter it could reach."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        if name is None:
+            continue
+        entry = calls.setdefault(name, [0, set()])
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        entry[0] = max(entry[0], 10 ** 6 if starred else len(args))
+        entry[1].update(kw.arg or "**" for kw in node.keywords)
+
+
+def _subclasses(tree):
+    """{base class name: names of the classes that derive from it}."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                out.setdefault(_callee(base), set()).add(node.name)
+    return out
+
+
+def _sets(call, param, pos):
+    npos, kws = call
+    return (pos is not None and npos > pos) or param in kws or "**" in kws
+
+
+def test_every_default_is_set_by_a_caller():
+    defaults, children = [], {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defaults += [(path.name, *d) for d in _defaulted(tree)]
+        for base, names in _subclasses(tree).items():
+            children.setdefault(base, set()).update(names)
+    calls = {}
+    for base in SEARCHED:
+        for path in base.rglob("*.py"):
+            _record_calls(ast.parse(path.read_text()), calls)
+
+    unset = []
+    for module, name, param, pos in defaults:
+        # a class's __init__ is also called through the classes deriving
+        # from it
+        names, todo = set(), [name]
+        while todo:
+            cur = todo.pop()
+            if cur not in names:
+                names.add(cur)
+                todo += children.get(cur, ())
+        if not any(_sets(calls.get(cname, (0, set())), param, pos)
+                   for cname in names):
+            unset.append(f"{module}:{name}({param})")
+    assert not unset, f"defaulted but never set by a caller: {sorted(unset)}"

@@ -166,25 +166,74 @@ def test_cli_nonfinite_amplitude_is_config_error(tmp_path):
 ])
 def test_cli_non_numeric_value_is_config_error(tmp_path, capsys, command,
                                                section, key, value):
+    err = config_error(tmp_path, capsys, command, {(section, key): value})
+    assert f"[{section}] {key}" in err
+
+
+def config_error(tmp_path, capsys, command, settings, steady=False):
+    """Run ``command`` on the test config with ``settings`` ({(section,
+    key): value}) applied; assert it exits 2 with one line on stderr, and
+    return that line.  ``norms`` reads a small random snapshot (with
+    ``steady``, its first time slice)."""
     cp = configparser.ConfigParser()
     cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
-    if section not in cp:
-        cp.add_section(section)
-    cp[section][key] = value
+    for (section, key), value in settings.items():
+        if section not in cp:
+            cp.add_section(section)
+        cp[section][key] = value
     cfg = tmp_path / "cfg.ini"
     with cfg.open("w") as fh:
         cp.write(fh)
     extra = []
     if command == "norms":
-        io.save_field(datagen.random_halfspace_field(
+        f = datagen.random_halfspace_field(
             make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0,
-                      N_time=5), np.random.default_rng(0)), tmp_path / "snap")
+                      N_time=5), np.random.default_rng(0))
+        if steady:
+            f = type(f)(f.grid, f.data[..., 0], domain=f.domain,
+                        time_dependent=False)
+        io.save_field(f, tmp_path / "snap")
         extra = ["--field", str(tmp_path / "snap")]
     code = cli.main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out")] + extra)
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and f"[{section}] {key}" in err[0]
+    assert len(err) == 1
+    return err[0]
+
+
+@pytest.mark.parametrize("kind, key, value",
+                         [(kind, "q", q) for kind in ("aniso", "lp", "lq",
+                                                      "lq_time_lp_space")
+                          for q in ("-1", "0.5", "inf", "nan")]
+                         + [(kind, "s", "nan") for kind in
+                            ("aniso", "lp", "lq_time_lp_space")])
+def test_cli_norms_bad_exponent_is_config_error(tmp_path, capsys, kind, key,
+                                                value):
+    err = config_error(tmp_path, capsys, "norms",
+                       {("norms", "kind"): kind, ("norms", key): value},
+                       steady=kind == "lp")
+    assert f"norm kind {kind!r}" in err and value in err
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("verify-ops", "verify", "samples", "0"),
+    ("verify-ops", "verify", "refinements", "-1"),
+    ("verify-ops", "verify", "targets", "nope"),
+    ("scaling", "scaling", "lambdas", "0"),
+    ("scaling", "scaling", "lambdas", "0.5,-1"),
+    ("scaling", "scaling", "lambdas", "nan"),
+])
+def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, command,
+                                                section, key, value):
+    err = config_error(tmp_path, capsys, command, {(section, key): value})
+    assert f"[{section}] {key}" in err
+
+
+@pytest.mark.parametrize("key, value", [("t", "nan"), ("l", "inf")])
+def test_cli_non_finite_grid_is_config_error(tmp_path, capsys, key, value):
+    err = config_error(tmp_path, capsys, "solve-stokes", {("grid", key): value})
+    assert err.startswith("config error: bad grid:") and "finite" in err
 
 
 def test_readme_config_example_loads(tmp_path):
