@@ -19,16 +19,25 @@ vertical axis (one period, the +X duplicate dropped) on the whole space,
 and time in the space-time norm.  The windows depend on |k| only, so each
 block equals the complex-transform block to roundoff.
 
+At q = 2 no block is formed: the quadrature weights of the periodic layout
+are uniform, so by Plancherel every norm is one weighted sum of |modes|^2
+(B^s_{2,2} = H^s), with the mode weight of :func:`_parseval_weight`.  The
+block path serves every other q.
+
 Caching: :func:`partition_for` keeps, per ``(grid.key(), domain)``, the
-partition with its half-lattice windows and quadrature weights in a
+partition with its half-lattice windows and quadrature weights, and
+:func:`_spacetime_weight` keeps the q = 2 mode weight of
+:func:`aniso_lp_norm` per ``(grid.key(), domain, s)``, each in a
 :class:`~halfstokes.core.GridCache` of ``GridCache.SIZE`` (8) entries,
-evicting the least recently used.  The space-time windows of
-:func:`aniso_lp_norm` are built per call and not cached.
+evicting the least recently used.  The space-time windows of the q != 2
+path are built per call and not cached (on a refined whole-space lattice
+they hold several MiB per block).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +157,13 @@ def _weights(grid: HalfSpaceGrid, domain: str, ndim: int, offset: int = 0,
     return w
 
 
+def _cell(grid: HalfSpaceGrid, domain: str) -> float:
+    """Volume of one cell of the periodic layout, whose weights are
+    uniform (see :func:`_weights`)."""
+    cell = (grid.L / grid.N_tan) ** grid.n_tan_axes
+    return cell * grid.X / (grid.N_vert - 1) if domain == "whole" else cell
+
+
 def field_lq(field: Field, q: float) -> float:
     """Physical L^q norm over space (x time); components aggregate in l^q."""
     _check_exponent(q)
@@ -207,11 +223,49 @@ def _lp_blocks(comps: np.ndarray, domain: str, part: GridPartition):
                                    s=comp.shape[:nsp], axes=axes)
 
 
+def _parseval_weight(windows, s: float, lengths: tuple,
+                     cell: float) -> np.ndarray:
+    """Mode weight of the q = 2 norm on the half lattice of a real transform
+    over axes of the given full ``lengths``:
+    ``W_s(k) = sum_j 2^{2js} chi_j(k)^2 m(k) cell / N``, so that for real f
+    ``sum_j 2^{2js} |block_j f|_{L^2}^2 = sum_k W_s(k) |F(k)|^2``.  m(k)
+    counts the full-lattice modes a half-lattice mode stands for: 1 on the
+    zero column and, for an even last length, the Nyquist column; 2
+    elsewhere."""
+    n = lengths[-1]
+    m = np.full(n // 2 + 1, 2.0)
+    m[0] = 1.0
+    if n % 2 == 0:
+        m[-1] = 1.0
+    chi2 = sum(2.0 ** (2 * j * s) * chi ** 2 for j, chi in windows)
+    return chi2 * (m * (cell / np.prod(lengths)))
+
+
+def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``sum_k W(k) |F(k)|^2`` per trailing slice, summed over the
+    components; F is the real transform of each component over its leading
+    ``weight.ndim`` axes."""
+    axes = tuple(range(weight.ndim))
+    acc = 0.0
+    for comp in comps:
+        modes = np.fft.rfftn(comp, axes=axes)
+        # squares of the real and imaginary parts, in place
+        parts = modes.view(float).reshape(modes.shape + (2,))
+        np.square(parts, out=parts)
+        acc = acc + np.tensordot(weight, parts, weight.ndim).sum(axis=-1)
+    return acc
+
+
 def _lp_norm_q(comps: np.ndarray, grid: HalfSpaceGrid, domain: str,
                s: float, q: float) -> np.ndarray:
     """q-th power of the Littlewood-Paley norm of each trailing slice of
     ``comps`` (see :func:`_lp_blocks`), summed over the components."""
     part = partition_for(grid, domain)
+    if q == 2.0:
+        nsp = part.weights.ndim
+        comps = _periodic(comps, domain, nsp)
+        return _parseval_sq(comps, _parseval_weight(
+            part.windows, s, comps.shape[1:nsp + 1], _cell(grid, domain)))
     acc = 0.0
     for j, block in _lp_blocks(comps, domain, part):
         np.abs(block, out=block)
@@ -288,37 +342,63 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
     data = field.data
     D = np.zeros((nt, nt))
     if spatial_norm == "lq":
-        # sum w |f_k - f_i|^q = sum |w^(1/q) f_k - w^(1/q) f_i|^q; one
-        # contiguous row per time node, one row block of differences at a time
+        # sum w |f_k - f_i|^q = sum |w^(1/q) f_k - w^(1/q) f_i|^q
         w = _weights(grid, field.domain, data.ndim, field.ncomp_axes)
         rows = np.ascontiguousarray((data * w ** (1.0 / q)).reshape(-1, nt).T)
-        for i in range(nt - 1):
-            diff = rows[i + 1:] - rows[i]
-            np.abs(diff, out=diff)
-            diff **= q
-            D[i, i + 1:] = np.sum(diff, axis=1) ** (1.0 / q)
+        D = _row_distances(rows, q)
     elif spatial_norm == "abs":
         flat = data.reshape(-1, nt)
         for i in range(nt):
             D[i, i + 1:] = np.max(np.abs(flat[:, i + 1:] - flat[:, i:i + 1]), axis=0)
     elif isinstance(spatial_norm, tuple) and spatial_norm[0] == "besov":
-        # blocks are linear in f: each is transformed once for all times
         s_sp = spatial_norm[1]
         work = _extend(field)
         flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
         part = partition_for(grid, work.domain)
         w = part.weights
-        for j, block in _lp_blocks(flat, work.domain, part):
-            for i in range(nt - 1):
-                diff = block[..., i + 1:] - block[..., i:i + 1]
-                np.abs(diff, out=diff)
-                diff **= q
-                D[i, i + 1:] += 2.0 ** (j * s_sp * q) * np.tensordot(w, diff,
-                                                                     w.ndim)
-        D = D ** (1.0 / q)
+        if q == 2.0:
+            # sum_k W |F_k - F_i|^2: the modes pre-scaled by W^(1/2), their
+            # real and imaginary parts laid out as one real row per time
+            comps = _periodic(flat, work.domain, w.ndim)
+            weight = _parseval_weight(part.windows, s_sp,
+                                      comps.shape[1:w.ndim + 1],
+                                      _cell(grid, work.domain))
+            modes = np.fft.rfftn(comps, axes=tuple(range(1, w.ndim + 1)))
+            modes *= np.sqrt(weight)[..., None]
+            rows = np.ascontiguousarray(modes.reshape(-1, nt).T)
+            D = _row_distances(rows.view(float), 2.0)
+        else:
+            # blocks are linear in f: each is transformed once for all times
+            for j, block in _lp_blocks(flat, work.domain, part):
+                for i in range(nt - 1):
+                    diff = block[..., i + 1:] - block[..., i:i + 1]
+                    np.abs(diff, out=diff)
+                    diff **= q
+                    D[i, i + 1:] += 2.0 ** (j * s_sp * q) * np.tensordot(
+                        w, diff, w.ndim)
+            D = D ** (1.0 / q)
     else:
         raise ValueError(f"unknown spatial norm spec {spatial_norm!r}")
     return D + D.T
+
+
+def _row_distances(rows: np.ndarray, q: float) -> np.ndarray:
+    """Upper triangle of ``D[i, k] = (sum |rows[k] - rows[i]|^q)^(1/q)``
+    for contiguous rows, one per time node, taking one row block of
+    differences at a time.  At q = 2 each block is squared and summed in
+    one pass; the differences are still formed, because the Gram identity
+    ``|a|^2 + |b|^2 - 2<a, b>`` cancels far beyond roundoff."""
+    nt = len(rows)
+    D = np.zeros((nt, nt))
+    for i in range(nt - 1):
+        diff = rows[i + 1:] - rows[i]
+        if q == 2.0:
+            D[i, i + 1:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        else:
+            np.abs(diff, out=diff)
+            diff **= q
+            D[i, i + 1:] = np.sum(diff, axis=1) ** (1.0 / q)
+    return D
 
 
 def gagliardo_time_norm(field: Field, s2: float, q: float,
@@ -415,11 +495,10 @@ def aniso_lp_norm(field: Field, s: float, q: float) -> float:
     flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
     nsp = flat.ndim - 2
     flat = _periodic(flat, work.domain, nsp)
-    ks = tr.k_vectors(grid, work.domain, nsp + 1)
-    eta = 2.0 * np.pi * np.fft.rfftfreq(grid.N_time, d=grid.dt)
-    rho = np.sqrt(sum(k ** 2 for k in ks) + eta)
-    part = DyadicPartition.for_band(float(np.min(rho[rho > 0])),
-                                    float(np.max(rho)))
+    if q == 2.0:
+        return float(_parseval_sq(
+            flat, _spacetime_weight(grid, work.domain, s))) ** 0.5
+    rho, part = _spacetime_lattice(grid, work.domain)
     weights = _weights(grid, work.domain, nsp + 1, periodic=True) \
         * np.full(grid.N_time, grid.dt)
     st_axes = tuple(range(1, nsp + 2))
@@ -432,6 +511,46 @@ def aniso_lp_norm(field: Field, s: float, q: float) -> float:
         block **= q
         acc += 2.0 ** (j * s * q) * np.sum(np.tensordot(block, weights, nsp + 1))
     return acc ** (1.0 / q)
+
+
+def _spacetime_lattice(grid: HalfSpaceGrid, domain: str):
+    """Parabolic modulus ``(|k|^2 + |eta|)^{1/2}`` on the space-time half
+    lattice (time is the real axis) and its dyadic partition."""
+    nsp = grid.n_tan_axes + (domain != "boundary")
+    ks = tr.k_vectors(grid, domain, nsp + 1)
+    eta = 2.0 * np.pi * np.fft.rfftfreq(grid.N_time, d=grid.dt)
+    rho = np.sqrt(sum(k ** 2 for k in ks) + eta)
+    part = DyadicPartition.for_band(float(np.min(rho[rho > 0])),
+                                    float(np.max(rho)))
+    return rho, part
+
+
+_SPACETIME_WEIGHTS = GridCache()
+
+
+def _spacetime_weight(grid: HalfSpaceGrid, domain: str, s: float):
+    """The q = 2 mode weight of :func:`aniso_lp_norm` (see
+    :func:`_parseval_weight`), cached per ``(grid.key(), domain, s)``."""
+    def build():
+        rho, part = _spacetime_lattice(grid, domain)
+        windows = ((j, part.window(j, rho)) for j in part.blocks)
+        return _mapped(_parseval_weight(
+            windows, s, rho.shape[:-1] + (grid.N_time,),
+            _cell(grid, domain) * grid.dt))
+    return _SPACETIME_WEIGHTS.get((grid.key(), domain, s), build)
+
+
+def _mapped(table: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``table`` in its own anonymous memory map.  The
+    weight is built in the middle of a norm, with the field buffers still
+    live; taken from the malloc heap, it would sit above them and keep the
+    heap from shrinking once they are freed (with glibc malloc, +10 MiB
+    peak RSS on the operator-ratio study for a 2 MiB weight)."""
+    out = np.frombuffer(mmap.mmap(-1, table.nbytes),
+                        dtype=table.dtype).reshape(table.shape)
+    out[...] = table
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,24 @@ def _build_index(cfg: dict, n: int) -> BesovIndex:
         raise ConfigError(f"bad index: {exc}") from exc
 
 
+def _require_critical(index: BesovIndex, command: str):
+    if not index.critical:
+        raise ConfigError(
+            f"{command} needs the critical index q = (n + 2)/(alpha + 1) = "
+            f"{(index.n + 2) / (index.alpha + 1):g}, got [index] q = "
+            f"{index.q:g}")
+
+
+_FAMILIES_2D = ("stream_compatible", "random_band", "forced_mms",
+                "harmonic_gradient")
+
+
 def _build_data(cfg: dict, grid, seed: int):
     sec = cfg.get("data", {})
     family = sec.get("family", "stream_compatible")
+    if family in _FAMILIES_2D and grid.n != 2:
+        raise ConfigError(f"[data] family = {family} is two-dimensional, "
+                          f"got [grid] n = {grid.n}")
     amp = _number(cfg, "data", "amplitude", 1.0)
     if not np.isfinite(amp):
         raise ConfigError(f"amplitude must be finite, got {amp}")
@@ -154,6 +169,7 @@ def cmd_solve_stokes(args) -> int:
 
 def cmd_solve_ns(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
+    _require_critical(index, "solve-ns")
     h, g, _ = _build_data(cfg, grid, args.seed)
     max_iter = _number(cfg, "picard", "max_iter", 50, int)
     tol = _number(cfg, "picard", "tol", 1e-8) * args.tolerance_scale
@@ -183,6 +199,9 @@ def cmd_verify_ops(args) -> int:
     known = verify.ratio_targets(index)
     names = [s.strip() for s in cfg.get("verify", {}).get(
         "targets", ",".join(known)).split(",") if s.strip()]
+    if not names:
+        raise ConfigError("[verify] targets lists no target, known are "
+                          f"{sorted(known)}")
     unknown = [s for s in names if s not in known]
     if unknown:
         raise ConfigError(f"[verify] targets: unknown {unknown}, "
@@ -239,6 +258,7 @@ def cmd_norms(args) -> int:
 
 def cmd_scaling(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
+    _require_critical(index, "scaling")
     h, g, _ = _build_data(cfg, grid, args.seed)
     lambdas = _number(cfg, "scaling", "lambdas", "0.5,2.0",
                       lambda text: [float(s) for s in text.split(",")])

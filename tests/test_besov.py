@@ -392,3 +392,25 @@ def test_engine_agrees_with_complex_transform_reference(n, N, Nt, q,
             assert values[domain] == pytest.approx(ref, rel=1e-12), \
                 (domain, spatial_norm)
         monkeypatch.undo()
+
+
+def test_q2_norms_need_no_inverse_transform(monkeypatch):
+    # at q = 2 every norm is a weighted sum of |modes|^2 (Plancherel); a
+    # fall-back to the dyadic block path would call irfftn once per block
+    g = grid2(N=16, Nv=9, Nt=8)
+    rng = np.random.default_rng(5)
+    fields = _random_fields(g, rng, time_dependent=True)
+    steady = _random_fields(g, rng, time_dependent=False)
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("inverse transform on the q = 2 path")
+
+    monkeypatch.setattr(np.fft, "irfftn", no_inverse)
+    for domain, f in fields.items():
+        assert besov.lp_norm(steady[domain], 0.5, 2.0) > 0, domain
+        assert besov.lq_time_lp_space(f, 0.5, 2.0) > 0, domain
+        assert besov.aniso_lp_norm(f, -1.0, 2.0) > 0, domain
+        assert besov.gagliardo_time_norm(f, 0.5, 2.0, ("besov", -0.5)) > 0
+        assert besov.aniso_norm(f, 1.0, 2.0) > 0, domain
+    with pytest.raises(AssertionError, match="inverse transform"):
+        besov.lp_norm(steady["whole"], 0.5, 2.5)

@@ -154,7 +154,10 @@ def test_iteration_trace_bookkeeping():
     (potentials.kernel_quadrature, potentials._QUAD_CACHE),
     (lambda g: numerics.derivative_matrix(g.vert_nodes),
      numerics._DERIVATIVES),
-], ids=["partition_for", "kernel_quadrature", "derivative_matrix"])
+    (lambda g: besov._spacetime_weight(g, "whole", -1.0),
+     besov._SPACETIME_WEIGHTS),
+], ids=["partition_for", "kernel_quadrature", "derivative_matrix",
+        "spacetime_weight"])
 def test_grid_caches_stay_bounded(lookup, cache):
     # a scaling study adds grids without end; the per-grid tables must not
     grids = [make_grid(2, L=1.0 + 0.1 * i, N_tan=4, X=1.0 + 0.1 * i,

@@ -220,6 +220,7 @@ def test_cli_norms_bad_exponent_is_config_error(tmp_path, capsys, kind, key,
     ("verify-ops", "verify", "samples", "0"),
     ("verify-ops", "verify", "refinements", "-1"),
     ("verify-ops", "verify", "targets", "nope"),
+    ("verify-ops", "verify", "targets", ","),
     ("scaling", "scaling", "lambdas", "0"),
     ("scaling", "scaling", "lambdas", "0.5,-1"),
     ("scaling", "scaling", "lambdas", "nan"),
@@ -228,6 +229,22 @@ def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, command,
                                                 section, key, value):
     err = config_error(tmp_path, capsys, command, {(section, key): value})
     assert f"[{section}] {key}" in err
+
+
+@pytest.mark.parametrize("command", ["solve-ns", "scaling"])
+def test_cli_non_critical_index_is_config_error(tmp_path, capsys, command):
+    err = config_error(tmp_path, capsys, command,
+                       {("index", "critical"): "false", ("index", "q"): "2.5"})
+    assert command in err and "critical index" in err
+
+
+@pytest.mark.parametrize("family", ["stream_compatible", "random_band",
+                                    "forced_mms", "harmonic_gradient"])
+def test_cli_two_dimensional_family_on_3d_grid_is_config_error(
+        tmp_path, capsys, family):
+    err = config_error(tmp_path, capsys, "solve-stokes",
+                       {("grid", "n"): "3", ("data", "family"): family})
+    assert f"[data] family = {family}" in err and "[grid] n = 3" in err
 
 
 @pytest.mark.parametrize("key, value", [("t", "nan"), ("l", "inf")])
