@@ -12,12 +12,13 @@ half-space fields are measured through their even vertical reflection, and
 vector components aggregate in l^q.
 
 Transforms: the data are real, so dyadic blocks use ``rfftn`` once and
-``irfftn`` per block.  Windows are sampled on the half lattice, where the
-last transformed axis keeps its ``n // 2 + 1`` non-negative frequencies
-(``rfftfreq``): the last tangential axis on the boundary, the reflected
-vertical axis (one period, the +X duplicate dropped) on the whole space,
-and time in the space-time norm.  The windows depend on |k| only, so each
-block equals the complex-transform block to roundoff.
+``irfftn`` per block.  Windows are sampled on the half lattice of
+:func:`halfstokes.transforms.half_lattice`, where the last transformed axis
+keeps its ``n // 2 + 1`` non-negative frequencies: the last tangential axis
+on the boundary, the reflected vertical axis (one period, the +X duplicate
+dropped) on the whole space, and time in the space-time norm, whose
+spatial axes stay full.  The windows depend on |k| only, so each block
+equals the complex-transform block to roundoff.
 
 At q = 2 no block is formed: the quadrature weights of the periodic layout
 are uniform, so by Plancherel every norm is one weighted sum of |modes|^2
@@ -117,8 +118,6 @@ def partition_for(grid: HalfSpaceGrid, domain: str) -> GridPartition:
 def _build_partition(grid: HalfSpaceGrid, domain: str) -> GridPartition:
     nsp = grid.n_tan_axes + (domain != "boundary")
     ks = tr.k_vectors(grid, domain, nsp)
-    # rfftn keeps the n // 2 + 1 non-negative frequencies of the last axis
-    ks[-1] = np.abs(ks[-1][..., : ks[-1].shape[-1] // 2 + 1])
     kabs = np.sqrt(sum(k ** 2 for k in ks))
     part = DyadicPartition.for_band(float(np.min(kabs[kabs > 0])),
                                     float(np.max(kabs)))
@@ -516,9 +515,8 @@ def aniso_lp_norm(field: Field, s: float, q: float) -> float:
 def _spacetime_lattice(grid: HalfSpaceGrid, domain: str):
     """Parabolic modulus ``(|k|^2 + |eta|)^{1/2}`` on the space-time half
     lattice (time is the real axis) and its dyadic partition."""
-    nsp = grid.n_tan_axes + (domain != "boundary")
-    ks = tr.k_vectors(grid, domain, nsp + 1)
-    eta = 2.0 * np.pi * np.fft.rfftfreq(grid.N_time, d=grid.dt)
+    axes = tr.spectral_axes(grid, domain) + [(grid.N_time, grid.dt)]
+    *ks, eta = tr.half_lattice(axes, len(axes))
     rho = np.sqrt(sum(k ** 2 for k in ks) + eta)
     part = DyadicPartition.for_band(float(np.min(rho[rho > 0])),
                                     float(np.max(rho)))

@@ -206,6 +206,12 @@ def cmd_verify_ops(args) -> int:
     if unknown:
         raise ConfigError(f"[verify] targets: unknown {unknown}, "
                           f"known are {sorted(known)}")
+    if "gradient_duhamel" in names and index.beta is None:
+        try:
+            index.with_default_force_pair()
+        except ValueError as exc:
+            raise ConfigError(f"[verify] targets: gradient_duhamel has no "
+                              f"force pair for this [index]: {exc}") from exc
     study = verify.operator_ratio_study(names, index, grid, samples=samples,
                                         refinements=refinements,
                                         seed=args.seed)

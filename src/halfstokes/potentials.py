@@ -71,7 +71,7 @@ class KernelQuadrature:
     """
 
     lam_unique: np.ndarray
-    group_index: np.ndarray  # tangential-lattice -> row of lam_unique
+    group_index: np.ndarray  # flat tangential half lattice -> lam row
     weights: np.ndarray      # (n_lam, N_vert, N_time - 1)
     wall_row: np.ndarray     # weights at the wall node only, (n_lam, N_time - 1)
 
@@ -86,7 +86,6 @@ def kernel_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
 def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
     lam_unique, group = np.unique(np.round(tr.tan_modulus(grid), 12),
                                   return_inverse=True)
-    group = group.reshape(grid.tan_shape)
     taus = grid.dt * np.arange(grid.N_time)
     y = grid.vert_nodes
     C = heat_layer_cumulative(y[None, :, None],
@@ -115,7 +114,7 @@ def single_layer_modes(ghat_flat: np.ndarray, quad: KernelQuadrature,
     N_time).
     """
     intervals = _interval_values(ghat_flat)
-    group = quad.group_index.reshape(-1)
+    group = quad.group_index
     out = np.empty(ghat_flat.shape[:1] + (grid.N_vert, grid.N_time),
                    dtype=complex)
     for gidx in range(len(quad.lam_unique)):
@@ -140,7 +139,7 @@ def heat_single_layer(g: BoundaryField) -> Field:
     comps = []
     for c in range(g.ncomp):
         modes = single_layer_modes(flat[c], quad, grid)
-        modes = modes.reshape(grid.tan_shape + (grid.N_vert, grid.N_time))
+        modes = modes.reshape(ghat.shape[1:-1] + (grid.N_vert, grid.N_time))
         comps.append(tr.tan_ifft(modes, grid, offset=0))
     data = np.stack(comps)
     if g.ncomp == grid.n:
@@ -174,8 +173,9 @@ def single_layer_wall_trace_adjoint(phi: Field) -> np.ndarray:
     ncomp = int(np.prod(phi.data.shape[: phi.ncomp_axes], dtype=int))
     flat = phi.data.reshape((ncomp,) + grid.tan_shape + (grid.N_vert, grid.N_time))
     phat = tr.tan_fft(flat, grid, offset=1)
+    shape = phat.shape[:-2] + (grid.N_time - 1,)
     phat = phat.reshape(ncomp, -1, grid.N_vert, grid.N_time)
-    group = quad.group_index.reshape(-1)
+    group = quad.group_index
     out = np.empty((ncomp, phat.shape[1], grid.N_time - 1), dtype=complex)
     for gidx in range(len(quad.lam_unique)):
         rows = np.nonzero(group == gidx)[0]
@@ -187,8 +187,7 @@ def single_layer_wall_trace_adjoint(phi: Field) -> np.ndarray:
         weighted = wv[None, None, :, None] * block
         R = lag_correlate(W[None, None, :, :], weighted)   # (ncomp, nrow, nv, nt-1)
         out[:, rows] = np.sum(R, axis=2)
-    out = out.reshape((ncomp,) + grid.tan_shape + (grid.N_time - 1,))
-    return np.real(tr.tan_ifft(out, grid, offset=1))
+    return tr.tan_ifft(out.reshape(shape), grid, offset=1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +231,7 @@ def heat_volume_potential_adjoint(f: Field) -> Field:
 
 def _spatial_k2(grid: HalfSpaceGrid) -> np.ndarray:
     """|k|^2 on the whole-space spatial lattice, shape (*tan, M)."""
-    ks = tr.whole_k_vectors(grid, grid.n_tan_axes + 1, 0)
+    ks = tr.k_vectors(grid, "whole", grid.n_tan_axes + 1)
     return sum(k ** 2 for k in ks)
 
 
@@ -277,8 +276,8 @@ def stokes_volume_potential(F: TensorField) -> VectorField:
     grid = F.grid
     Fw = tr.extend_zero(F)
     modes = tr.whole_fft(Fw.data, grid, offset=2)  # (n, n, *tan, M, nt)
-    ks = [k[..., np.newaxis]
-          for k in tr.whole_k_vectors(grid, grid.n_tan_axes + 1, 0, deriv=True)]
+    ks = [k[..., np.newaxis] for k in tr.k_vectors(
+        grid, "whole", grid.n_tan_axes + 1, deriv=True)]
     # f_i = D_k F_{ki}
     fhat = np.stack([sum(1j * ks[k] * modes[k, i] for k in range(grid.n))
                      for i in range(grid.n)])
@@ -294,8 +293,8 @@ def gradient_heat_potential(f: Field, axis: int) -> Field:
         raise ShapeMismatchError("expected a time-dependent whole-space field")
     grid = f.grid
     modes = tr.whole_fft(f.data, grid, offset=f.ncomp_axes)
-    kax = tr.whole_k_vectors(grid, grid.n_tan_axes + 1, 0,
-                             deriv=True)[axis][..., np.newaxis]
+    kax = tr.k_vectors(grid, "whole", grid.n_tan_axes + 1,
+                       deriv=True)[axis][..., np.newaxis]
     out = _duhamel_forward(modes, _spatial_k2(grid), grid.dt) * (1j * kax)
     data = tr.whole_ifft(out, grid, offset=f.ncomp_axes)
     return type(f)(grid, data, domain="whole")
@@ -310,7 +309,7 @@ def poisson_extension(f: BoundaryField) -> Field:
     """Harmonic extension into the half space: multiplier exp(-|xi| x_n),
     constants extend to constants."""
     grid = f.grid
-    ks = tr.tan_k_vectors(grid, f.data.ndim, offset=1)
+    ks = tr.k_vectors(grid, "boundary", f.data.ndim, offset=1)
     lam = np.sqrt(sum(k ** 2 for k in ks))
     modes = tr.tan_fft(f.data, grid, offset=1)
     y = grid.vert_nodes

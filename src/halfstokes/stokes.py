@@ -110,8 +110,9 @@ def build_w(G: BoundaryField) -> VectorField:
 
     quad = pot.kernel_quadrature(grid)
     nt, nv = grid.N_time, grid.N_vert
-    ks = tr.tan_wavenumbers(grid, deriv=True)
-    xi = [m.reshape(-1) for m in np.meshgrid(*ks, indexing="ij")]
+    mesh = np.broadcast_arrays(
+        *tr.k_vectors(grid, "boundary", grid.n_tan_axes, deriv=True))
+    xi = [k.reshape(-1) for k in mesh]
     lam = tr.tan_modulus(grid, deriv=True)
 
     D = derivative_matrix(grid.vert_nodes)
@@ -127,7 +128,7 @@ def build_w(G: BoundaryField) -> VectorField:
              for i in range(n - 1)]
     # -2 sum_j R'_j beta_j = 2 sigma / lam  with the zero-mode convention
     comps.append(2.0 * tr.inv_or_zero(lam)[:, None, None] * sigma + 4.0 * dS)
-    shape = grid.tan_shape + (nv, nt)
+    shape = mesh[0].shape + (nv, nt)
     data = np.stack([tr.tan_ifft(c.reshape(shape), grid, 0) for c in comps])
     return VectorField(grid, data, domain="half")
 

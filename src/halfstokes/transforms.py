@@ -7,6 +7,14 @@ layout keeps both endpoints (the +X slot duplicates -X) and the transform
 helpers drop the duplicate.  Zero-mode conventions: Riesz transforms and the
 scalar potential map the zero mode to zero; the Helmholtz projection passes
 it through unchanged.
+
+Half lattice: all fields are real, so the transforms are ``rfftn`` and
+``irfftn(..., s=...)``; the last transformed axis (the last tangential one,
+or the reflected vertical one of length 2 (N_vert - 1)) keeps its
+``n // 2 + 1`` non-negative frequencies (:func:`half_lattice`).  Every
+symbol is even in k, or odd with the unpaired Nyquist mode zeroed
+(``deriv``), so it keeps the modes Hermitian and ``irfftn`` equals
+``ifftn(...).real`` on the full lattice to roundoff.
 """
 
 from __future__ import annotations
@@ -27,64 +35,47 @@ _SOLENOIDAL_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _freqs(n: int, d: float, deriv: bool) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
-    if deriv and n % 2 == 0:
-        k = k.copy()
-        k[n // 2] = 0.0  # odd symbols drop the unpaired Nyquist mode
-    return k
-
-
-def tan_wavenumbers(grid: HalfSpaceGrid, deriv: bool = False):
-    """One 1-D wavenumber array per tangential axis."""
-    d = grid.L / grid.N_tan
-    return [_freqs(grid.N_tan, d, deriv) for _ in range(grid.n_tan_axes)]
-
-
-def vert_wavenumbers(grid: HalfSpaceGrid, deriv: bool = False) -> np.ndarray:
-    """Wavenumbers of the reflected periodic vertical axis (period 2X)."""
+def spectral_axes(grid: HalfSpaceGrid, domain: str) -> list:
+    """``(length, spacing)`` of each transformed axis: the tangential ones,
+    then, on the whole space, one period of the reflected vertical axis."""
+    axes = [(grid.N_tan, grid.L / grid.N_tan)] * grid.n_tan_axes
+    if domain == "boundary":
+        return axes
+    if domain != "whole":
+        raise ShapeMismatchError("half-space fields have no full spectral lattice")
     if not grid.uniform_vertical:
         raise ShapeMismatchError("whole-space transforms need uniform vertical nodes")
-    m = 2 * (grid.N_vert - 1)
-    h = grid.X / (grid.N_vert - 1)
-    return _freqs(m, h, deriv)
+    return axes + [(2 * (grid.N_vert - 1), grid.X / (grid.N_vert - 1))]
 
 
-def _mesh(axes_1d, ndim, offset):
-    """Broadcast 1-D lattices into a common shape at the given axis offset."""
+def half_lattice(axes, ndim: int, offset: int = 0, deriv: bool = False):
+    """Wavenumbers of the half lattice of a real transform over ``axes``
+    (``(length, spacing)`` pairs), one array per axis, broadcast into an
+    ``ndim``-array whose transformed axes start at ``offset``.  The last
+    axis keeps its ``n // 2 + 1`` non-negative frequencies; with ``deriv``
+    the unpaired Nyquist mode of an even length is zeroed (odd symbols)."""
     out = []
-    for a, arr in enumerate(axes_1d):
+    for a, (n, d) in enumerate(axes):
+        freq = np.fft.rfftfreq if a == len(axes) - 1 else np.fft.fftfreq
+        k = 2.0 * np.pi * freq(n, d=d)
+        if deriv and n % 2 == 0:
+            k[n // 2] = 0.0
         shape = [1] * ndim
-        shape[offset + a] = len(arr)
-        out.append(arr.reshape(shape))
+        shape[offset + a] = len(k)
+        out.append(k.reshape(shape))
     return out
-
-
-def tan_k_vectors(grid: HalfSpaceGrid, ndim: int, offset: int,
-                  deriv: bool = False):
-    return _mesh(tan_wavenumbers(grid, deriv), ndim, offset)
-
-
-def whole_k_vectors(grid: HalfSpaceGrid, ndim: int, offset: int,
-                    deriv: bool = False):
-    axes = tan_wavenumbers(grid, deriv) + [vert_wavenumbers(grid, deriv)]
-    return _mesh(axes, ndim, offset)
 
 
 def k_vectors(grid: HalfSpaceGrid, domain: str, ndim: int, offset: int = 0,
               deriv: bool = False):
-    """Wavenumber lattice of the spatial axes of a boundary or whole-space
-    array, starting at axis ``offset`` of an ``ndim``-array."""
-    if domain == "boundary":
-        return tan_k_vectors(grid, ndim, offset, deriv)
-    if domain == "whole":
-        return whole_k_vectors(grid, ndim, offset, deriv)
-    raise ShapeMismatchError("half-space fields have no full spectral lattice")
+    """Half-lattice wavenumbers of the spatial axes of a boundary or
+    whole-space array, starting at axis ``offset`` of an ``ndim``-array."""
+    return half_lattice(spectral_axes(grid, domain), ndim, offset, deriv)
 
 
 def tan_modulus(grid: HalfSpaceGrid, deriv: bool = False) -> np.ndarray:
-    """|xi| on the tangential lattice, flattened in C order."""
-    ks = tan_k_vectors(grid, grid.n_tan_axes, 0, deriv)
+    """|xi| on the tangential half lattice, flattened in C order."""
+    ks = k_vectors(grid, "boundary", grid.n_tan_axes, 0, deriv)
     return np.sqrt(sum(k ** 2 for k in ks)).reshape(-1)
 
 
@@ -108,13 +99,13 @@ def leray(modes: np.ndarray, ks) -> np.ndarray:
 
 def tan_fft(data: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
     axes = tuple(range(offset, offset + grid.n_tan_axes))
-    return np.fft.fftn(data, axes=axes)
+    return np.fft.rfftn(data, axes=axes)
 
 
 def tan_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
-    """Real part of the inverse FFT over the tangential axes."""
+    """Inverse of :func:`tan_fft`."""
     axes = tuple(range(offset, offset + grid.n_tan_axes))
-    return np.fft.ifftn(modes, axes=axes).real
+    return np.fft.irfftn(modes, s=(grid.N_tan,) * grid.n_tan_axes, axes=axes)
 
 
 def whole_to_fft_layout(data: np.ndarray, vaxis: int) -> np.ndarray:
@@ -137,18 +128,19 @@ def fft_to_whole_layout(data: np.ndarray, vaxis: int) -> np.ndarray:
 
 
 def whole_fft(data: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
-    """FFT over all spatial axes of a whole-space array in storage layout."""
+    """Real FFT over the spatial axes of a stored whole-space array."""
     vaxis = offset + grid.n_tan_axes
     work = whole_to_fft_layout(data, vaxis)
-    axes = tuple(range(offset, offset + grid.n_tan_axes + 1))
-    return np.fft.fftn(work, axes=axes)
+    axes = tuple(range(offset, vaxis + 1))
+    return np.fft.rfftn(work, axes=axes)
 
 
 def whole_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
-    """Real part of the inverse of :func:`whole_fft`, in storage layout."""
+    """Inverse of :func:`whole_fft`, in storage layout."""
     vaxis = offset + grid.n_tan_axes
-    axes = tuple(range(offset, offset + grid.n_tan_axes + 1))
-    return fft_to_whole_layout(np.fft.ifftn(modes, axes=axes).real, vaxis)
+    axes = tuple(range(offset, vaxis + 1))
+    shape = (grid.N_tan,) * grid.n_tan_axes + (2 * (grid.N_vert - 1),)
+    return fft_to_whole_layout(np.fft.irfftn(modes, s=shape, axes=axes), vaxis)
 
 
 def _field_fft(field: Field) -> np.ndarray:
@@ -211,15 +203,18 @@ class SpectralField:
                          time_dependent=self.time_dependent)
 
     def hermitian_defect(self) -> float:
-        """Deviation of the modes from the symmetry of a real field."""
-        axes = tuple(range(self.ncomp_axes,
-                           self.ncomp_axes + self.grid.n_tan_axes
-                           + (1 if self.domain == "whole" else 0)))
-        conj = np.conj(self.modes)
-        for a in axes:
+        """Deviation of the modes from the symmetry of a real field, which on
+        the half lattice binds the zero and Nyquist planes of the halved axis
+        only: each must equal its conjugate mirrored in the other axes."""
+        lengths = [n for n, _ in spectral_axes(self.grid, self.domain)]
+        halved = self.ncomp_axes + len(lengths) - 1
+        planes = [0] + ([lengths[-1] // 2] if lengths[-1] % 2 == 0 else [])
+        sel = np.take(self.modes, planes, axis=halved)
+        conj = np.conj(sel)
+        for a in range(self.ncomp_axes, halved):
             conj = np.flip(np.roll(conj, -1, axis=a), axis=a)
         scale = max(float(np.max(np.abs(self.modes))), 1e-300)
-        return float(np.max(np.abs(self.modes - conj))) / scale
+        return float(np.max(np.abs(sel - conj))) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +243,12 @@ def riesz_apply(field: Field, axis: int) -> Field:
 def helmholtz_project(field: VectorField) -> VectorField:
     """Leray/Helmholtz projection onto divergence-free fields.
 
-    Spectral symbol delta_ij - k_i k_j / |k|^2 on the whole space; the zero
-    mode (a constant, already solenoidal) passes through unchanged.
+    Spectral symbol delta_ij - k_i k_j / |k|^2 on the whole space, with the
+    odd-symbol wavenumbers of :func:`spectral_divergence`; the zero mode (a
+    constant, already solenoidal) passes through unchanged.
     """
     _require_whole_vector(field)
-    ks = whole_k_vectors(field.grid, field.data.ndim - 1, 0)
+    ks = k_vectors(field.grid, "whole", field.data.ndim - 1, deriv=True)
     return field._like(_field_ifft(field, leray(_field_fft(field), ks)))
 
 
@@ -263,7 +259,7 @@ def q_potential(field: VectorField) -> ScalarField:
     normalized to zero.
     """
     _require_whole_vector(field)
-    ks = whole_k_vectors(field.grid, field.data.ndim - 1, 0, deriv=True)
+    ks = k_vectors(field.grid, "whole", field.data.ndim - 1, deriv=True)
     inv = inv_or_zero(sum(k ** 2 for k in ks))
     modes = _field_fft(field)
     qhat = -1j * sum(ks[i] * modes[i] for i in range(field.grid.n)) * inv
@@ -277,7 +273,7 @@ def spectral_gradient(field: ScalarField) -> VectorField:
     if field.domain != "whole":
         raise ShapeMismatchError("spectral gradient needs a whole-space scalar")
     grid = field.grid
-    ks = whole_k_vectors(grid, field.data.ndim, 0, deriv=True)
+    ks = k_vectors(grid, "whole", field.data.ndim, deriv=True)
     modes = whole_fft(field.data, grid, offset=0)
     comps = [whole_ifft(1j * ks[i] * modes, grid, offset=0)
              for i in range(grid.n)]
@@ -288,7 +284,7 @@ def spectral_gradient(field: ScalarField) -> VectorField:
 def spectral_divergence(field: VectorField) -> ScalarField:
     """Divergence of a whole-space vector field, all axes spectral."""
     _require_whole_vector(field)
-    ks = whole_k_vectors(field.grid, field.data.ndim - 1, 0, deriv=True)
+    ks = k_vectors(field.grid, "whole", field.data.ndim - 1, deriv=True)
     modes = _field_fft(field)
     div = sum(1j * ks[i] * modes[i] for i in range(field.grid.n))
     out = whole_ifft(div, field.grid, offset=0)
@@ -303,7 +299,7 @@ def divergence(field: VectorField) -> ScalarField:
         return spectral_divergence(field)
     grid = field.grid
     modes = tan_fft(field.data, grid, offset=1)
-    ks = tan_k_vectors(grid, field.data.ndim - 1, 0, deriv=True)
+    ks = k_vectors(grid, "boundary", field.data.ndim - 1, deriv=True)
     acc = np.zeros_like(modes[0])
     for a in range(grid.n_tan_axes):
         acc = acc + 1j * ks[a] * modes[a]
@@ -332,7 +328,7 @@ def tangential_derivative_array(data: np.ndarray, grid: HalfSpaceGrid,
                                 offset: int, axis: int) -> np.ndarray:
     """Spectral tangential derivative along tangential axis ``axis``."""
     modes = tan_fft(data, grid, offset)
-    ks = tan_k_vectors(grid, data.ndim, offset, deriv=True)
+    ks = k_vectors(grid, "boundary", data.ndim, offset, deriv=True)
     return tan_ifft(1j * ks[axis] * modes, grid, offset)
 
 

@@ -423,9 +423,9 @@ def _target_semigroup(index, trace=False):
 
 
 def _target_gradient_duhamel(index):
-    idx = index if index.beta is not None else index.with_default_force_pair()
-
     def run(grid, rng):
+        # built here: a non-critical index may admit no default pair
+        idx = index.with_default_force_pair() if index.beta is None else index
         f = datagen.random_whole_field(grid, rng, ncomp=1)
         outs = [pot.gradient_heat_potential(f, axis) for axis in range(grid.n)]
         out_norm = sum(_aniso_out(o, idx) ** idx.q for o in outs) ** (1.0 / idx.q)

@@ -50,7 +50,7 @@ def test_criterion_1_kernel_identities():
     D = derivative_matrix(g.time_nodes, stencil=5)
     vt = np.einsum("ab,cxyb->cxya", D, v.data)
     modes = tr.whole_fft(v.data, g, offset=1)
-    k2 = sum(k ** 2 for k in tr.whole_k_vectors(g, 2, 0))
+    k2 = sum(k ** 2 for k in tr.k_vectors(g, "whole", 2))
     lap = tr.whole_ifft(-k2[..., None] * modes, g, offset=1)
     resid = np.sqrt(np.mean((vt - lap) ** 2) / np.mean(lap ** 2))
 

@@ -18,7 +18,7 @@ def grid2(N=32, Nv=17, Nt=9, X=np.pi, T=1.0):
 def test_partition_of_unity_exact():
     g = grid2()
     part = besov.partition_for(g, "boundary")
-    ks = np.abs(tr.tan_wavenumbers(g)[0])
+    ks = np.abs(2.0 * np.pi * np.fft.fftfreq(g.N_tan, d=g.L / g.N_tan))
     ks = ks[ks > 0]
     total = sum(part.window(j, ks) for j in part.blocks)
     assert np.max(np.abs(total - 1.0)) < 1e-12
@@ -266,6 +266,20 @@ def test_gagliardo_lp_bracket_stable_under_refinement():
 # volume.  The engine uses real transforms on the half lattice, cached
 # windows and pre-scaled pair differences; both must agree to roundoff.
 
+def _full_lattice(grid, domain, ndim):
+    """Wavenumbers of the full complex-transform lattice of the spatial axes
+    of ``domain``, the leading axes of an ``ndim``-array."""
+    axes = [(grid.N_tan, grid.L / grid.N_tan)] * grid.n_tan_axes
+    if domain == "whole":
+        axes.append((2 * (grid.N_vert - 1), grid.X / (grid.N_vert - 1)))
+    ks = []
+    for a, (n, d) in enumerate(axes):
+        shape = [1] * ndim
+        shape[a] = n
+        ks.append(2.0 * np.pi * np.fft.fftfreq(n, d=d).reshape(shape))
+    return ks
+
+
 def _ref_lp_q(data, grid, domain, s, q):
     """q-th power of the LP norm per trailing slice; data (*spatial, ...)."""
     nsp = grid.n_tan_axes + (domain != "boundary")
@@ -273,12 +287,10 @@ def _ref_lp_q(data, grid, domain, s, q):
     cell = (grid.L / grid.N_tan) ** grid.n_tan_axes
     if domain == "boundary":
         modes = np.fft.fftn(data, axes=axes)
-        ks = tr.tan_k_vectors(grid, data.ndim, 0)
     else:
         modes = np.fft.fftn(tr.whole_to_fft_layout(data, nsp - 1), axes=axes)
-        ks = tr.whole_k_vectors(grid, data.ndim, 0)
         cell *= grid.X / (grid.N_vert - 1)
-    kabs = np.sqrt(sum(k ** 2 for k in ks))
+    kabs = np.sqrt(sum(k ** 2 for k in _full_lattice(grid, domain, data.ndim)))
     part = besov.DyadicPartition.for_band(np.min(kabs[kabs > 0]), np.max(kabs))
     acc = 0.0
     for j in part.blocks:
@@ -300,12 +312,10 @@ def _ref_aniso_lp(field, s, q):
     flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
     nsp = flat.ndim - 2
     cell = (grid.L / grid.N_tan) ** grid.n_tan_axes * grid.dt
-    if work.domain == "boundary":
-        ks = tr.tan_k_vectors(grid, flat.ndim - 1, 0)
-    else:
+    if work.domain != "boundary":
         flat = tr.whole_to_fft_layout(flat, nsp)
-        ks = tr.whole_k_vectors(grid, flat.ndim - 1, 0)
         cell *= grid.X / (grid.N_vert - 1)
+    ks = _full_lattice(grid, work.domain, flat.ndim - 1)
     eta = 2.0 * np.pi * np.fft.fftfreq(grid.N_time, d=grid.dt)
     rho = np.sqrt(sum(k ** 2 for k in ks) + np.abs(eta))
     part = besov.DyadicPartition.for_band(np.min(rho[rho > 0]), np.max(rho))

@@ -1,5 +1,6 @@
 """Source hygiene: every function, class and method defined in the package is
-used somewhere in the package, its tests or its benchmark."""
+used somewhere in the package, its tests or its benchmark; every default is
+set by some caller; and real data go through real transforms."""
 
 import ast
 import re
@@ -149,3 +150,50 @@ def test_every_default_is_set_by_a_caller():
                    for cname in names):
             unset.append(f"{module}:{name}({param})")
     assert not unset, f"defaulted but never set by a caller: {sorted(unset)}"
+
+
+# Complex FFTs of real data waste half the work: the package transforms real
+# fields with rfftn/irfftn.  The exceptions are named: the lag convolutions
+# act on complex tangential modes, and the strip-potential oracle of
+# ``verify`` stays on the full lattice as an independent reference.
+COMPLEX_FFTS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
+COMPLEX_ALLOWED = {("numerics.py", "lag_convolve"),
+                   ("numerics.py", "lag_correlate"),
+                   ("verify.py", "_sample_field_2d")}
+
+
+def _inverse_call(node):
+    return isinstance(node, ast.Call) and "ifft" in (_callee(node.func) or "")
+
+
+def _complex_transform_uses(tree, module):
+    """(function, line, what) of each complex FFT call outside the allowed
+    functions, and of each real part taken of an inverse transform."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            name = _callee(node.func)
+            if name in COMPLEX_FFTS and (module, owner) not in COMPLEX_ALLOWED:
+                found.append((owner, node.lineno, name))
+            if name == "real" and node.args and _inverse_call(node.args[0]):
+                found.append((owner, node.lineno, "real(ifft...)"))
+        if isinstance(node, ast.Attribute) and node.attr == "real" \
+                and _inverse_call(node.value):
+            found.append((owner, node.lineno, "ifft...(...).real"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_real_data_use_real_transforms():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found += [f"{path.name}:{line} {owner}: {what}" for owner, line, what
+                  in _complex_transform_uses(ast.parse(path.read_text()),
+                                             path.name)]
+    assert not found, f"complex transforms of real data: {found}"

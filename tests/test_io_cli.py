@@ -238,6 +238,33 @@ def test_cli_non_critical_index_is_config_error(tmp_path, capsys, command):
     assert command in err and "critical index" in err
 
 
+# q = 2.5 in 2-D admits no default force pair (beta, p); only the
+# gradient_duhamel target needs one
+NON_CRITICAL = {("index", "critical"): "false", ("index", "q"): "2.5"}
+
+
+def test_cli_verify_ops_non_critical_index_runs_other_targets(tmp_path):
+    cp = configparser.ConfigParser()
+    cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
+    for (section, key), value in NON_CRITICAL.items():
+        cp[section][key] = value
+    cfg = tmp_path / "cfg.ini"
+    with cfg.open("w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert cli.main(["verify-ops", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["ratio_studies"][0]["target"] == "poisson_spatial"
+
+
+def test_cli_verify_ops_without_force_pair_is_config_error(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, "verify-ops",
+                       {**NON_CRITICAL,
+                        ("verify", "targets"): "gradient_duhamel"})
+    assert "gradient_duhamel" in err and "force pair" in err
+
+
 @pytest.mark.parametrize("family", ["stream_compatible", "random_band",
                                     "forced_mms", "harmonic_gradient"])
 def test_cli_two_dimensional_family_on_3d_grid_is_config_error(

@@ -115,7 +115,7 @@ def test_heat_equation_residual_low_mode():
     D = derivative_matrix(g.time_nodes, stencil=5)
     vt = np.einsum("ab,cxyb->cxya", D, v.data)
     modes = tr.whole_fft(v.data, g, offset=1)
-    k2 = sum(k ** 2 for k in tr.whole_k_vectors(g, 2, 0))
+    k2 = sum(k ** 2 for k in tr.k_vectors(g, "whole", 2))
     lap = tr.whole_ifft(-k2[..., None] * modes, g, offset=1)
     resid = vt - lap
     rel = np.sqrt(np.mean(resid ** 2) / np.mean(lap ** 2))
@@ -252,7 +252,7 @@ def test_stokes_volume_pde_residual_converges():
         # projected force
         Fw = tr.extend_zero(F)
         modes = tr.whole_fft(Fw.data, g, offset=2)
-        ks = [k[..., None] for k in tr.whole_k_vectors(g, 2, 0, deriv=True)]
+        ks = [k[..., None] for k in tr.k_vectors(g, "whole", 2, deriv=True)]
         k2 = sum(k[..., 0] ** 2 for k in ks)
         fhat = np.stack([sum(1j * ks[k] * modes[k, i] for k in range(2))
                          for i in range(2)])

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from halfstokes.core import (BesovIndex, BoundaryField, ScalarField,
-                             VectorField, make_grid)
+                             TensorField, VectorField, make_grid)
 from halfstokes.errors import NotDivergenceFreeError, ShapeMismatchError
 from halfstokes import transforms as tr
 from halfstokes import datagen
+from halfstokes import navier_stokes as ns
+from halfstokes import potentials as pot
+from halfstokes import stokes as stk
 
 
 def grid2(N=16, Nv=9, Nt=4, X=np.pi):
@@ -237,3 +240,215 @@ def test_spectral_field_roundtrip_and_hermitian():
     corrupted = tr.SpectralField(g, sp.modes + 1j, "whole", 1, False,
                                  type(f))
     assert corrupted.hermitian_defect() > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# agreement with a complex-transform reference
+# ---------------------------------------------------------------------------
+#
+# The reference applies each symbol on the full lattice of a complex FFT and
+# keeps the real part; the package runs real transforms on the half lattice.
+# The data are white noise, so every mode, the Nyquist modes included, is
+# excited.
+
+# (n, N_tan): even and odd lengths of the halved tangential axis
+HALF_LATTICE_GRIDS = [(2, 16), (2, 15), (3, 8), (3, 7)]
+
+
+def _full_k(grid, domain, ndim, offset=0, deriv=False):
+    """Full-lattice wavenumbers of the spatial axes of ``domain``."""
+    axes = [(grid.N_tan, grid.L / grid.N_tan)] * grid.n_tan_axes
+    if domain == "whole":
+        axes.append((2 * (grid.N_vert - 1), grid.X / (grid.N_vert - 1)))
+    ks = []
+    for a, (n, d) in enumerate(axes):
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
+        if deriv and n % 2 == 0:
+            k[n // 2] = 0.0
+        shape = [1] * ndim
+        shape[offset + a] = n
+        ks.append(k.reshape(shape))
+    return ks
+
+
+def _ref_axes(grid, domain, offset):
+    return tuple(range(offset, offset + grid.n_tan_axes + (domain == "whole")))
+
+
+def _ref_fft(data, grid, domain, offset):
+    """Complex FFT over the spatial axes, on the full lattice."""
+    axes = _ref_axes(grid, domain, offset)
+    if domain == "whole":
+        data = tr.whole_to_fft_layout(data, axes[-1])
+    return np.fft.fftn(data, axes=axes)
+
+
+def _ref_ifft(modes, grid, domain, offset):
+    """Real part of the inverse of :func:`_ref_fft`."""
+    axes = _ref_axes(grid, domain, offset)
+    out = np.fft.ifftn(modes, axes=axes).real
+    return tr.fft_to_whole_layout(out, axes[-1]) if domain == "whole" else out
+
+
+def _ref_apply(data, grid, domain, offset, symbol):
+    return _ref_ifft(symbol(_ref_fft(data, grid, domain, offset)), grid,
+                     domain, offset)
+
+
+def _periodic_noise(rng, shape, vaxis):
+    """White noise on the whole-space storage layout: the +X slot of the
+    vertical axis ``vaxis`` duplicates -X."""
+    data = rng.standard_normal(shape)
+    data[(slice(None),) * vaxis + (-1,)] = data[(slice(None),) * vaxis + (0,)]
+    return data
+
+
+def _inv(x):
+    return np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), 0.0)
+
+
+def _close(got, ref):
+    assert got.shape == ref.shape
+    scale = max(float(np.max(np.abs(ref))), 1e-300)
+    assert float(np.max(np.abs(got - ref))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, N", HALF_LATTICE_GRIDS)
+def test_half_lattice_agrees_with_complex_reference(n, N):
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
+                  N_time=4)
+    rng = np.random.default_rng(10 * n + N)
+    tan, nt = g.tan_shape, g.N_time
+    whole_sp = tan + (g.n_vert_whole,)
+    bnd = BoundaryField(g, rng.standard_normal((1,) + tan + (nt,)))
+    wsc = ScalarField(g, _periodic_noise(rng, whole_sp + (nt,), n - 1),
+                      domain="whole")
+    wvec = VectorField(g, _periodic_noise(rng, (n,) + whole_sp, n),
+                       domain="whole", time_dependent=False)
+
+    # round trips and the half-lattice layout
+    tan_axes = tuple(range(1, 1 + g.n_tan_axes))
+    modes = tr.tan_fft(bnd.data, g, 1)
+    full = np.fft.fftn(bnd.data, axes=tan_axes)
+    _close(modes, full[..., : N // 2 + 1, :])
+    _close(tr.tan_ifft(modes, g, 1), bnd.data)
+    _close(tr.whole_ifft(tr.whole_fft(wsc.data, g, 0), g, 0), wsc.data)
+    _close(tr.SpectralField.from_physical(wvec).to_physical().data, wvec.data)
+
+    # Riesz transforms, every axis, on the boundary and the whole space
+    for f in (bnd, wsc):
+        ks = _full_k(g, f.domain, f.data.ndim, f.ncomp_axes, deriv=True)
+        kabs = np.sqrt(sum(k ** 2 for k in ks))
+        for a in range(len(ks)):
+            ref = _ref_apply(f.data, g, f.domain, f.ncomp_axes,
+                             lambda m: m * (-1j * ks[a] * _inv(kabs)))
+            _close(tr.riesz_apply(f, a).data, ref)
+
+    # whole-space multipliers
+    ks = _full_k(g, "whole", wvec.data.ndim - 1, deriv=True)
+    inv2 = _inv(sum(k ** 2 for k in ks))
+
+    def leray(m):
+        kdotm = sum(k * mi for k, mi in zip(ks, m))
+        return np.stack([mi - k * kdotm * inv2 for k, mi in zip(ks, m)])
+
+    _close(tr.helmholtz_project(wvec).data,
+           _ref_apply(wvec.data, g, "whole", 1, leray))
+    m = _ref_fft(wvec.data, g, "whole", 1)
+    _close(tr.q_potential(wvec).data, _ref_ifft(
+        -1j * sum(k * mi for k, mi in zip(ks, m)) * inv2, g, "whole", 0))
+    steady = ScalarField(g, wsc.data[..., 0], domain="whole",
+                         time_dependent=False)
+    _close(tr.spectral_gradient(steady).data, np.stack([
+        _ref_apply(steady.data, g, "whole", 0, lambda m: 1j * k * m)
+        for k in ks]))
+
+    # Poisson extension, time-dependent and steady
+    y = g.vert_nodes
+    for f in (bnd, BoundaryField(g, rng.standard_normal((n,) + tan),
+                                 time_dependent=False)):
+        lam = np.sqrt(sum(k ** 2 for k in _full_k(g, "boundary",
+                                                  f.data.ndim, 1)))
+        if f.time_dependent:
+            prof = np.exp(-lam[..., None, :] * y[:, None])
+            data = f.data[..., None, :]
+        else:
+            prof = np.exp(-lam[..., None] * y)
+            data = f.data[..., None]
+        ref = _ref_apply(data, g, "boundary", 1, lambda m: m * prof)
+        got = pot.poisson_extension(f).data
+        _close(got, ref[0] if f.ncomp == 1 else ref)
+
+    # heat semigroup
+    k2 = sum(k ** 2 for k in _full_k(g, "whole", wvec.data.ndim - 1))
+    _close(pot.heat_semigroup(wvec).data, _ref_apply(
+        wvec.data[..., None], g, "whole", 1,
+        lambda m: m * np.exp(-k2[..., None] * g.time_nodes)))
+
+    # Stokes volume potential: Leray projection of div F, then the Duhamel
+    # integral of the package (a per-mode recursion, lattice-agnostic)
+    F = rng.standard_normal((n, n) + tan + (g.N_vert, nt))
+    Fw = tr.extend_zero(TensorField(g, F, domain="half")).data
+    kt = [k[..., None] for k in ks]
+
+    def volume(m):
+        f = np.stack([sum(1j * kt[k] * m[k, i] for k in range(n))
+                      for i in range(n)])
+        kdotf = sum(k * fi for k, fi in zip(kt, f))
+        pf = np.stack([fi - k * kdotf * inv2[..., None]
+                       for k, fi in zip(kt, f)])
+        return pot._duhamel_forward(pf, k2, g.dt)
+
+    ref = _ref_ifft(volume(_ref_fft(Fw, g, "whole", 2)), g, "whole", 1)
+    _close(pot.stokes_volume_potential(TensorField(g, F, domain="half")).data,
+           ref)
+
+
+def test_solver_runs_without_complex_transforms(monkeypatch):
+    # every field is real, so no multi-axis complex FFT is needed anywhere
+    def complex_transform(*args, **kwargs):
+        raise AssertionError("complex transform of real data")
+
+    monkeypatch.setattr(np.fft, "fftn", complex_transform)
+    monkeypatch.setattr(np.fft, "ifftn", complex_transform)
+
+    g2 = make_grid(2, L=2 * np.pi, N_tan=15, X=2 * np.pi, N_vert=9, T=1.0,
+                   N_time=6)
+    mms = datagen.ForcedManufactured(k1=2, amplitude=1.0)
+    sol = stk.solve_stokes(mms.initial_data(g2), mms.boundary_data(g2),
+                           mms.stress(g2), index=BesovIndex.critical_index(
+                               1.0, 2), with_norms=False)
+    assert sol.diagnostics["initial_residual"] < 1e-10
+
+    g3 = make_grid(3, L=2 * np.pi, N_tan=6, X=np.pi, N_vert=5, T=0.5,
+                   N_time=4)
+    x1, x2 = g3.tan_nodes[:, None, None], g3.tan_nodes[None, :, None]
+    y = g3.vert_nodes[None, None, :]
+    h3 = VectorField(g3, np.stack([
+        -np.cos(x1) * np.sin(x2) * np.cos(y), np.sin(x1) * np.cos(x2)
+        * np.cos(y), np.zeros((6, 6, 5))]), domain="half",
+        time_dependent=False)
+    gb3 = BoundaryField(g3, tr.trace_boundary(h3).data[..., None]
+                        * np.exp(-g3.time_nodes))
+    sol3 = stk.solve_stokes(h3, gb3, index=BesovIndex.critical_index(1.0, 3),
+                            with_norms=False)
+    assert sol3.diagnostics["initial_residual"] < 1e-10
+
+    g = make_grid(2, L=2 * np.pi, N_tan=16, X=2 * np.pi, N_vert=9, T=1.0,
+                  N_time=6)
+    h0 = datagen.stream_mode_initial_data(g, k1=1, m=2)
+    g0 = datagen.compatible_boundary_data(g, h0)
+    _, trace = ns.picard_solve(0.1 * h0, BoundaryField(g, 0.1 * g0.data),
+                               BesovIndex.critical_index(1.0, 2), max_iter=1)
+    assert len(trace.steps) == 2
+
+    rng = np.random.default_rng(3)
+    f = datagen.random_whole_field(g, rng, ncomp=1)
+    vec = band_limited_whole(g, rng)
+    for out in (tr.riesz_apply(f, 1), tr.helmholtz_project(vec),
+                tr.q_potential(vec), tr.spectral_divergence(vec),
+                tr.spectral_gradient(tr.q_potential(vec)),
+                pot.heat_semigroup(vec), pot.heat_volume_potential(f),
+                pot.heat_volume_potential_adjoint(f),
+                pot.gradient_heat_potential(f, 0)):
+        assert np.all(np.isfinite(out.data))
