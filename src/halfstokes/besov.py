@@ -203,9 +203,7 @@ def _periodic(data: np.ndarray, domain: str, vaxis: int) -> np.ndarray:
     is one period of the reflected axis, starting at -X."""
     if domain == "boundary":
         return data
-    sl = [slice(None)] * data.ndim
-    sl[vaxis] = slice(0, -1)
-    return data[tuple(sl)]
+    return data[(slice(None),) * vaxis + (slice(0, -1),)]
 
 
 def _lp_blocks(comps: np.ndarray, domain: str, part: GridPartition):
@@ -228,16 +226,11 @@ def _parseval_weight(windows, s: float, lengths: tuple,
     over axes of the given full ``lengths``:
     ``W_s(k) = sum_j 2^{2js} chi_j(k)^2 m(k) cell / N``, so that for real f
     ``sum_j 2^{2js} |block_j f|_{L^2}^2 = sum_k W_s(k) |F(k)|^2``.  m(k)
-    counts the full-lattice modes a half-lattice mode stands for: 1 on the
-    zero column and, for an even last length, the Nyquist column; 2
-    elsewhere."""
-    n = lengths[-1]
-    m = np.full(n // 2 + 1, 2.0)
-    m[0] = 1.0
-    if n % 2 == 0:
-        m[-1] = 1.0
+    is :func:`halfstokes.transforms.half_multiplicity` of the last
+    length."""
     chi2 = sum(2.0 ** (2 * j * s) * chi ** 2 for j, chi in windows)
-    return chi2 * (m * (cell / np.prod(lengths)))
+    return chi2 * (tr.half_multiplicity(lengths[-1])
+                   * (cell / np.prod(lengths)))
 
 
 def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -247,8 +240,8 @@ def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
     axes = tuple(range(weight.ndim))
     acc = 0.0
     for comp in comps:
-        modes = np.fft.rfftn(comp, axes=axes)
-        # squares of the real and imaginary parts, in place
+        modes = np.ascontiguousarray(np.fft.rfftn(comp, axes=axes))
+        # squares of the real and imaginary parts (C order), in place
         parts = modes.view(float).reshape(modes.shape + (2,))
         np.square(parts, out=parts)
         acc = acc + np.tensordot(weight, parts, weight.ndim).sum(axis=-1)

@@ -123,8 +123,11 @@ def _build_data(cfg: dict, grid, seed: int):
                                                 np.random.default_rng(seed))
         return amp * h0, amp * datagen.compatible_boundary_data(grid, h0), None
     if family == "forced_mms":
-        mms = datagen.ForcedManufactured(
-            k1=_number(cfg, "data", "k1", 2, int), amplitude=amp)
+        k1 = _number(cfg, "data", "k1", 2, int)
+        if k1 < 1:
+            raise ConfigError(f"[data] k1 = {k1} must be at least 1 for "
+                              "family = forced_mms")
+        mms = datagen.ForcedManufactured(k1=k1, amplitude=amp)
         return mms.initial_data(grid), mms.boundary_data(grid), mms.stress(grid)
     if family == "harmonic_gradient":
         _, h, g = datagen.harmonic_gradient_solution(
@@ -138,6 +141,10 @@ def _common_setup(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = _build_grid(cfg)
+    # norms measures a snapshot on the grid it was saved with
+    if args.command != "norms" and not grid.uniform_vertical:
+        raise ConfigError(f"[grid] grading = {grid.grading:g}: {args.command}"
+                          " needs uniform vertical nodes (grading = 1)")
     index = _build_index(cfg, grid.n)
     report = io.base_report(cfg)
     report["seed"] = args.seed
@@ -172,9 +179,12 @@ def cmd_solve_ns(args) -> int:
     _require_critical(index, "solve-ns")
     h, g, _ = _build_data(cfg, grid, args.seed)
     max_iter = _number(cfg, "picard", "max_iter", 50, int)
-    tol = _number(cfg, "picard", "tol", 1e-8) * args.tolerance_scale
+    tol = _number(cfg, "picard", "tol", 1e-8)
+    if not tol > 0:
+        raise ConfigError(f"[picard] tol = {tol:g} must be positive")
     try:
-        u, trace = nsmod.picard_solve(h, g, index, max_iter=max_iter, tol=tol)
+        u, trace = nsmod.picard_solve(h, g, index, max_iter=max_iter,
+                                      tol=tol * args.tolerance_scale)
     except PicardDivergenceError as exc:
         report["trace"] = exc.trace.as_dict() if exc.trace else []
         return _fail(report, out_dir, EXIT_DIVERGED, f"diverged: {exc}")

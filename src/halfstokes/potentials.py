@@ -5,7 +5,8 @@ so that the semigroup tends to the identity as t -> 0.  Boundary-layer time
 convolutions integrate the singular kernel factor exactly over each time
 subinterval (error-function closed forms) against piecewise-constant data;
 volume Duhamel integrals integrate the exponential factor exactly against
-piecewise-linear data, which keeps stiff modes accurate.
+piecewise-linear data, which keeps stiff modes accurate; their sweeps
+run on contiguous time-major slices and return C order, time last.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class KernelQuadrature:
     lam_unique: np.ndarray
     group_index: np.ndarray  # flat tangential half lattice -> lam row
     weights: np.ndarray      # (n_lam, N_vert, N_time - 1)
-    wall_row: np.ndarray     # weights at the wall node only, (n_lam, N_time - 1)
 
 
 _QUAD_CACHE = GridCache()
@@ -91,9 +91,8 @@ def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
     C = heat_layer_cumulative(y[None, :, None],
                               lam_unique[:, None, None],
                               taus[None, None, :])
-    W = np.diff(C, axis=-1)
     return KernelQuadrature(lam_unique=lam_unique, group_index=group,
-                            weights=W, wall_row=W[:, 0, :])
+                            weights=np.diff(C, axis=-1))
 
 
 def _interval_values(nodal: np.ndarray) -> np.ndarray:
@@ -198,25 +197,26 @@ def single_layer_wall_trace_adjoint(phi: Field) -> np.ndarray:
 def _duhamel_forward(fhat: np.ndarray, k2: np.ndarray, dt: float) -> np.ndarray:
     """Exact Duhamel integral of exp(-k2 (t-s)) against piecewise-linear data."""
     E, w_old, w_new = exp_linear_weights(k2, dt)
-    out = np.zeros_like(fhat)
-    for m in range(1, fhat.shape[-1]):
-        out[..., m] = (E * out[..., m - 1] + w_old * fhat[..., m - 1]
-                       + w_new * fhat[..., m])
-    return out
+    f = np.ascontiguousarray(np.moveaxis(fhat, -1, 0))
+    out = np.zeros_like(f)
+    for m in range(1, len(f)):
+        out[m] = E * out[m - 1] + w_old * f[m - 1] + w_new * f[m]
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def _duhamel_backward(fhat: np.ndarray, k2: np.ndarray, dt: float) -> np.ndarray:
     """Exact transpose of :func:`_duhamel_forward` (anticausal integral)."""
     E, w_old, w_new = exp_linear_weights(k2, dt)
-    nt = fhat.shape[-1]
-    g = np.zeros_like(fhat[..., 0])
-    out = np.zeros_like(fhat)
-    out[..., nt - 1] = w_new * fhat[..., nt - 1]
-    for a in range(nt - 2, -1, -1):
-        g = fhat[..., a + 1] + E * g
-        out[..., a] = w_new * fhat[..., a] + (w_old + E * w_new) * g
-    out[..., 0] = w_old * g  # the first output node sees only the old weights
-    return out
+    f = np.ascontiguousarray(np.moveaxis(fhat, -1, 0))
+    g = np.zeros_like(f[0])
+    out = np.empty_like(f)
+    out[-1] = w_new * f[-1]
+    w_mid = w_old + E * w_new
+    for a in range(len(f) - 2, -1, -1):
+        g = f[a + 1] + E * g
+        out[a] = w_new * f[a] + w_mid * g
+    out[0] = w_old * g  # the first output node sees only the old weights
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def heat_volume_potential(f: Field) -> Field:
@@ -274,8 +274,7 @@ def stokes_volume_potential(F: TensorField) -> VectorField:
     if F.domain != "half" or not F.time_dependent:
         raise ShapeMismatchError("expected a time-dependent half-space tensor")
     grid = F.grid
-    Fw = tr.extend_zero(F)
-    modes = tr.whole_fft(Fw.data, grid, offset=2)  # (n, n, *tan, M, nt)
+    modes = tr.zero_extension_fft(F.data, grid, 2)  # (n, n, *tan, M, nt)
     ks = [k[..., np.newaxis] for k in tr.k_vectors(
         grid, "whole", grid.n_tan_axes + 1, deriv=True)]
     # f_i = D_k F_{ki}

@@ -185,17 +185,17 @@ def _relative(num: float, den: float) -> float:
 
 
 def gradient_scale(u: VectorField) -> float:
-    """L2 magnitude of all first spatial derivatives (normalizes residuals)."""
+    """L2 magnitude of all first spatial derivatives (normalizes residuals);
+    the tangential ones by Parseval on the half lattice."""
     grid = u.grid
-    total = 0.0
-    for i in range(grid.n):
-        comp = u.data[i]
-        for a in range(grid.n_tan_axes):
-            d = tr.tangential_derivative_array(comp, grid, 0, a)
-            total += float(np.mean(d * d))
-        dv = tr.vertical_derivative_array(comp, grid, grid.n_tan_axes)
-        total += float(np.mean(dv * dv))
-    return float(np.sqrt(total))
+    modes = tr.tan_fft(u.data, grid, offset=1)
+    ks = tr.k_vectors(grid, "boundary", grid.n_tan_axes, deriv=True)
+    weight = sum(k ** 2 for k in ks) * tr.half_multiplicity(grid.N_tan)
+    power = np.sum(modes.real ** 2 + modes.imag ** 2, axis=(0, -2, -1))
+    dv = tr.vertical_derivative_array(u.data, grid, grid.n_tan_axes + 1)
+    total = (np.sum(weight * power) / grid.N_tan ** grid.n_tan_axes
+             + np.sum(dv * dv))
+    return float(np.sqrt(total / u.data[0].size))
 
 
 def assemble(g: BoundaryField, F: TensorField | None, v: VectorField,

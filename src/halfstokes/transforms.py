@@ -15,6 +15,11 @@ or the reflected vertical one of length 2 (N_vert - 1)) keeps its
 symbol is even in k, or odd with the unpaired Nyquist mode zeroed
 (``deriv``), so it keeps the modes Hermitian and ``irfftn`` equals
 ``ifftn(...).real`` on the full lattice to roundoff.
+
+FFT layout of the reflected axis: y = 0, ..., X - dy, then -X, ..., -dy.
+Its half-space restriction is the slice ``[..., :N_vert, :]`` (-X stands
+for +X); the zero extension is y = 0, ..., X - dy and N_vert - 1 zeros,
+which :func:`zero_extension_fft` transforms without building it.
 """
 
 from __future__ import annotations
@@ -66,6 +71,14 @@ def half_lattice(axes, ndim: int, offset: int = 0, deriv: bool = False):
     return out
 
 
+def half_multiplicity(n: int) -> np.ndarray:
+    """m(k) on the halved axis of full length ``n``: the number of
+    full-lattice modes a half-lattice mode stands for, 1 on the zero column
+    and, for even ``n``, the Nyquist column; 2 elsewhere."""
+    k = np.arange(n // 2 + 1)
+    return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+
+
 def k_vectors(grid: HalfSpaceGrid, domain: str, ndim: int, offset: int = 0,
               deriv: bool = False):
     """Half-lattice wavenumbers of the spatial axes of a boundary or
@@ -110,29 +123,36 @@ def tan_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
 
 def whole_to_fft_layout(data: np.ndarray, vaxis: int) -> np.ndarray:
     """Drop the duplicate +X slot and roll so the vertical axis starts at 0."""
-    nv_whole = data.shape[vaxis]
-    n_vert = (nv_whole + 1) // 2
-    sl = [slice(None)] * data.ndim
-    sl[vaxis] = slice(0, nv_whole - 1)
-    return np.roll(data[tuple(sl)], -(n_vert - 1), axis=vaxis)
+    n_vert = (data.shape[vaxis] + 1) // 2
+    return np.roll(data[(slice(None),) * vaxis + (slice(0, -1),)],
+                   -(n_vert - 1), axis=vaxis)
 
 
 def fft_to_whole_layout(data: np.ndarray, vaxis: int) -> np.ndarray:
-    """Inverse of :func:`whole_to_fft_layout`: re-append the +X duplicate."""
-    m = data.shape[vaxis]
-    n_vert = m // 2 + 1
-    asc = np.roll(data, n_vert - 1, axis=vaxis)
-    sl = [slice(None)] * data.ndim
-    sl[vaxis] = slice(0, 1)
-    return np.concatenate([asc, asc[tuple(sl)]], axis=vaxis)
+    """Inverse of :func:`whole_to_fft_layout`, in one copy: the lower half
+    -X, ..., -dy, then the half-space slice 0, ..., X (the +X duplicate)."""
+    n_vert = data.shape[vaxis] // 2 + 1
+    head = (slice(None),) * vaxis
+    return np.concatenate([data[head + (slice(n_vert - 1, None),)],
+                           data[head + (slice(0, n_vert),)]], axis=vaxis)
 
 
 def whole_fft(data: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
     """Real FFT over the spatial axes of a stored whole-space array."""
     vaxis = offset + grid.n_tan_axes
-    work = whole_to_fft_layout(data, vaxis)
-    axes = tuple(range(offset, vaxis + 1))
-    return np.fft.rfftn(work, axes=axes)
+    return np.fft.rfftn(whole_to_fft_layout(data, vaxis),
+                        axes=tuple(range(offset, vaxis + 1)))
+
+
+def zero_extension_fft(data: np.ndarray, grid: HalfSpaceGrid,
+                       offset: int) -> np.ndarray:
+    """:func:`whole_fft` of the zero extension of a half-space array,
+    without building it: the samples below X, zero-padded to one period."""
+    vaxis = offset + grid.n_tan_axes
+    lengths = [n for n, _ in spectral_axes(grid, "whole")]
+    below_x = data[(slice(None),) * vaxis + (slice(0, grid.N_vert - 1),)]
+    return np.fft.rfftn(below_x, s=lengths,
+                        axes=tuple(range(offset, vaxis + 1)))
 
 
 def whole_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
@@ -344,9 +364,7 @@ def _reflect(data_half: np.ndarray, vaxis: int, parity: int) -> np.ndarray:
     reproduces the input exactly even for odd reflections with a jump.
     """
     flip = np.flip(data_half, axis=vaxis)
-    sl = [slice(None)] * data_half.ndim
-    sl[vaxis] = slice(0, data_half.shape[vaxis] - 1)
-    lower = parity * flip[tuple(sl)]
+    lower = parity * flip[(slice(None),) * vaxis + (slice(0, -1),)]
     return np.concatenate([lower, data_half], axis=vaxis)
 
 
@@ -415,9 +433,8 @@ def restrict_half(field: Field) -> Field:
     if field.domain != "whole":
         raise ShapeMismatchError("restriction needs a whole-space field")
     vaxis = field.vert_axis
-    sl = [slice(None)] * field.data.ndim
-    sl[vaxis] = slice(field.grid.N_vert - 1, None)
-    return type(field)(field.grid, field.data[tuple(sl)], domain="half",
+    upper = (slice(None),) * vaxis + (slice(field.grid.N_vert - 1, None),)
+    return type(field)(field.grid, field.data[upper], domain="half",
                        time_dependent=field.time_dependent)
 
 

@@ -3,8 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from halfstokes.core import (BesovIndex, BoundaryField, VectorField,
-                             make_grid, parabolic_scale)
+from halfstokes.core import (BesovIndex, BoundaryField, ScalarField,
+                             VectorField, make_grid, parabolic_scale)
 from halfstokes.errors import NormOrderError, ShapeMismatchError
 from halfstokes import besov, datagen
 from halfstokes import transforms as tr
@@ -424,3 +424,25 @@ def test_q2_norms_need_no_inverse_transform(monkeypatch):
         assert besov.aniso_norm(f, 1.0, 2.0) > 0, domain
     with pytest.raises(AssertionError, match="inverse transform"):
         besov.lp_norm(steady["whole"], 0.5, 2.5)
+
+
+
+@pytest.mark.parametrize("norm, domain", [
+    (besov.lq_time_lp_space, "whole"), (besov.aniso_lp_norm, "whole"),
+    (besov.aniso_norm, "whole"), (besov.aniso_norm, "boundary")])
+def test_q2_norms_do_not_depend_on_memory_layout(norm, domain):
+    # the q = 2 path views the modes as real and imaginary parts; a
+    # Fortran-ordered field must give the value of the C-ordered one
+    g = grid2(N=16, Nv=17, Nt=16)
+    rng = np.random.default_rng(17)
+    if domain == "whole":
+        values = rng.standard_normal((16, 33, 16))
+        def make(a):
+            return ScalarField(g, a, domain="whole")
+    else:
+        values = rng.standard_normal((2, 16, 16))
+        def make(a):
+            return BoundaryField(g, a)
+    ref = norm(make(values), 0.5, 2.0)
+    got = norm(make(np.asfortranarray(values)), 0.5, 2.0)
+    assert abs(got - ref) <= 1e-14 * ref

@@ -1,6 +1,7 @@
 """Source hygiene: every function, class and method defined in the package is
-used somewhere in the package, its tests or its benchmark; every default is
-set by some caller; and real data go through real transforms."""
+used somewhere in the package, its tests or its benchmark; every dataclass
+field is read there; every default is set by some caller; and real data go
+through real transforms."""
 
 import ast
 import re
@@ -53,6 +54,35 @@ def test_no_unreferenced_definitions():
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in refs)
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def _dataclass_fields(tree):
+    """``Class.field`` for every annotated field of a ``@dataclass``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                _callee(d.func if isinstance(d, ast.Call) else d)
+                == "dataclass" for d in node.decorator_list):
+            out += [(node.name, item.target.id) for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)]
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    fields = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        fields += _dataclass_fields(ast.parse(path.read_text()))
+    read = set()
+    for base in SEARCHED:
+        for path in base.rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{cls}.{name}" for cls, name in fields
+                    if name not in read)
+    assert not unread, f"dataclass fields never read: {unread}"
 
 
 def _defaulted(tree):

@@ -274,6 +274,25 @@ def test_cli_two_dimensional_family_on_3d_grid_is_config_error(
     assert f"[data] family = {family}" in err and "[grid] n = 3" in err
 
 
+@pytest.mark.parametrize("command", ["solve-stokes", "solve-ns",
+                                     "verify-ops", "scaling"])
+def test_cli_graded_grid_is_config_error(tmp_path, capsys, command):
+    err = config_error(tmp_path, capsys, command, {("grid", "grading"): "2.0"})
+    assert "[grid] grading = 2" in err and "uniform vertical" in err
+
+
+@pytest.mark.parametrize("k1", ["0", "-1"])
+def test_cli_forced_mms_non_positive_k1_is_config_error(tmp_path, capsys, k1):
+    err = config_error(tmp_path, capsys, "solve-stokes",
+                       {("data", "family"): "forced_mms", ("data", "k1"): k1})
+    assert f"[data] k1 = {k1}" in err and "forced_mms" in err
+
+
+def test_cli_negative_picard_tol_is_config_error(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, "solve-ns", {("picard", "tol"): "-1"})
+    assert "[picard] tol = -1" in err and "positive" in err
+
+
 @pytest.mark.parametrize("key, value", [("t", "nan"), ("l", "inf")])
 def test_cli_non_finite_grid_is_config_error(tmp_path, capsys, key, value):
     err = config_error(tmp_path, capsys, "solve-stokes", {("grid", key): value})

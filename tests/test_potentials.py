@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from halfstokes.core import (BoundaryField, ScalarField, VectorField,
-                             make_grid)
+from halfstokes.core import (BoundaryField, ScalarField, TensorField,
+                             VectorField, make_grid)
 from halfstokes import datagen, potentials as pot, transforms as tr
 from halfstokes.numerics import derivative_matrix, trapezoid_weights
 
@@ -379,3 +379,24 @@ def test_single_layer_anticausal_duality_mirror():
     gbar = 0.5 * (gb.data[..., 1:] + gb.data[..., :-1])
     rhs = np.sum(gbar * trace) * (g.L / g.N_tan) * g.dt
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1e-30)
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (2, 15), (3, 8)])
+def test_whole_space_heat_operators_return_c_ordered_data(n, N):
+    # the q = 2 norms view C-ordered modes as real pairs; the operators hand
+    # their results on in C order
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
+                  N_time=4)
+    rng = np.random.default_rng(n + N)
+    whole = g.tan_shape + (g.n_vert_whole,)
+    F = TensorField(g, rng.standard_normal((n, n) + g.tan_shape
+                                           + (g.N_vert, g.N_time)),
+                    domain="half")
+    f = ScalarField(g, rng.standard_normal(whole + (g.N_time,)),
+                    domain="whole")
+    h = VectorField(g, rng.standard_normal((n,) + whole), domain="whole",
+                    time_dependent=False)
+    for out in (pot.stokes_volume_potential(F), pot.heat_volume_potential(f),
+                pot.heat_volume_potential_adjoint(f),
+                pot.gradient_heat_potential(f, 0), pot.heat_semigroup(h)):
+        assert out.data.flags.c_contiguous

@@ -282,3 +282,29 @@ def test_three_dimensional_solve_end_to_end():
         assert sol.diagnostics["initial_residual"] < 1e-12
         bnds.append(sol.diagnostics["boundary_residual"])
     assert bnds[1] < 0.6 * bnds[0]
+
+
+def _gradient_scale_ref(u):
+    """Every first derivative of every component formed, then its mean
+    square taken."""
+    grid = u.grid
+    total = 0.0
+    for comp in u.data:
+        for a in range(grid.n_tan_axes):
+            d = tr.tangential_derivative_array(comp, grid, 0, a)
+            total += float(np.mean(d * d))
+        dv = tr.vertical_derivative_array(comp, grid, grid.n_tan_axes)
+        total += float(np.mean(dv * dv))
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (2, 15), (3, 8), (3, 7)])
+def test_gradient_scale_matches_derivative_loop(n, N):
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=7, T=1.0,
+                  N_time=4)
+    rng = np.random.default_rng(n * N)
+    u = VectorField(g, rng.standard_normal((n,) + g.tan_shape
+                                           + (g.N_vert, g.N_time)),
+                    domain="half")
+    ref = _gradient_scale_ref(u)
+    assert abs(stk.gradient_scale(u) - ref) <= 1e-13 * ref

@@ -9,6 +9,7 @@ from halfstokes import datagen
 from halfstokes import navier_stokes as ns
 from halfstokes import potentials as pot
 from halfstokes import stokes as stk
+from halfstokes.numerics import exp_linear_weights
 
 
 def grid2(N=16, Nv=9, Nt=4, X=np.pi):
@@ -386,7 +387,7 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
         lambda m: m * np.exp(-k2[..., None] * g.time_nodes)))
 
     # Stokes volume potential: Leray projection of div F, then the Duhamel
-    # integral of the package (a per-mode recursion, lattice-agnostic)
+    # integral (a per-mode recursion, lattice-agnostic)
     F = rng.standard_normal((n, n) + tan + (g.N_vert, nt))
     Fw = tr.extend_zero(TensorField(g, F, domain="half")).data
     kt = [k[..., None] for k in ks]
@@ -397,11 +398,72 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
         kdotf = sum(k * fi for k, fi in zip(kt, f))
         pf = np.stack([fi - k * kdotf * inv2[..., None]
                        for k, fi in zip(kt, f)])
-        return pot._duhamel_forward(pf, k2, g.dt)
+        return _duhamel_forward_ref(pf, k2, g.dt)
 
     ref = _ref_ifft(volume(_ref_fft(Fw, g, "whole", 2)), g, "whole", 1)
     _close(pot.stokes_volume_potential(TensorField(g, F, domain="half")).data,
            ref)
+
+
+# -- the whole-space heat kernels against references written here ---------
+
+
+def _duhamel_forward_ref(fhat, k2, dt):
+    """The causal Duhamel recurrence, stepping along the last (time) axis."""
+    E, w_old, w_new = exp_linear_weights(k2, dt)
+    out = np.zeros_like(fhat)
+    for m in range(1, fhat.shape[-1]):
+        out[..., m] = (E * out[..., m - 1] + w_old * fhat[..., m - 1]
+                       + w_new * fhat[..., m])
+    return out
+
+
+def _duhamel_backward_ref(fhat, k2, dt):
+    """The anticausal recurrence, stepping backwards along the last axis."""
+    E, w_old, w_new = exp_linear_weights(k2, dt)
+    nt = fhat.shape[-1]
+    g = np.zeros_like(fhat[..., 0])
+    out = np.zeros_like(fhat)
+    out[..., nt - 1] = w_new * fhat[..., nt - 1]
+    for a in range(nt - 2, -1, -1):
+        g = fhat[..., a + 1] + E * g
+        out[..., a] = w_new * fhat[..., a] + (w_old + E * w_new) * g
+    out[..., 0] = w_old * g
+    return out
+
+
+@pytest.mark.parametrize("n, N", HALF_LATTICE_GRIDS)
+def test_duhamel_recurrences_match_strided_reference(n, N):
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
+                  N_time=7)
+    k2 = pot._spatial_k2(g)
+    rng = np.random.default_rng(20 * n + N)
+    shape = (n,) + k2.shape + (g.N_time,)
+    f, h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2))
+    fwd = pot._duhamel_forward(f, k2, g.dt)
+    bwd = pot._duhamel_backward(h, k2, g.dt)
+    assert np.array_equal(fwd, _duhamel_forward_ref(f, k2, g.dt))
+    assert np.array_equal(bwd, _duhamel_backward_ref(h, k2, g.dt))
+    assert fwd.flags.c_contiguous and bwd.flags.c_contiguous
+    # the backward recurrence is the transpose of the forward one
+    lhs, rhs = np.vdot(fwd, h), np.vdot(f, bwd)
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(f) * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("n, N", HALF_LATTICE_GRIDS)
+def test_zero_extension_fft_matches_built_extension(n, N):
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=6, T=1.0,
+                  N_time=3)
+    F = np.random.default_rng(30 * n + N).standard_normal(
+        (n, n) + g.tan_shape + (g.N_vert, g.N_time))
+    ext = tr.extend_zero(TensorField(g, F, domain="half")).data
+    assert np.array_equal(tr.zero_extension_fft(F, g, offset=2),
+                          tr.whole_fft(ext, g, offset=2))
+    graded = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=6,
+                       grading=1.2, T=1.0, N_time=3)
+    with pytest.raises(ShapeMismatchError, match="uniform vertical"):
+        tr.zero_extension_fft(F, graded, offset=2)
 
 
 def test_solver_runs_without_complex_transforms(monkeypatch):
