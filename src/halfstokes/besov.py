@@ -11,28 +11,28 @@ Conventions: homogeneous norms ignore the spatial mean (the zero mode);
 half-space fields are measured through their even vertical reflection, and
 vector components aggregate in l^q.
 
-Transforms: the data are real, so dyadic blocks use ``rfftn`` once and
-``irfftn`` per block.  Windows are sampled on the half lattice of
-:func:`halfstokes.transforms.half_lattice`, where the last transformed axis
-keeps its ``n // 2 + 1`` non-negative frequencies: the last tangential axis
-on the boundary, the reflected vertical axis (one period, the +X duplicate
-dropped) on the whole space, and time in the space-time norm, whose
-spatial axes stay full.  The windows depend on |k| only, so each block
-equals the complex-transform block to roundoff.
+Lattices: one type, :class:`GridPartition`, with one block loop
+(:func:`_lp_blocks`) and one norm (:func:`_lp_norm_q`), serves the spatial
+lattice (modulus |k|) and the space-time lattice (parabolic modulus
+(|k|^2 + |eta|)^{1/2}).  Both are half lattices of a real transform
+(:func:`halfstokes.transforms.half_lattice`): the last transformed axis,
+which is the last tangential axis on the boundary, the reflected vertical
+axis (+X duplicate dropped) on the whole space, or time, keeps its
+``n // 2 + 1`` non-negative frequencies.  The windows depend on the
+modulus only, so each block equals the complex-transform block to roundoff.
 
 At q = 2 no block is formed: the quadrature weights of the periodic layout
-are uniform, so by Plancherel every norm is one weighted sum of |modes|^2
-(B^s_{2,2} = H^s), with the mode weight of :func:`_parseval_weight`.  The
-block path serves every other q.
+are one cell volume, so by Plancherel every norm is one weighted sum of
+|modes|^2 (B^s_{2,2} = H^s), with the mode weight of
+:func:`_parseval_weight`.  The block path serves every other q.
 
-Caching: :func:`partition_for` keeps, per ``(grid.key(), domain)``, the
-partition with its half-lattice windows and quadrature weights, and
-:func:`_spacetime_weight` keeps the q = 2 mode weight of
-:func:`aniso_lp_norm` per ``(grid.key(), domain, s)``, each in a
-:class:`~halfstokes.core.GridCache` of ``GridCache.SIZE`` (8) entries,
-evicting the least recently used.  The space-time windows of the q != 2
-path are built per call and not cached (on a refined whole-space lattice
-they hold several MiB per block).
+Caching, each in a :class:`~halfstokes.core.GridCache` of 8 entries:
+:func:`partition_for` keeps the spatial partition with its windows per
+``(grid.key(), domain)``, and the q = 2 weight is rebuilt from them per
+call.  :func:`_spacetime_weight` keeps the space-time q = 2 weight per
+``(grid.key(), domain, s)`` in a cache of its own.  Space-time windows are
+never kept: on a refined whole-space lattice each holds MiB, so they are
+built one block at a time.
 """
 
 from __future__ import annotations
@@ -98,33 +98,56 @@ class DyadicPartition:
 
 @dataclass(frozen=True)
 class GridPartition(DyadicPartition):
-    """Dyadic partition of one grid's lattice, with its windows sampled on
-    the half lattice of the real transform and the quadrature weights of
-    the spatial axes (transform layout).  ``windows`` lists ``(j, chi_j)``
-    for every block whose window is not identically zero."""
+    """Dyadic partition of one lattice of a grid: the half lattice of the
+    real transform over axes of full ``lengths``, with the ``modulus`` of
+    each mode and the volume ``cell`` of one cell of the periodic layout
+    (its quadrature weights are uniform).  ``windows`` lists ``(j, chi_j)``
+    for every block whose window is not identically zero, or is None where
+    they are built per block (the space-time lattice)."""
 
-    windows: tuple = dataclasses.field(compare=False, repr=False)
-    weights: np.ndarray = dataclasses.field(compare=False, repr=False)
+    modulus: np.ndarray = dataclasses.field(compare=False, repr=False)
+    lengths: tuple
+    cell: float
+    windows: tuple | None = dataclasses.field(compare=False, repr=False)
+
+    def block_windows(self):
+        """``(j, chi_j)`` for every window that is not identically zero."""
+        if self.windows is not None:
+            return self.windows
+        return ((j, chi) for j in self.blocks
+                if np.any(chi := self.window(j, self.modulus)))
 
 
 _PARTITIONS = GridCache()
 
 
 def partition_for(grid: HalfSpaceGrid, domain: str) -> GridPartition:
+    """The spatial partition of ``domain``, with its windows."""
     return _PARTITIONS.get((grid.key(), domain),
-                           lambda: _build_partition(grid, domain))
+                           lambda: _build_partition(grid, domain, False))
 
 
-def _build_partition(grid: HalfSpaceGrid, domain: str) -> GridPartition:
-    nsp = grid.n_tan_axes + (domain != "boundary")
-    ks = tr.k_vectors(grid, domain, nsp)
-    kabs = np.sqrt(sum(k ** 2 for k in ks))
-    part = DyadicPartition.for_band(float(np.min(kabs[kabs > 0])),
-                                    float(np.max(kabs)))
-    windows = tuple((j, chi) for j in part.blocks
-                    if np.any(chi := part.window(j, kabs)))
-    weights = _weights(grid, domain, nsp, periodic=True)
-    return GridPartition(part.j_min, part.j_max, windows, weights)
+def _build_partition(grid: HalfSpaceGrid, domain: str,
+                     time: bool) -> GridPartition:
+    """The partition of the spatial lattice of ``domain`` (modulus |k|,
+    windows kept), or with ``time`` of its space-time lattice (modulus
+    ``(|k|^2 + |eta|)^{1/2}``, time the real axis, no windows kept)."""
+    axes = tr.spectral_axes(grid, domain)
+    cell = (grid.L / grid.N_tan) ** grid.n_tan_axes
+    if domain == "whole":
+        cell = cell * grid.X / (grid.N_vert - 1)
+    if time:
+        axes.append((grid.N_time, grid.dt))
+        cell = cell * grid.dt
+    *ks, last = tr.half_lattice(axes, len(axes))
+    modulus = np.sqrt(sum(k ** 2 for k in ks) + (last if time else last ** 2))
+    band = DyadicPartition.for_band(float(np.min(modulus[modulus > 0])),
+                                    float(np.max(modulus)))
+    part = GridPartition(band.j_min, band.j_max, modulus,
+                         tuple(n for n, _ in axes), cell, None)
+    if time:
+        return part
+    return dataclasses.replace(part, windows=tuple(part.block_windows()))
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +155,18 @@ def _build_partition(grid: HalfSpaceGrid, domain: str) -> GridPartition:
 # ---------------------------------------------------------------------------
 
 
-def _weights(grid: HalfSpaceGrid, domain: str, ndim: int, offset: int = 0,
-             periodic: bool = False) -> np.ndarray:
+def _weights(grid: HalfSpaceGrid, domain: str, ndim: int,
+             offset: int) -> np.ndarray:
     """Product quadrature weights of the spatial axes of ``domain``, shaped
     to broadcast against an ``ndim``-array whose spatial axes start at
     ``offset``.  Uniform rules on the periodic axes, trapezoid on the half
-    space's vertical nodes; a whole-space axis weighs its +X duplicate 0,
-    or drops it when ``periodic`` (the layout the transforms use)."""
+    space's vertical nodes; a whole-space axis weighs its +X duplicate 0."""
     vecs = [np.full(grid.N_tan, grid.L / grid.N_tan)] * grid.n_tan_axes
     if domain == "half":
         vecs.append(trapezoid_weights(grid.vert_nodes))
     elif domain == "whole":
-        nv = 2 * (grid.N_vert - 1) if periodic else grid.n_vert_whole
-        wv = np.full(nv, grid.X / (grid.N_vert - 1))
-        if not periodic:
-            wv[-1] = 0.0
+        wv = np.full(grid.n_vert_whole, grid.X / (grid.N_vert - 1))
+        wv[-1] = 0.0
         vecs.append(wv)
     w = np.ones([1] * ndim)
     for a, vec in enumerate(vecs):
@@ -154,13 +174,6 @@ def _weights(grid: HalfSpaceGrid, domain: str, ndim: int, offset: int = 0,
         sh[offset + a] = len(vec)
         w = w * vec.reshape(sh)
     return w
-
-
-def _cell(grid: HalfSpaceGrid, domain: str) -> float:
-    """Volume of one cell of the periodic layout, whose weights are
-    uniform (see :func:`_weights`)."""
-    cell = (grid.L / grid.N_tan) ** grid.n_tan_axes
-    return cell * grid.X / (grid.N_vert - 1) if domain == "whole" else cell
 
 
 def field_lq(field: Field, q: float) -> float:
@@ -181,7 +194,7 @@ def field_lq(field: Field, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spatial Littlewood-Paley norm
+# Littlewood-Paley norms
 # ---------------------------------------------------------------------------
 
 _S_CAP = 4.0
@@ -198,39 +211,53 @@ def _check_exponent(q):
         raise NormOrderError(f"q must lie in (1, inf), got {q}")
 
 
-def _periodic(data: np.ndarray, domain: str, vaxis: int) -> np.ndarray:
-    """Drop the +X duplicate of a whole-space vertical axis: what is left
-    is one period of the reflected axis, starting at -X."""
-    if domain == "boundary":
-        return data
-    return data[(slice(None),) * vaxis + (slice(0, -1),)]
+def _components(field: Field, extension: str = "even"):
+    """``(comps, domain)``: the components of ``field``, or of its
+    whole-space reflection (``extension``: "even", or "solenoidal" for
+    vector fields), flattened onto the first axis in the periodic layout
+    of the transforms, ``(component, *tan[, vert][, time])``.  The +X
+    duplicate of a whole-space vertical axis is dropped: what is left is
+    one period of the reflected axis, starting at -X."""
+    if field.domain != "half":
+        work = field
+    elif extension == "solenoidal" and isinstance(field, VectorField):
+        work = tr.extend_solenoidal(field)
+    else:
+        work = tr.extend_even(field)
+    comps = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
+    if work.domain == "whole":
+        comps = comps[(slice(None),) * (work.grid.n_tan_axes + 1)
+                      + (slice(0, -1),)]
+    return comps, work.domain
 
 
-def _lp_blocks(comps: np.ndarray, domain: str, part: GridPartition):
-    """Yield ``(j, block)`` for every dyadic block of every component of
-    ``comps``, laid out (component, *tan[, vert], extra...) on the boundary
-    or the whole space; ``extra`` collects trailing axes such as time."""
-    nsp = part.weights.ndim
-    axes = tuple(range(nsp))
-    for comp in _periodic(comps, domain, nsp):
-        modes = np.fft.rfftn(comp, axes=axes)
-        extra = (1,) * (comp.ndim - nsp)
-        for j, chi in part.windows:
+def _lp_blocks(comps: np.ndarray, part: GridPartition):
+    """Yield ``(j, block)`` for every dyadic block of ``comps``, laid out
+    (component, *axes, extra...) with the transformed axes of ``part``
+    after the component axis; ``extra`` collects trailing axes such as
+    time.  Each block keeps the component axis: with held windows it spans
+    one component at a time, which bounds the memory; windows built per
+    block are built once for all components."""
+    axes = tuple(range(1, len(part.lengths) + 1))
+    groups = [comps] if part.windows is None else [c[None] for c in comps]
+    for group in groups:
+        modes = np.fft.rfftn(group, axes=axes)
+        extra = (1,) * (group.ndim - len(axes) - 1)
+        for j, chi in part.block_windows():
             yield j, np.fft.irfftn(modes * chi.reshape(chi.shape + extra),
-                                   s=comp.shape[:nsp], axes=axes)
+                                   s=part.lengths, axes=axes)
 
 
-def _parseval_weight(windows, s: float, lengths: tuple,
-                     cell: float) -> np.ndarray:
-    """Mode weight of the q = 2 norm on the half lattice of a real transform
-    over axes of the given full ``lengths``:
+def _parseval_weight(part: GridPartition, s: float) -> np.ndarray:
+    """Mode weight of the q = 2 norm on the half lattice of ``part``:
     ``W_s(k) = sum_j 2^{2js} chi_j(k)^2 m(k) cell / N``, so that for real f
     ``sum_j 2^{2js} |block_j f|_{L^2}^2 = sum_k W_s(k) |F(k)|^2``.  m(k)
     is :func:`halfstokes.transforms.half_multiplicity` of the last
     length."""
-    chi2 = sum(2.0 ** (2 * j * s) * chi ** 2 for j, chi in windows)
-    return chi2 * (tr.half_multiplicity(lengths[-1])
-                   * (cell / np.prod(lengths)))
+    chi2 = sum(2.0 ** (2 * j * s) * chi ** 2
+               for j, chi in part.block_windows())
+    return chi2 * (tr.half_multiplicity(part.lengths[-1])
+                   * (part.cell / np.prod(part.lengths)))
 
 
 def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -249,21 +276,25 @@ def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def _lp_norm_q(comps: np.ndarray, grid: HalfSpaceGrid, domain: str,
-               s: float, q: float) -> np.ndarray:
-    """q-th power of the Littlewood-Paley norm of each trailing slice of
-    ``comps`` (see :func:`_lp_blocks`), summed over the components."""
-    part = partition_for(grid, domain)
-    if q == 2.0:
-        nsp = part.weights.ndim
-        comps = _periodic(comps, domain, nsp)
-        return _parseval_sq(comps, _parseval_weight(
-            part.windows, s, comps.shape[1:nsp + 1], _cell(grid, domain)))
+               s: float, q: float, time: bool = False) -> np.ndarray:
+    """q-th power of the Littlewood-Paley norm of ``comps`` (see
+    :func:`_components`), summed over the components: per trailing slice
+    on the spatial lattice of ``domain``, or with ``time`` on its
+    space-time lattice."""
+    if time:
+        if q == 2.0:
+            return _parseval_sq(comps, _spacetime_weight(grid, domain, s))
+        part = _build_partition(grid, domain, True)
+    else:
+        part = partition_for(grid, domain)
+        if q == 2.0:
+            return _parseval_sq(comps, _parseval_weight(part, s))
+    axes = tuple(range(len(part.lengths) + 1))
     acc = 0.0
-    for j, block in _lp_blocks(comps, domain, part):
+    for j, block in _lp_blocks(comps, part):
         np.abs(block, out=block)
         block **= q
-        acc = acc + 2.0 ** (j * s * q) * np.tensordot(
-            part.weights, block, part.weights.ndim)
+        acc = acc + 2.0 ** (j * s * q) * part.cell * np.sum(block, axis=axes)
     return acc
 
 
@@ -283,9 +314,8 @@ def lp_norm(field: Field, s: float, q: float,
         raise ShapeMismatchError("lp_norm expects a single time slice")
     if field.data.size == 0:
         raise ShapeMismatchError("empty field")
-    work = _extend(field, extension)
-    flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
-    return float(_lp_norm_q(flat, work.grid, work.domain, s, q)) ** (1.0 / q)
+    comps, domain = _components(field, extension)
+    return float(_lp_norm_q(comps, field.grid, domain, s, q)) ** (1.0 / q)
 
 
 def lq_time_lp_space(field: Field, s: float, q: float) -> float:
@@ -295,21 +325,10 @@ def lq_time_lp_space(field: Field, s: float, q: float) -> float:
     _check_exponent(q)
     if not field.time_dependent:
         raise ShapeMismatchError("field has no time axis")
-    work = _extend(field)
-    flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
-    per_slice_q = _lp_norm_q(flat, work.grid, work.domain, s, q)
-    tw = trapezoid_weights(work.grid.time_nodes)
+    comps, domain = _components(field)
+    per_slice_q = _lp_norm_q(comps, field.grid, domain, s, q)
+    tw = trapezoid_weights(field.grid.time_nodes)
     return float(np.sum(tw * per_slice_q)) ** (1.0 / q)
-
-
-def _extend(field: Field, extension: str = "even") -> Field:
-    """The whole-space reflection of a half-space field (``extension``:
-    "even", or "solenoidal" for vector fields); other fields unchanged."""
-    if field.domain != "half":
-        return field
-    if extension == "solenoidal" and isinstance(field, VectorField):
-        return tr.extend_solenoidal(field)
-    return tr.extend_even(field)
 
 
 def negative_order_norm(field: BoundaryField, s: float, q: float) -> float:
@@ -344,30 +363,25 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
             D[i, i + 1:] = np.max(np.abs(flat[:, i + 1:] - flat[:, i:i + 1]), axis=0)
     elif isinstance(spatial_norm, tuple) and spatial_norm[0] == "besov":
         s_sp = spatial_norm[1]
-        work = _extend(field)
-        flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
-        part = partition_for(grid, work.domain)
-        w = part.weights
+        comps, domain = _components(field)
+        part = partition_for(grid, domain)
+        axes = tuple(range(len(part.lengths) + 1))
         if q == 2.0:
             # sum_k W |F_k - F_i|^2: the modes pre-scaled by W^(1/2), their
             # real and imaginary parts laid out as one real row per time
-            comps = _periodic(flat, work.domain, w.ndim)
-            weight = _parseval_weight(part.windows, s_sp,
-                                      comps.shape[1:w.ndim + 1],
-                                      _cell(grid, work.domain))
-            modes = np.fft.rfftn(comps, axes=tuple(range(1, w.ndim + 1)))
-            modes *= np.sqrt(weight)[..., None]
+            modes = np.fft.rfftn(comps, axes=axes[1:])
+            modes *= np.sqrt(_parseval_weight(part, s_sp))[..., None]
             rows = np.ascontiguousarray(modes.reshape(-1, nt).T)
             D = _row_distances(rows.view(float), 2.0)
         else:
             # blocks are linear in f: each is transformed once for all times
-            for j, block in _lp_blocks(flat, work.domain, part):
+            for j, block in _lp_blocks(comps, part):
                 for i in range(nt - 1):
                     diff = block[..., i + 1:] - block[..., i:i + 1]
                     np.abs(diff, out=diff)
                     diff **= q
-                    D[i, i + 1:] += 2.0 ** (j * s_sp * q) * np.tensordot(
-                        w, diff, w.ndim)
+                    D[i, i + 1:] += 2.0 ** (j * s_sp * q) * part.cell \
+                        * np.sum(diff, axis=axes)
             D = D ** (1.0 / q)
     else:
         raise ValueError(f"unknown spatial norm spec {spatial_norm!r}")
@@ -481,54 +495,19 @@ def aniso_lp_norm(field: Field, s: float, q: float) -> float:
     _check_exponent(q)
     if not field.time_dependent:
         raise ShapeMismatchError("space-time norm needs a time axis")
-    grid = field.grid
-    work = _extend(field)
-    # flatten components, keep (spatial..., time); time is the real axis
-    flat = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
-    nsp = flat.ndim - 2
-    flat = _periodic(flat, work.domain, nsp)
-    if q == 2.0:
-        return float(_parseval_sq(
-            flat, _spacetime_weight(grid, work.domain, s))) ** 0.5
-    rho, part = _spacetime_lattice(grid, work.domain)
-    weights = _weights(grid, work.domain, nsp + 1, periodic=True) \
-        * np.full(grid.N_time, grid.dt)
-    st_axes = tuple(range(1, nsp + 2))
-    modes = np.fft.rfftn(flat, axes=st_axes)
-    acc = 0.0
-    for j in part.blocks:
-        block = np.fft.irfftn(modes * part.window(j, rho), s=flat.shape[1:],
-                              axes=st_axes)
-        np.abs(block, out=block)
-        block **= q
-        acc += 2.0 ** (j * s * q) * np.sum(np.tensordot(block, weights, nsp + 1))
-    return acc ** (1.0 / q)
-
-
-def _spacetime_lattice(grid: HalfSpaceGrid, domain: str):
-    """Parabolic modulus ``(|k|^2 + |eta|)^{1/2}`` on the space-time half
-    lattice (time is the real axis) and its dyadic partition."""
-    axes = tr.spectral_axes(grid, domain) + [(grid.N_time, grid.dt)]
-    *ks, eta = tr.half_lattice(axes, len(axes))
-    rho = np.sqrt(sum(k ** 2 for k in ks) + eta)
-    part = DyadicPartition.for_band(float(np.min(rho[rho > 0])),
-                                    float(np.max(rho)))
-    return rho, part
+    comps, domain = _components(field)
+    return float(_lp_norm_q(comps, field.grid, domain, s, q,
+                            time=True)) ** (1.0 / q)
 
 
 _SPACETIME_WEIGHTS = GridCache()
 
 
 def _spacetime_weight(grid: HalfSpaceGrid, domain: str, s: float):
-    """The q = 2 mode weight of :func:`aniso_lp_norm` (see
+    """The q = 2 mode weight of the space-time lattice (see
     :func:`_parseval_weight`), cached per ``(grid.key(), domain, s)``."""
-    def build():
-        rho, part = _spacetime_lattice(grid, domain)
-        windows = ((j, part.window(j, rho)) for j in part.blocks)
-        return _mapped(_parseval_weight(
-            windows, s, rho.shape[:-1] + (grid.N_time,),
-            _cell(grid, domain) * grid.dt))
-    return _SPACETIME_WEIGHTS.get((grid.key(), domain, s), build)
+    return _SPACETIME_WEIGHTS.get((grid.key(), domain, s), lambda: _mapped(
+        _parseval_weight(_build_partition(grid, domain, True), s)))
 
 
 def _mapped(table: np.ndarray) -> np.ndarray:

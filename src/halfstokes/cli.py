@@ -137,6 +137,9 @@ def _build_data(cfg: dict, grid, seed: int):
 
 
 def _common_setup(args):
+    if not 0.0 < args.tolerance_scale < np.inf:
+        raise ConfigError(f"--tolerance-scale = {args.tolerance_scale:g} "
+                          "must be finite and positive")
     cfg = _parse_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,8 +248,14 @@ def cmd_norms(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
     try:
         field = io.load_field(args.field)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"field snapshot not found: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # a missing file, an unparsable sidecar or one with a missing key or
+        # unknown kind, or a .bin that does not fill the recorded shape
+        raise ConfigError(f"field snapshot {args.field} does not load: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    if not np.all(np.isfinite(field.data)):
+        raise ConfigError(f"field snapshot {args.field} holds non-finite "
+                          "values")
     sec = cfg.get("norms", {})
     kind = sec.get("kind", "aniso")
     s = _number(cfg, "norms", "s", index.alpha)

@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import halfstokes
 from halfstokes import besov, numerics, potentials
 from halfstokes.core import (BesovIndex, BoundaryField, GridCache,
                              IterationTrace, ScalarField, VectorField,
@@ -149,15 +153,34 @@ def test_iteration_trace_bookkeeping():
         bad.validate()
 
 
-@pytest.mark.parametrize("lookup, cache", [
+# (lookup, cache) for every module-level GridCache of the package
+GRID_CACHES = [
     (lambda g: besov.partition_for(g, "whole"), besov._PARTITIONS),
     (potentials.kernel_quadrature, potentials._QUAD_CACHE),
     (lambda g: numerics.derivative_matrix(g.vert_nodes),
      numerics._DERIVATIVES),
     (lambda g: besov._spacetime_weight(g, "whole", -1.0),
      besov._SPACETIME_WEIGHTS),
-], ids=["partition_for", "kernel_quadrature", "derivative_matrix",
-        "spacetime_weight"])
+]
+
+
+def test_every_module_cache_is_checked_for_bounds():
+    # a new module-level cache has to join the cases of the bound test
+    caches = {f"{info.name}.{attr}": value
+              for info in pkgutil.iter_modules(halfstokes.__path__)
+              for attr, value in vars(importlib.import_module(
+                  f"halfstokes.{info.name}")).items()
+              if isinstance(value, GridCache)}
+    checked = {id(cache) for _, cache in GRID_CACHES}
+    unchecked = sorted(name for name, cache in caches.items()
+                       if id(cache) not in checked)
+    assert caches and not unchecked, \
+        f"module caches without a bound test: {unchecked}"
+
+
+@pytest.mark.parametrize("lookup, cache", GRID_CACHES,
+                         ids=["partition_for", "kernel_quadrature",
+                              "derivative_matrix", "spacetime_weight"])
 def test_grid_caches_stay_bounded(lookup, cache):
     # a scaling study adds grids without end; the per-grid tables must not
     grids = [make_grid(2, L=1.0 + 0.1 * i, N_tan=4, X=1.0 + 0.1 * i,

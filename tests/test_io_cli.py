@@ -170,11 +170,12 @@ def test_cli_non_numeric_value_is_config_error(tmp_path, capsys, command,
     assert f"[{section}] {key}" in err
 
 
-def config_error(tmp_path, capsys, command, settings, steady=False):
-    """Run ``command`` on the test config with ``settings`` ({(section,
-    key): value}) applied; assert it exits 2 with one line on stderr, and
-    return that line.  ``norms`` reads a small random snapshot (with
-    ``steady``, its first time slice)."""
+def config_error(tmp_path, capsys, command, settings, steady=False,
+                 flags=(), damage=None):
+    """Run ``command`` with ``flags`` on the test config with ``settings``
+    ({(section, key): value}) applied; assert it exits 2 with one line on
+    stderr, and return that line.  ``norms`` reads a small random snapshot
+    (with ``steady``, its first time slice), passed to ``damage`` first."""
     cp = configparser.ConfigParser()
     cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
     for (section, key), value in settings.items():
@@ -193,9 +194,11 @@ def config_error(tmp_path, capsys, command, settings, steady=False):
             f = type(f)(f.grid, f.data[..., 0], domain=f.domain,
                         time_dependent=False)
         io.save_field(f, tmp_path / "snap")
+        if damage:
+            damage(tmp_path / "snap")
         extra = ["--field", str(tmp_path / "snap")]
     code = cli.main([command, "--config", str(cfg),
-                     "--out", str(tmp_path / "out")] + extra)
+                     "--out", str(tmp_path / "out")] + extra + list(flags))
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
@@ -229,6 +232,52 @@ def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, command,
                                                 section, key, value):
     err = config_error(tmp_path, capsys, command, {(section, key): value})
     assert f"[{section}] {key}" in err
+
+
+@pytest.mark.parametrize("command", ["scaling", "verify-ops"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_cli_bad_tolerance_scale_is_config_error(tmp_path, capsys, command,
+                                                 value):
+    err = config_error(tmp_path, capsys, command, {},
+                       flags=["--tolerance-scale", value])
+    assert "--tolerance-scale" in err and "finite and positive" in err
+
+
+def _truncate_bin(prefix):
+    path = prefix.with_suffix(".bin")
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _edit_sidecar(**changes):
+    def damage(prefix):
+        path = prefix.with_suffix(".json")
+        sidecar = json.loads(path.read_text())
+        sidecar.update(changes)
+        path.write_text(json.dumps({k: v for k, v in sidecar.items()
+                                    if v is not None}))
+    return damage
+
+
+def _nan_value(prefix):
+    path = prefix.with_suffix(".bin")
+    data = np.fromfile(path, dtype="<f8")
+    data[3] = np.nan
+    data.tofile(path)
+
+
+@pytest.mark.parametrize("damage, what", [
+    (_truncate_bin, "cannot reshape"),
+    (lambda prefix: prefix.with_suffix(".json").write_text("{shape: ["),
+     "JSONDecodeError"),
+    (_edit_sidecar(kind=None), "KeyError"),
+    (_edit_sidecar(kind="MatrixField"), "KeyError"),
+    (_nan_value, "non-finite"),
+], ids=["truncated_bin", "unparsable_sidecar", "missing_key", "unknown_kind",
+        "nan_value"])
+def test_cli_norms_bad_snapshot_is_config_error(tmp_path, capsys, damage,
+                                                what):
+    err = config_error(tmp_path, capsys, "norms", {}, damage=damage)
+    assert str(tmp_path / "snap") in err and what in err
 
 
 @pytest.mark.parametrize("command", ["solve-ns", "scaling"])

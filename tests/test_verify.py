@@ -4,7 +4,7 @@ import pytest
 from halfstokes.core import (BesovIndex, BoundaryField, ScalarField,
                              VectorField, make_grid)
 from halfstokes.errors import ShapeMismatchError
-from halfstokes import datagen, potentials as pot, stokes as stk, verify
+from halfstokes import besov, datagen, potentials as pot, stokes as stk, verify
 from halfstokes import navier_stokes as ns
 
 IDX = BesovIndex.critical_index(1.0, 2)
@@ -164,3 +164,20 @@ def test_trace_and_riesz_ratio_targets_bounded():
     for name in names:
         assert rep[name]["drift"] < 0.25
         assert all(np.isfinite(r) for r in rep[name]["levels"][0]["ratios"])
+
+
+def test_norm_caches_hold_one_ratio_study(monkeypatch):
+    # the per-grid partitions (with their windows) and the space-time q = 2
+    # weights of a whole study fit their caches: run again on the same
+    # grids, the study builds no dyadic window
+    g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0,
+                  N_time=8)
+    names = list(verify.ratio_targets(IDX))
+    verify.operator_ratio_study(names, IDX, g, samples=1, refinements=1)
+    built = []
+    window = besov.DyadicPartition.window
+    monkeypatch.setattr(besov.DyadicPartition, "window",
+                        lambda self, j, kabs: built.append(j)
+                        or window(self, j, kabs))
+    verify.operator_ratio_study(names, IDX, g, samples=1, refinements=1)
+    assert built == []
