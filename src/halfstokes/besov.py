@@ -24,7 +24,9 @@ modulus only, so each block equals the complex-transform block to roundoff.
 At q = 2 no block is formed: the quadrature weights of the periodic layout
 are one cell volume, so by Plancherel every norm is one weighted sum of
 |modes|^2 (B^s_{2,2} = H^s), with the mode weight of
-:func:`_parseval_weight`.  The block path serves every other q.
+:func:`_parseval_weight`.  The block path serves every other q.  The
+Gagliardo pair distances at q = 2 come from one Gram matrix of the time
+increments (:func:`_row_distances`).
 
 Caching, each in a :class:`~halfstokes.core.GridCache` of 8 entries:
 :func:`partition_for` keeps the spatial partition with its windows per
@@ -388,22 +390,48 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
     return D + D.T
 
 
+_GRAM_GUARD = 1e-3
+
+
+def _block_sums(G: np.ndarray) -> np.ndarray:
+    """``S[i, m] = sum_{l, l' in [i, m]} G[l, l']`` (zero for m < i) of a
+    symmetric ``G``, as running sums over m of
+    ``G[m, m] + 2 sum_{l in [i, m)} G[l, m]``."""
+    above = np.cumsum(np.triu(G, 1)[::-1], axis=0)[::-1]
+    return np.cumsum(np.triu(np.diagonal(G) + 2.0 * above), axis=1)
+
+
 def _row_distances(rows: np.ndarray, q: float) -> np.ndarray:
     """Upper triangle of ``D[i, k] = (sum |rows[k] - rows[i]|^q)^(1/q)``
-    for contiguous rows, one per time node, taking one row block of
-    differences at a time.  At q = 2 each block is squared and summed in
-    one pass; the differences are still formed, because the Gram identity
-    ``|a|^2 + |b|^2 - 2<a, b>`` cancels far beyond roundoff."""
+    for contiguous rows, one per time node.
+
+    At q = 2, ``D[i, k]^2 = sum_{l, m in [i, k)} G[l, m]``, with ``G = d d^T``
+    the Gram matrix (one BLAS product) of the increments
+    ``d_l = rows[l + 1] - rows[l]``.  It errs by ulps of
+    ``sum |G[l, m]| <= (sum_l |d_l|)^2``, where the row form
+    ``|a|^2 + |b|^2 - 2<a, b>`` errs by ulps of ``|rows|^2``.  A path that
+    returns near its start still cancels: an entry below ``_GRAM_GUARD``
+    times that sum, or not finite, is formed from its own difference row.
+    Any other q takes one row block of differences at a time."""
     nt = len(rows)
     D = np.zeros((nt, nt))
+    if q == 2.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.diff(rows, axis=0)
+            G = d @ d.T
+            D2 = _block_sums(G)
+            redo = ~(D2 >= _GRAM_GUARD * _block_sums(np.abs(G)))
+        for i in np.flatnonzero(redo.any(axis=1)):
+            m = np.flatnonzero(redo[i])
+            diff = rows[m + 1] - rows[i]
+            D2[i, m] = np.einsum("ij,ij->i", diff, diff)
+        D[:-1, 1:] = np.sqrt(D2)
+        return D
     for i in range(nt - 1):
         diff = rows[i + 1:] - rows[i]
-        if q == 2.0:
-            D[i, i + 1:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        else:
-            np.abs(diff, out=diff)
-            diff **= q
-            D[i, i + 1:] = np.sum(diff, axis=1) ** (1.0 / q)
+        np.abs(diff, out=diff)
+        diff **= q
+        D[i, i + 1:] = np.sum(diff, axis=1) ** (1.0 / q)
     return D
 
 

@@ -140,6 +140,9 @@ def _common_setup(args):
     if not 0.0 < args.tolerance_scale < np.inf:
         raise ConfigError(f"--tolerance-scale = {args.tolerance_scale:g} "
                           "must be finite and positive")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ConfigError(f"--seed = {args.seed} must be an unsigned 64-bit "
+                          "integer")
     cfg = _parse_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (BoundaryField, IterationTrace, TensorField, VectorField)
-from .errors import PicardDivergenceError
+from .errors import ConfigError, PicardDivergenceError
 from . import besov
 from . import stokes as stk
 from . import transforms as tr
@@ -51,7 +51,7 @@ def picard_solve(h: VectorField, g: BoundaryField, index, max_iter: int = 50,
     the trace.
     """
     if not index.critical:
-        raise ValueError("the nonlinear solve requires q = (n + 2)/(alpha + 1)")
+        raise ConfigError("the nonlinear solve requires q = (n + 2)/(alpha + 1)")
     if index.beta is None:
         index = index.with_default_force_pair()
     alpha, q = index.alpha, index.q

@@ -17,7 +17,7 @@ from scipy.special import erfc, roots_legendre
 
 from .core import (BesovIndex, BoundaryField, HalfSpaceGrid, ScalarField,
                    VectorField, parabolic_scale)
-from .errors import ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError
 from . import besov
 from . import datagen
 from . import navier_stokes as ns
@@ -594,7 +594,7 @@ def scaling_invariance_check(h: VectorField, g: BoundaryField,
     """Deviation of the data norm (and optionally the linear solution norm)
     under the parabolic rescaling, per scale factor."""
     if not index.critical:
-        raise ValueError("the scaling study requires a critical index")
+        raise ConfigError("the scaling study requires a critical index")
     base_m0 = besov.data_norm_M0(h, g, index)
     base_sol = None
     if solve:

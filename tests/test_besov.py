@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -446,3 +447,84 @@ def test_q2_norms_do_not_depend_on_memory_layout(norm, domain):
     ref = norm(make(values), 0.5, 2.0)
     got = norm(make(np.asfortranarray(values)), 0.5, 2.0)
     assert abs(got - ref) <= 1e-14 * ref
+
+
+# ---------------------------------------------------------------------------
+# pair distances of the Gagliardo seminorm
+# ---------------------------------------------------------------------------
+
+
+def _loop_distances(rows, q):
+    """Upper triangle of the pair distances, one row block of differences
+    at a time."""
+    nt = len(rows)
+    D = np.zeros((nt, nt))
+    for i in range(nt - 1):
+        diff = rows[i + 1:] - rows[i]
+        np.abs(diff, out=diff)
+        diff **= q
+        D[i, i + 1:] = np.sum(diff, axis=1) ** (1.0 / q)
+    return D
+
+
+def _time_rows(kind, nt, M=500):
+    """Rows (one per time node) of a smooth drift, white noise, heat decay,
+    or a time-periodic profile that returns near earlier states."""
+    rng = np.random.default_rng(nt)
+    t = np.linspace(0.0, 1.0, nt)[:, None]
+    x = np.linspace(0.0, 2 * np.pi, M)[None]
+    if kind == "smooth":
+        rows = 3.0 + np.sin(x + t) + t ** 2 * np.cos(2 * x)
+    elif kind == "noise":
+        rows = rng.standard_normal((nt, M))
+    elif kind == "heat":
+        rows = np.exp(-t * np.arange(1, M + 1) / 10.0) * rng.standard_normal(M)
+    else:
+        # at t = 1/2 the increments on both sides nearly cancel: the pair
+        # (15, 17) at nt = 33 has D^2 just above 1e-4 (sum_l |d_l|)^2, where
+        # the Gram sum alone errs by about 1e-12
+        rows = (5.0 + np.sin(x) * np.cos(4 * np.pi * t)
+                + 1e-3 * np.sin(6 * np.pi * t))
+    return np.ascontiguousarray(rows)
+
+
+@pytest.mark.parametrize("nt", [2, 3, 32, 33])
+@pytest.mark.parametrize("kind", ["smooth", "noise", "heat", "return"])
+def test_q2_row_distances_agree_with_difference_loop(kind, nt):
+    # the increment Gram form, with near-returns formed again by the guard
+    rows = _time_rows(kind, nt)
+    ref = _loop_distances(rows, 2.0)
+    got = besov._row_distances(rows, 2.0)
+    assert np.all(np.tril(got) == 0.0)
+    iu = np.triu_indices(nt, 1)
+    assert np.all(np.abs(got[iu] - ref[iu]) <= 1e-12 * ref[iu]), kind
+
+
+def test_q2_row_distances_of_constant_rows_are_exact_zeros():
+    rows = np.full((33, 50), 3.7)
+    assert np.all(besov._row_distances(rows, 2.0) == 0.0)
+
+
+@pytest.mark.parametrize("q", [2.5, 1.5])
+@pytest.mark.parametrize("kind", ["smooth", "noise", "return"])
+def test_row_distances_off_q2_are_the_difference_loop(kind, q):
+    rows = _time_rows(kind, 17)
+    assert np.array_equal(besov._row_distances(rows, q),
+                          _loop_distances(rows, q))
+
+
+@pytest.mark.parametrize("overflow", ["inf entry", "squares"])
+def test_gagliardo_of_overflowing_field_is_non_finite_without_warnings(
+        overflow):
+    # an overflowed Picard iterate must still read as non-finite, and the
+    # q = 2 pair path must not warn on inf - inf, inf * 0 or an overflow
+    g = grid2(N=16, Nv=9, Nt=8)
+    data = np.random.default_rng(2).standard_normal((2, 16, 8))
+    if overflow == "inf entry":
+        data[0, 3, 4] = np.inf
+    else:
+        data *= 1e160  # finite, but every square overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = besov.gagliardo_time_norm(BoundaryField(g, data), 0.5, 2.0)
+    assert not np.isfinite(value)

@@ -234,6 +234,38 @@ def test_cli_out_of_range_value_is_config_error(tmp_path, capsys, command,
     assert f"[{section}] {key}" in err
 
 
+@pytest.mark.parametrize("command, settings, seed", [
+    ("verify-ops", {}, "-5"),
+    ("solve-stokes", {("data", "family"): "random_band"}, "-1"),
+    ("solve-stokes", {("data", "family"): "random_band"}, str(2 ** 64)),
+])
+def test_cli_seed_outside_u64_is_config_error(tmp_path, capsys, command,
+                                              settings, seed):
+    err = config_error(tmp_path, capsys, command, settings,
+                       flags=["--seed", seed])
+    assert "--seed" in err and seed in err
+
+
+def test_cli_verify_ops_time_seminorm_report_is_deterministic(tmp_path):
+    # heat_semigroup measures its output with a Gagliardo time seminorm,
+    # whose q = 2 pair distances run through a BLAS Gram product
+    cp = configparser.ConfigParser()
+    cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
+    cp["verify"]["targets"] = "heat_semigroup"
+    cp["verify"]["samples"] = "1"
+    cfg = tmp_path / "cfg.ini"
+    with cfg.open("w") as fh:
+        cp.write(fh)
+    reports = []
+    for run in ("a", "b"):
+        assert cli.main(["verify-ops", "--config", str(cfg), "--out",
+                         str(tmp_path / run), "--seed", "3"]) == 0
+        reports.append((tmp_path / run / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    study = json.loads(reports[0])["ratio_studies"][0]
+    assert study["target"] == "heat_semigroup"
+
+
 @pytest.mark.parametrize("command", ["scaling", "verify-ops"])
 @pytest.mark.parametrize("value", ["-1", "0", "nan"])
 def test_cli_bad_tolerance_scale_is_config_error(tmp_path, capsys, command,

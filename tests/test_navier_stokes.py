@@ -3,7 +3,7 @@ import pytest
 
 from halfstokes.core import (BesovIndex, BoundaryField, VectorField,
                              make_grid)
-from halfstokes.errors import PicardDivergenceError
+from halfstokes.errors import HalfStokesError, PicardDivergenceError
 from halfstokes import besov, datagen, navier_stokes as ns, stokes as stk
 
 IDX = BesovIndex.critical_index(1.0, 2)
@@ -76,8 +76,9 @@ def test_picard_zero_data_converges_immediately():
 def test_picard_requires_critical_index():
     g = grid2()
     h, gb = small_data(g, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(HalfStokesError, match="requires q") as err:
         ns.picard_solve(h, gb, BesovIndex(alpha=1.0, q=2.5, n=2))
+    assert isinstance(err.value, ValueError)
 
 
 def test_picard_contracts_and_ratio_scales_with_data():

@@ -3,7 +3,7 @@ import pytest
 
 from halfstokes.core import (BesovIndex, BoundaryField, ScalarField,
                              VectorField, make_grid)
-from halfstokes.errors import ShapeMismatchError
+from halfstokes.errors import HalfStokesError, ShapeMismatchError
 from halfstokes import besov, datagen, potentials as pot, stokes as stk, verify
 from halfstokes import navier_stokes as ns
 
@@ -140,6 +140,16 @@ def test_scaling_invariance_identity_factor():
     gb = datagen.compatible_boundary_data(g, h)
     rep = verify.scaling_invariance_check(h, gb, IDX, [1.0], solve=False)
     assert rep["rows"][0]["M0_deviation"] < 1e-14
+
+
+def test_scaling_invariance_requires_critical_index():
+    g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0,
+                  N_time=5)
+    h = datagen.stream_mode_initial_data(g, k1=1, m=2)
+    gb = datagen.compatible_boundary_data(g, h)
+    with pytest.raises(HalfStokesError, match="critical index") as err:
+        verify.scaling_invariance_check(h, gb, BesovIndex(1.0, 2.5, 2), [1.0])
+    assert isinstance(err.value, ValueError)
 
 
 def test_stokes_residual_suite_structure():
