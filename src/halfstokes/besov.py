@@ -270,10 +270,12 @@ def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
     acc = 0.0
     for comp in comps:
         modes = np.ascontiguousarray(np.fft.rfftn(comp, axes=axes))
-        # squares of the real and imaginary parts (C order), in place
+        # squares of the real and imaginary parts (C order), in place; an
+        # overflow reads as a non-finite norm, without a warning
         parts = modes.view(float).reshape(modes.shape + (2,))
-        np.square(parts, out=parts)
-        acc = acc + np.tensordot(weight, parts, weight.ndim).sum(axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.square(parts, out=parts)
+            acc = acc + np.tensordot(weight, parts, weight.ndim).sum(axis=-1)
     return acc
 
 
@@ -333,16 +335,6 @@ def lq_time_lp_space(field: Field, s: float, q: float) -> float:
     return float(np.sum(tw * per_slice_q)) ** (1.0 / q)
 
 
-def negative_order_norm(field: BoundaryField, s: float, q: float) -> float:
-    """Boundary Besov norm of negative order within the duality window
-    ``-1 + 1/q < s < 0``."""
-    _check_exponent(q)
-    if not (-1.0 + 1.0 / q < s < 0.0):
-        raise NormOrderError(
-            f"order {s} outside the duality window (-1 + 1/q, 0) for q={q}")
-    return lp_norm(field, s, q)
-
-
 # ---------------------------------------------------------------------------
 # Gagliardo time seminorm
 # ---------------------------------------------------------------------------
@@ -359,10 +351,6 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
         w = _weights(grid, field.domain, data.ndim, field.ncomp_axes)
         rows = np.ascontiguousarray((data * w ** (1.0 / q)).reshape(-1, nt).T)
         D = _row_distances(rows, q)
-    elif spatial_norm == "abs":
-        flat = data.reshape(-1, nt)
-        for i in range(nt):
-            D[i, i + 1:] = np.max(np.abs(flat[:, i + 1:] - flat[:, i:i + 1]), axis=0)
     elif isinstance(spatial_norm, tuple) and spatial_norm[0] == "besov":
         s_sp = spatial_norm[1]
         comps, domain = _components(field)
@@ -372,7 +360,8 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
             # sum_k W |F_k - F_i|^2: the modes pre-scaled by W^(1/2), their
             # real and imaginary parts laid out as one real row per time
             modes = np.fft.rfftn(comps, axes=axes[1:])
-            modes *= np.sqrt(_parseval_weight(part, s_sp))[..., None]
+            with np.errstate(invalid="ignore"):  # inf modes times W = 0
+                modes *= np.sqrt(_parseval_weight(part, s_sp))[..., None]
             rows = np.ascontiguousarray(modes.reshape(-1, nt).T)
             D = _row_distances(rows.view(float), 2.0)
         else:
@@ -500,16 +489,8 @@ def aniso_norm(field: Field, alpha: float, q: float) -> float:
         raise NormOrderError(f"alpha must lie in (0, 2), got {alpha}")
     _check_exponent(q)
     spatial = lq_time_lp_space(field, alpha, q)
-    temporal = _time_besov(field, alpha / 2.0, q)
+    temporal = gagliardo_time_norm(field, alpha / 2.0, q)
     return max(spatial, temporal)
-
-
-def _time_besov(field: Field, sigma: float, q: float) -> float:
-    if sigma < 1.0:
-        return gagliardo_time_norm(field, sigma, q, spatial_norm="lq")
-    # one time derivative plus a Gagliardo remainder of order sigma - 1
-    deriv = field._like(np.gradient(field.data, field.grid.dt, axis=-1))
-    return gagliardo_time_norm(deriv, sigma - 1.0, q, spatial_norm="lq")
 
 
 def aniso_lp_norm(field: Field, s: float, q: float) -> float:

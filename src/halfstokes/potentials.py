@@ -118,8 +118,6 @@ def single_layer_modes(ghat_flat: np.ndarray, quad: KernelQuadrature,
                    dtype=complex)
     for gidx in range(len(quad.lam_unique)):
         rows = np.nonzero(group == gidx)[0]
-        if len(rows) == 0:
-            continue
         W = quad.weights[gidx]  # (N_vert, nt-1)
         vals = lag_convolve(W[None, :, :], intervals[rows][:, None, :])
         out[rows] = vals
@@ -178,8 +176,6 @@ def single_layer_wall_trace_adjoint(phi: Field) -> np.ndarray:
     out = np.empty((ncomp, phat.shape[1], grid.N_time - 1), dtype=complex)
     for gidx in range(len(quad.lam_unique)):
         rows = np.nonzero(group == gidx)[0]
-        if len(rows) == 0:
-            continue
         W = quad.weights[gidx]  # (N_vert, nt-1)
         block = phat[:, rows]   # (ncomp, nrow, nv, nt)
         # R_k = sum_i w_i sum_j W[i, j] phi-hat[i, k+1+j]

@@ -63,39 +63,31 @@ def build_v(h: VectorField) -> tuple[VectorField, VectorField]:
     return tr.restrict_half(v_whole), v_whole
 
 
-def build_grad_phi(psi: BoundaryField) -> VectorField:
+def build_grad_phi(psi: BoundaryField, rpsi: list) -> VectorField:
     """Gradient of the harmonic correction with wall values (R' psi, psi).
 
     The vertical component is the harmonic extension of psi, the tangential
-    components are extensions of the boundary Riesz transforms of psi; the
-    field is curl-free and divergence-free by construction.
+    components are extensions of its boundary Riesz transforms ``rpsi``
+    (one per tangential axis); the field is curl-free and divergence-free
+    by construction.
     """
     if psi.ncomp != 1:
         raise ShapeMismatchError("psi must be a scalar boundary field")
-    grid = psi.grid
-    comps = []
-    for j in range(grid.n - 1):
-        rj = tr.riesz_apply(psi, j)
-        comps.append(pot.poisson_extension(rj).data)
+    comps = [pot.poisson_extension(rj).data for rj in rpsi]
     comps.append(pot.poisson_extension(psi).data)
-    return VectorField(grid, np.stack(comps), domain="half",
+    return VectorField(psi.grid, np.stack(comps), domain="half",
                        time_dependent=psi.time_dependent)
 
 
-def build_G(g: BoundaryField, v_wall: BoundaryField,
-            V_wall: BoundaryField) -> BoundaryField:
-    """Residual tangential boundary data after the v, V and phi corrections;
+def build_G(g: BoundaryField, v_wall: BoundaryField, V_wall: BoundaryField,
+            rpsi: list) -> BoundaryField:
+    """Residual tangential boundary data after the v, V and phi corrections,
+    ``rpsi`` being the boundary Riesz transforms of the normal residual psi;
     the normal component is identically zero."""
-    grid = g.grid
-    n = grid.n
-    psi_data = (g.data[n - 1] - v_wall.data[n - 1] - V_wall.data[n - 1])[None]
-    psi = BoundaryField(grid, psi_data)
-    comps = []
-    for j in range(n - 1):
-        rpsi = tr.riesz_apply(psi, j)
-        comps.append(g.data[j] - v_wall.data[j] - V_wall.data[j] - rpsi.data[0])
+    comps = [g.data[j] - v_wall.data[j] - V_wall.data[j] - rj.data[0]
+             for j, rj in enumerate(rpsi)]
     comps.append(np.zeros_like(comps[0]))
-    return BoundaryField(grid, np.stack(comps))
+    return BoundaryField(g.grid, np.stack(comps))
 
 
 def build_w(G: BoundaryField) -> VectorField:
@@ -216,9 +208,10 @@ def assemble(g: BoundaryField, F: TensorField | None, v: VectorField,
     psi = BoundaryField(grid, (g.data[n - 1] - v_wall.data[n - 1]
                                - V_wall.data[n - 1])[None])
     with _part("grad_phi"):
-        grad_phi = build_grad_phi(psi)
+        rpsi = [tr.riesz_apply(psi, j) for j in range(n - 1)]
+        grad_phi = build_grad_phi(psi, rpsi)
     with _part("w"):
-        w = build_w(build_G(g, v_wall, V_wall))
+        w = build_w(build_G(g, v_wall, V_wall, rpsi))
 
     u = VectorField(grid, v.data + V.data + grad_phi.data + w.data,
                     domain="half")

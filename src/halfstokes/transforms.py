@@ -178,66 +178,6 @@ def _field_ifft(field: Field, modes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spectral container
-# ---------------------------------------------------------------------------
-
-
-class SpectralField:
-    """Mode-space snapshot of a field: complex coefficients per tangential
-    (and, for whole-space fields, vertical) frequency.
-
-    Round trips to the physical representation at machine precision;
-    Hermitian symmetry of the modes is equivalent to realness of the
-    physical samples.
-    """
-
-    def __init__(self, grid: HalfSpaceGrid, modes: np.ndarray, domain: str,
-                 ncomp_axes: int, time_dependent: bool, kind: type):
-        self.grid = grid
-        self.modes = modes
-        self.domain = domain
-        self.ncomp_axes = ncomp_axes
-        self.time_dependent = time_dependent
-        self.kind = kind
-
-    @property
-    def axis_state(self) -> tuple:
-        spectral = ["tangential"] * self.grid.n_tan_axes
-        if self.domain == "whole":
-            spectral.append("vertical")
-        return tuple(spectral)
-
-    @classmethod
-    def from_physical(cls, field: Field) -> "SpectralField":
-        modes = _field_fft(field)
-        return cls(field.grid, modes, field.domain, field.ncomp_axes,
-                   field.time_dependent, type(field))
-
-    def to_physical(self) -> Field:
-        if self.domain == "boundary":
-            data = tan_ifft(self.modes, self.grid, self.ncomp_axes)
-            return BoundaryField(self.grid, data,
-                                 time_dependent=self.time_dependent)
-        data = whole_ifft(self.modes, self.grid, self.ncomp_axes)
-        return self.kind(self.grid, data, domain=self.domain,
-                         time_dependent=self.time_dependent)
-
-    def hermitian_defect(self) -> float:
-        """Deviation of the modes from the symmetry of a real field, which on
-        the half lattice binds the zero and Nyquist planes of the halved axis
-        only: each must equal its conjugate mirrored in the other axes."""
-        lengths = [n for n, _ in spectral_axes(self.grid, self.domain)]
-        halved = self.ncomp_axes + len(lengths) - 1
-        planes = [0] + ([lengths[-1] // 2] if lengths[-1] % 2 == 0 else [])
-        sel = np.take(self.modes, planes, axis=halved)
-        conj = np.conj(sel)
-        for a in range(self.ncomp_axes, halved):
-            conj = np.flip(np.roll(conj, -1, axis=a), axis=a)
-        scale = max(float(np.max(np.abs(self.modes))), 1e-300)
-        return float(np.max(np.abs(sel - conj))) / scale
-
-
-# ---------------------------------------------------------------------------
 # multiplier operators
 # ---------------------------------------------------------------------------
 
@@ -344,14 +284,6 @@ def vertical_derivative_array(data: np.ndarray, grid: HalfSpaceGrid,
     return np.moveaxis(out, 0, vaxis)
 
 
-def tangential_derivative_array(data: np.ndarray, grid: HalfSpaceGrid,
-                                offset: int, axis: int) -> np.ndarray:
-    """Spectral tangential derivative along tangential axis ``axis``."""
-    modes = tan_fft(data, grid, offset)
-    ks = k_vectors(grid, "boundary", data.ndim, offset, deriv=True)
-    return tan_ifft(1j * ks[axis] * modes, grid, offset)
-
-
 # ---------------------------------------------------------------------------
 # extensions and traces
 # ---------------------------------------------------------------------------
@@ -415,19 +347,6 @@ def extend_solenoidal(h: VectorField) -> VectorField:
     return ext
 
 
-def extend_zero(field: Field) -> Field:
-    """Zero extension below the wall onto the reflected axis."""
-    if field.domain != "half":
-        raise ShapeMismatchError("extension needs a half-space field")
-    vaxis = field.vert_axis
-    pad_shape = list(field.data.shape)
-    pad_shape[vaxis] = field.grid.N_vert - 1
-    zeros = np.zeros(pad_shape, dtype=field.data.dtype)
-    out = np.concatenate([zeros, field.data], axis=vaxis)
-    return type(field)(field.grid, out, domain="whole",
-                       time_dependent=field.time_dependent)
-
-
 def restrict_half(field: Field) -> Field:
     """Restriction of a whole-space field to x_n >= 0."""
     if field.domain != "whole":
@@ -473,7 +392,7 @@ def normal_trace_norm(u: VectorField, index) -> float:
     wall = trace_boundary(u)
     un = BoundaryField(u.grid, wall.data[u.grid.n - 1 : u.grid.n],
                        time_dependent=u.time_dependent)
-    # LP realization directly: the order -1/q sits on the duality-window
-    # boundary for q = 2, where negative_order_norm would refuse
+    # LP realization directly: the order -1/q sits on the boundary
+    # -1 + 1/q of the duality window at q = 2
     norm = besov.lq_time_lp_space if u.time_dependent else besov.lp_norm
     return norm(un, -1.0 / index.q, index.q)

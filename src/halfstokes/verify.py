@@ -1,6 +1,6 @@
 """Cross-cutting verification: physical-space quadrature oracles for the
-fast spectral paths, operator-ratio samplers for the boundedness estimates,
-weak-form residual suites and the critical-scaling study.
+fast spectral paths, operator-ratio samplers for the boundedness estimates
+and the critical-scaling study.
 
 Oracles evaluate the defining integrals directly (periodized closed-form
 kernels plus graded Gauss panels around the singular corners) with no
@@ -20,7 +20,6 @@ from .core import (BesovIndex, BoundaryField, HalfSpaceGrid, ScalarField,
 from .errors import ConfigError, ShapeMismatchError
 from . import besov
 from . import datagen
-from . import navier_stokes as ns
 from . import potentials as pot
 from . import stokes as stk
 from . import transforms as tr
@@ -573,19 +572,8 @@ def operator_ratio_study(target_names, index: BesovIndex,
 
 
 # ---------------------------------------------------------------------------
-# residual suite and scaling study
+# scaling study
 # ---------------------------------------------------------------------------
-
-
-def stokes_residual_suite(sol: stk.StokesSolution, h, g, F, test_family) -> dict:
-    """Weak-form gaps per test function plus the strong diagnostics."""
-    gaps = []
-    for tf in test_family:
-        gap, ref = ns.weak_form_gap(sol.u, h, g, tf, F=F)
-        gaps.append(gap / ref)
-    out = {"weak_gaps": gaps, "max_weak_gap": max(gaps)}
-    out.update({k: v for k, v in sol.diagnostics.items()})
-    return out
 
 
 def scaling_invariance_check(h: VectorField, g: BoundaryField,

@@ -71,25 +71,13 @@ def test_lp_norm_rejects_bad_orders():
                       0.5, 2.0)
 
 
-def test_negative_order_window():
-    g = grid2()
-    f = BoundaryField(g, np.cos(2 * g.tan_nodes)[None, :],
-                      time_dependent=False)
-    v = besov.negative_order_norm(f, -0.3, 2.0)
-    assert v > 0
-    with pytest.raises(NormOrderError):
-        besov.negative_order_norm(f, -0.6, 2.0)
-    with pytest.raises(NormOrderError):
-        besov.negative_order_norm(f, 0.1, 2.0)
-
-
 def test_negative_order_single_mode_weight():
     g = grid2()
     f = BoundaryField(g, np.cos(2 * g.tan_nodes)[None, :],
                       time_dependent=False)
     part = besov.partition_for(g, "boundary")
     s, q = -0.4, 3.0
-    val = besov.negative_order_norm(f, s, q)
+    val = besov.lp_norm(f, s, q)
     lq = besov.field_lq(f, q)
     expected = sum((2.0 ** (j * s) * part.window(j, np.array([2.0]))[0]) ** q
                    for j in part.blocks) ** (1.0 / q) * lq
@@ -112,10 +100,11 @@ def test_duality_pairing_controlled_by_norms():
 
 
 def test_gagliardo_linear_ramp_oracle():
-    # f(t) = t on [0, 1], order 1/4, q = 2: exact value sqrt(8/15)
+    # f(t) = t on [0, 1], order 1/4, q = 2: exact value sqrt(8/15); the
+    # field is constant in space, so its L^2 norm over x is L^(1/2) |f(t)|
     g = make_grid(2, L=2 * np.pi, N_tan=2, X=1.0, N_vert=2, T=1.0, N_time=33)
     f = BoundaryField(g, np.broadcast_to(g.time_nodes, (1, 2, 33)).copy())
-    val = besov.gagliardo_time_norm(f, 0.25, 2.0, spatial_norm="abs")
+    val = besov.gagliardo_time_norm(f, 0.25, 2.0) / g.L ** 0.5
     assert abs(val - np.sqrt(8.0 / 15.0)) < 0.01 * np.sqrt(8.0 / 15.0)
 
 
@@ -136,8 +125,8 @@ def test_gagliardo_scaling_law():
                                            (1, 2, 33)).copy())
     f2 = BoundaryField(g2, np.broadcast_to(np.sin(3 * lam * g2.time_nodes) ** 2,
                                            (1, 2, 33)).copy())
-    v1 = besov.gagliardo_time_norm(f1, s2, q, spatial_norm="abs")
-    v2 = besov.gagliardo_time_norm(f2, s2, q, spatial_norm="abs")
+    v1 = besov.gagliardo_time_norm(f1, s2, q)
+    v2 = besov.gagliardo_time_norm(f2, s2, q)
     assert np.isclose(v2 / v1, lam ** (s2 - 1.0 / q), rtol=1e-10)
 
 
@@ -166,8 +155,8 @@ def test_aniso_separable_factorization():
     scalar = BoundaryField(make_grid(2, L=g.L, N_tan=2, X=1.0, N_vert=2,
                                      T=g.T, N_time=g.N_time),
                            np.broadcast_to(b_t, (1, 2, g.N_time)).copy())
-    gag_b = besov.gagliardo_time_norm(scalar, alpha / 2.0, q,
-                                      spatial_norm="abs")
+    # constant in space: the L^q norm over x is L^(1/q) |b(t)|
+    gag_b = besov.gagliardo_time_norm(scalar, alpha / 2.0, q) / g.L ** (1 / q)
     norm_a_lq = besov.field_lq(a_field, q)
     assert np.isclose(temporal, gag_b * norm_a_lq, rtol=1e-10)
 
@@ -513,11 +502,14 @@ def test_row_distances_off_q2_are_the_difference_loop(kind, q):
                           _loop_distances(rows, q))
 
 
-@pytest.mark.parametrize("overflow", ["inf entry", "squares"])
+@pytest.mark.parametrize("overflow, spatial_norm", [
+    ("inf entry", "lq"), ("squares", "lq"),
+    ("inf entry", ("besov", -0.5)), ("squares", ("besov", -0.5))],
+    ids=["inf entry", "squares", "besov inf entry", "besov squares"])
 def test_gagliardo_of_overflowing_field_is_non_finite_without_warnings(
-        overflow):
+        overflow, spatial_norm):
     # an overflowed Picard iterate must still read as non-finite, and the
-    # q = 2 pair path must not warn on inf - inf, inf * 0 or an overflow
+    # q = 2 pair paths must not warn on inf - inf, inf * 0 or an overflow
     g = grid2(N=16, Nv=9, Nt=8)
     data = np.random.default_rng(2).standard_normal((2, 16, 8))
     if overflow == "inf entry":
@@ -526,5 +518,6 @@ def test_gagliardo_of_overflowing_field_is_non_finite_without_warnings(
         data *= 1e160  # finite, but every square overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = besov.gagliardo_time_norm(BoundaryField(g, data), 0.5, 2.0)
+        value = besov.gagliardo_time_norm(BoundaryField(g, data), 0.5, 2.0,
+                                          spatial_norm)
     assert not np.isfinite(value)

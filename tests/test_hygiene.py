@@ -1,10 +1,13 @@
 """Source hygiene: every function, class and method defined in the package is
-used somewhere in the package, its tests or its benchmark; every dataclass
-field is read there; every default is set by some caller; and real data go
-through real transforms."""
+used by the package, its CLI or its benchmark, or is a test oracle or
+fixture named in ``TEST_ONLY_ALLOWED``; every dataclass field is read in the
+package, its tests or its benchmark; every default is set by some caller;
+and real data go through real transforms."""
 
 import ast
 import re
+from collections import Counter
+from fnmatch import fnmatch
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,44 +19,96 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _definitions(tree):
-    return {node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not _is_dunder(node.name)}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Package definitions that only tests reach: the oracles and fixtures of the
+# acceptance criteria (``module.name``, ``*`` as a wildcard).  Any other
+# definition that no package, CLI or benchmark code calls is deleted.
+TEST_ONLY_ALLOWED = (
+    "verify.oracle_*",
+    "potentials.heat_kernel",
+    "potentials.newton_kernel",
+    "potentials.heat_single_layer_adjoint",
+    "potentials.single_layer_wall_trace_adjoint",
+    "potentials.strip_newton_potential",
+    "transforms.helmholtz_project",
+    "transforms.q_potential",
+    "navier_stokes.weak_ns_residual",
+    "datagen.default_test_family",
+    "datagen.gaussian_boundary_pulse",
+    "datagen.random_halfspace_field",
+)
+
+
+def _definitions(tree, prefix=""):
+    """``(qualified name, node)`` of every function, class and method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, DEFINITIONS):
+            name = prefix + node.name
+            if not _is_dunder(node.name):
+                yield name, node
+            yield from _definitions(node, name + ".")
+        else:
+            yield from _definitions(node, prefix)
 
 
 def _references(tree):
-    """Names loaded, attributes accessed and identifiers inside string
-    literals (the benchmark tracer looks functions up by name); docstrings
-    do not count."""
+    """Count of each name loaded, attribute accessed and identifier inside a
+    string literal (the benchmark tracer looks functions up by name);
+    docstrings do not count."""
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
                   and isinstance(node.value, ast.Constant)}
-    refs = set()
+    refs = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            refs[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and id(node) not in docstrings:
             refs.update(re.findall(r"[A-Za-z_]\w*", node.value))
     return refs
 
 
-def test_no_unreferenced_definitions():
-    defined = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for name in _definitions(ast.parse(path.read_text())):
-            defined.setdefault(name, path.name)
-    refs = set()
+def _reach():
+    """``(module.name, referenced from outside tests, referenced from
+    tests)`` for every package definition; a reference from inside the
+    definition's own body does not count."""
+    outside, inside_tests = Counter(), Counter()
+    trees = {}
     for base in SEARCHED:
-        for path in base.rglob("*.py"):
-            refs |= _references(ast.parse(path.read_text()))
-    unused = sorted(f"{module}:{name}" for name, module in defined.items()
-                    if name not in refs)
+        for path in sorted(base.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            counts = inside_tests if base.name == "tests" else outside
+            counts.update(_references(tree))
+            if path.is_relative_to(PACKAGE):
+                trees[path] = tree
+    out = []
+    for path, tree in trees.items():
+        for name, node in _definitions(tree):
+            own = _references(node)[node.name]
+            out.append((f"{path.stem}.{name}",
+                        outside[node.name] > own, inside_tests[node.name] > 0))
+    return out
+
+
+def test_no_unreferenced_definitions():
+    unused = sorted({name for name, package, tests in _reach()
+                     if not (package or tests)})
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_no_definitions_only_tests_reach():
+    reach = _reach()
+    test_only = sorted({name for name, package, tests in reach
+                        if tests and not package
+                        and not any(fnmatch(name, pattern)
+                                    for pattern in TEST_ONLY_ALLOWED)})
+    assert not test_only, f"only tests reach: {test_only}"
+    stale = [pattern for pattern in TEST_ONLY_ALLOWED
+             if not any(fnmatch(name, pattern) for name, _, _ in reach)]
+    assert not stale, f"allowed test-only names not defined: {stale}"
 
 
 def _dataclass_fields(tree):

@@ -1,6 +1,9 @@
 import configparser
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,10 +139,16 @@ def test_cli_divergence_exit_code(tmp_path):
 
 
 def test_cli_overflowing_picard_exits_diverged(tmp_path):
+    # a fresh interpreter, so numpy warnings reach stderr as a user sees them
     cfg = write_config(tmp_path, amplitude=1e60, max_iter=20)
     out = tmp_path / "blowup"
-    code = cli.main(["solve-ns", "--config", cfg, "--out", str(out)])
-    assert code == cli.EXIT_DIVERGED
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "halfstokes.cli", "solve-ns",
+                          "--config", cfg, "--out", str(out)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == cli.EXIT_DIVERGED
+    assert run.stderr.splitlines() == [run.stderr.strip()]
+    assert "diverged: overflow" in run.stderr
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["code"] == cli.EXIT_DIVERGED
     steps = report["trace"]["steps"]

@@ -250,8 +250,7 @@ def test_stokes_volume_pde_residual_converges():
         F = mms.stress(g)
         V = pot.stokes_volume_potential(F)
         # projected force
-        Fw = tr.extend_zero(F)
-        modes = tr.whole_fft(Fw.data, g, offset=2)
+        modes = tr.zero_extension_fft(F.data, g, offset=2)
         ks = [k[..., None] for k in tr.k_vectors(g, "whole", 2, deriv=True)]
         k2 = sum(k[..., 0] ** 2 for k in ks)
         fhat = np.stack([sum(1j * ks[k] * modes[k, i] for k in range(2))
@@ -313,8 +312,8 @@ def test_poisson_extension_discrete_harmonic():
     h = g.vert_nodes[1]
     interior = ext.data[:, 1:-1]
     d2y = (ext.data[:, 2:] - 2 * interior + ext.data[:, :-2]) / h ** 2
-    d2x = tr.tangential_derivative_array(
-        tr.tangential_derivative_array(ext.data, g, 0, 0), g, 0, 0)[:, 1:-1]
+    k = tr.k_vectors(g, "boundary", ext.data.ndim, deriv=True)[0]
+    d2x = tr.tan_ifft(-k ** 2 * tr.tan_fft(ext.data, g, 0), g, 0)[:, 1:-1]
     resid = np.max(np.abs(d2x + d2y)) / np.max(np.abs(ext.data))
     assert resid < 5e-3
 

@@ -166,22 +166,6 @@ def test_extend_solenoidal_wall_jump_warns():
     assert np.allclose(jump, 2.0 * np.abs(h.data[1][:, 0]), rtol=0.25)
 
 
-def test_extend_zero_preserves_lp_mass():
-    g = grid2(Nv=17)
-    rng = np.random.default_rng(6)
-    f = datagen.random_halfspace_field(g, rng, ncomp=1)
-    ext = tr.extend_zero(f)
-    assert np.array_equal(tr.restrict_half(ext).data, f.data)
-    lower = ext.data[:, : g.N_vert - 1]
-    assert np.all(lower == 0.0)
-    from halfstokes import besov
-    # zero extension changes no L^p mass (uniform whole weights match
-    # trapezoid half weights except the wall/top half-cells)
-    p_half = np.sum(np.abs(f.data) ** 3)
-    p_whole = np.sum(np.abs(ext.data) ** 3)
-    assert np.isclose(p_half, p_whole)
-
-
 def test_trace_boundary_requires_wall_node():
     g = grid2()
     f = ScalarField(g, np.zeros((g.N_tan, g.N_vert, g.N_time)), domain="half")
@@ -228,19 +212,29 @@ def test_three_dimensional_projection_identities():
     assert resid < 1e-12 * f.max_abs()
 
 
+def _hermitian_defect(modes, grid, offset):
+    """Deviation of whole-space half-lattice modes from the symmetry of a
+    real field, which binds the zero and Nyquist planes of the halved
+    (vertical) axis only: each must equal its conjugate mirrored in the
+    tangential axes."""
+    halved = offset + grid.n_tan_axes
+    sel = np.take(modes, [0, grid.N_vert - 1], axis=halved)
+    conj = np.conj(sel)
+    for a in range(offset, halved):
+        conj = np.flip(np.roll(conj, -1, axis=a), axis=a)
+    return float(np.max(np.abs(sel - conj))) / np.max(np.abs(modes))
+
+
 def test_spectral_field_roundtrip_and_hermitian():
     g = grid2()
     rng = np.random.default_rng(12)
     f = band_limited_whole(g, rng)
-    sp = tr.SpectralField.from_physical(f)
-    assert sp.axis_state == ("tangential", "vertical")
-    back = sp.to_physical()
-    assert np.max(np.abs(back.data - f.data)) < 1e-12 * f.max_abs()
-    assert sp.hermitian_defect() < 1e-12
+    modes = tr.whole_fft(f.data, g, f.ncomp_axes)
+    back = tr.whole_ifft(modes, g, f.ncomp_axes)
+    assert np.max(np.abs(back - f.data)) < 1e-12 * f.max_abs()
+    assert _hermitian_defect(modes, g, f.ncomp_axes) < 1e-12
     # complex corruption is detected
-    corrupted = tr.SpectralField(g, sp.modes + 1j, "whole", 1, False,
-                                 type(f))
-    assert corrupted.hermitian_defect() > 1e-6
+    assert _hermitian_defect(modes + 1j, g, f.ncomp_axes) > 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +302,15 @@ def _inv(x):
     return np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), 0.0)
 
 
+def _extend_zero(data, grid, offset):
+    """Zero extension of a half-space array below the wall, in the
+    whole-space storage layout (spatial axes from ``offset``)."""
+    vaxis = offset + grid.n_tan_axes
+    pad = list(data.shape)
+    pad[vaxis] = grid.N_vert - 1
+    return np.concatenate([np.zeros(pad), data], axis=vaxis)
+
+
 def _close(got, ref):
     assert got.shape == ref.shape
     scale = max(float(np.max(np.abs(ref))), 1e-300)
@@ -334,7 +337,7 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
     _close(modes, full[..., : N // 2 + 1, :])
     _close(tr.tan_ifft(modes, g, 1), bnd.data)
     _close(tr.whole_ifft(tr.whole_fft(wsc.data, g, 0), g, 0), wsc.data)
-    _close(tr.SpectralField.from_physical(wvec).to_physical().data, wvec.data)
+    _close(tr.whole_ifft(tr.whole_fft(wvec.data, g, 1), g, 1), wvec.data)
 
     # Riesz transforms, every axis, on the boundary and the whole space
     for f in (bnd, wsc):
@@ -389,7 +392,7 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
     # Stokes volume potential: Leray projection of div F, then the Duhamel
     # integral (a per-mode recursion, lattice-agnostic)
     F = rng.standard_normal((n, n) + tan + (g.N_vert, nt))
-    Fw = tr.extend_zero(TensorField(g, F, domain="half")).data
+    Fw = _extend_zero(F, g, 2)
     kt = [k[..., None] for k in ks]
 
     def volume(m):
@@ -457,7 +460,7 @@ def test_zero_extension_fft_matches_built_extension(n, N):
                   N_time=3)
     F = np.random.default_rng(30 * n + N).standard_normal(
         (n, n) + g.tan_shape + (g.N_vert, g.N_time))
-    ext = tr.extend_zero(TensorField(g, F, domain="half")).data
+    ext = _extend_zero(F, g, 2)
     assert np.array_equal(tr.zero_extension_fft(F, g, offset=2),
                           tr.whole_fft(ext, g, offset=2))
     graded = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=6,

@@ -4,8 +4,7 @@ import pytest
 from halfstokes.core import (BesovIndex, BoundaryField, ScalarField,
                              VectorField, make_grid)
 from halfstokes.errors import HalfStokesError, ShapeMismatchError
-from halfstokes import besov, datagen, potentials as pot, stokes as stk, verify
-from halfstokes import navier_stokes as ns
+from halfstokes import besov, datagen, potentials as pot, verify
 
 IDX = BesovIndex.critical_index(1.0, 2)
 
@@ -150,19 +149,6 @@ def test_scaling_invariance_requires_critical_index():
     with pytest.raises(HalfStokesError, match="critical index") as err:
         verify.scaling_invariance_check(h, gb, BesovIndex(1.0, 2.5, 2), [1.0])
     assert isinstance(err.value, ValueError)
-
-
-def test_stokes_residual_suite_structure():
-    g = make_grid(2, L=2 * np.pi, N_tan=16, X=2 * np.pi, N_vert=17, T=1.0,
-                  N_time=16)
-    mms = datagen.ForcedManufactured()
-    h, gb, F = mms.initial_data(g), mms.boundary_data(g), mms.stress(g)
-    sol = stk.solve_stokes(h, gb, F, index=IDX, with_norms=False)
-    fam = datagen.default_test_family()
-    rep = verify.stokes_residual_suite(sol, h, gb, F, fam)
-    assert len(rep["weak_gaps"]) == len(fam)
-    assert rep["max_weak_gap"] == max(rep["weak_gaps"])
-    assert "div_residual" in rep and "boundary_residual" in rep
 
 
 def test_trace_and_riesz_ratio_targets_bounded():
