@@ -3,16 +3,21 @@
 Contents: finite-difference weights on arbitrary nodes, trapezoid weights,
 exact exponential-integrator weights for piecewise-linear data, the closed
 form (via the error function) of the time-integrated one-dimensional heat
-kernel, and the smooth dyadic transition function used by the
-Littlewood-Paley windows.
+kernel, the scaled complementary error function it rests on, and the smooth
+dyadic transition function used by the Littlewood-Paley windows.
+
+``erfcx`` follows W. J. Cody, "Rational Chebyshev approximations for the
+error function", Math. Comp. 23 (1969) 631-637, in the form of his netlib
+``specfun`` routine CALERF: three rational approximations, on
+[0, 0.46875], (0.46875, 4] and (4, inf), good to about one ulp.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfcx
 
 from .core import GridCache
+from .errors import ShapeMismatchError
 
 
 def fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
@@ -24,7 +29,7 @@ def fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=float)
     n = len(nodes)
     if order >= n:
-        raise ValueError("need more nodes than the derivative order")
+        raise ShapeMismatchError("need more nodes than the derivative order")
     c = np.zeros((n, order + 1))
     c[0, 0] = 1.0
     c1 = 1.0
@@ -131,22 +136,101 @@ def heat_layer_cumulative(y, lam, T):
     res = np.empty_like(yy)
     if np.any(zero):
         res[zero] = (np.sqrt(tt[zero] / np.pi) * np.exp(-p[zero] ** 2)
-                     - 0.5 * yy[zero] * _erfc_stable(p[zero]))
+                     - 0.5 * yy[zero] * erfc(p[zero]))
     nz = ~zero
     if np.any(nz):
         pn, qn, gn, lln = p[nz], q[nz], gauss[nz], ll[nz]
         term2 = gn * erfcx(pn + qn)
         diff = pn - qn
-        t1 = np.where(diff >= 0,
-                      gn * erfcx(np.abs(diff)),
-                      2.0 * np.exp(-2.0 * pn * qn) - gn * erfcx(np.abs(diff)))
+        term1 = gn * erfcx(np.abs(diff))
+        t1 = np.where(diff >= 0, term1, 2.0 * np.exp(-2.0 * pn * qn) - term1)
         res[nz] = (t1 - term2) / (4.0 * lln)
     out[pos] = res
     return out
 
 
-def _erfc_stable(x):
+def erfc(x):
+    """Complementary error function for x >= 0, as exp(-x^2) erfcx(x)."""
     return np.exp(-x * x) * erfcx(x)
+
+
+# Cody's CALERF coefficients, in the order its Horner loops use them: the
+# numerator's leading coefficient, then the rest from high to low degree;
+# the denominators are monic.
+_ERF_NUM = (1.85777706184603153e-1, 3.16112374387056560e0,
+            1.13864154151050156e2, 3.77485237685302021e2,
+            3.20937758913846947e3)
+_ERF_DEN = (2.36012909523441209e1, 2.44024637934444173e2,
+            1.28261652607737228e3, 2.84423683343917062e3)
+_ERFC_NUM = (2.15311535474403846e-8, 5.64188496988670089e-1,
+             8.88314979438837594e0, 6.61191906371416295e1,
+             2.98635138197400131e2, 8.81952221241769090e2,
+             1.71204761263407058e3, 2.05107837782607147e3,
+             1.23033935479799725e3)
+_ERFC_DEN = (1.57449261107098347e1, 1.17693950891312499e2,
+             5.37181101862009858e2, 1.62138957456669019e3,
+             3.29079923573345963e3, 4.36261909014324716e3,
+             3.43936767414372164e3, 1.23033935480374942e3)
+_ASYM_NUM = (1.63153871373020978e-2, 3.05326634961232344e-1,
+             3.60344899949804439e-1, 1.25781726111229246e-1,
+             1.60837851487422766e-2, 6.58749161529837803e-4)
+_ASYM_DEN = (2.56852019228982242e0, 1.87295284992346725e0,
+             5.27905102951428412e-1, 6.05183413124413191e-2,
+             2.33520497626869185e-3)
+_RSQRTPI = 5.6418958354775628695e-1  # 1 / sqrt(pi)
+
+
+def _rational(t, num, den):
+    """Cody's rational function of ``t``, evaluated in place by Horner."""
+    p = num[0] * t
+    q = t.copy()
+    for a, b in zip(num[1:-1], den[:-1]):
+        p += a
+        p *= t
+        q += b
+        q *= t
+    p += num[-1]
+    q += den[-1]
+    p /= q
+    return p
+
+
+def erfcx(x):
+    """Scaled complementary error function exp(x^2) erfc(x), elementwise.
+
+    Cody's approximations serve |x|; a negative x is reflected through
+    erfcx(x) = 2 exp(x^2) - erfcx(-x).  erfcx(inf) = 0 and NaN propagates.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    out = np.empty_like(y)
+    small = y <= 0.46875
+    asym = ~(y <= 4.0)  # NaN takes this branch and stays NaN
+    mid = ~(small | asym)
+
+    t = y[small]
+    t2 = t * t
+    r = _rational(t2, _ERF_NUM, _ERF_DEN)  # erf(t) = t r
+    r *= t
+    np.subtract(1.0, r, out=r)
+    r *= np.exp(t2)
+    out[small] = r
+
+    out[mid] = _rational(y[mid], _ERFC_NUM, _ERFC_DEN)
+
+    t = y[asym]
+    u = 1.0 / t
+    u *= u  # 1 / t^2 without overflowing t^2
+    r = _rational(u, _ASYM_NUM, _ASYM_DEN)
+    r *= u
+    np.subtract(_RSQRTPI, r, out=r)
+    r /= t
+    out[asym] = r
+
+    neg = x < 0
+    if np.any(neg):
+        out[neg] = 2.0 * np.exp(y[neg] ** 2) - out[neg]
+    return out
 
 
 def smooth_step(x):
@@ -178,7 +262,8 @@ def lag_convolve(weights, intervals):
     intervals = np.asarray(intervals)
     K = intervals.shape[-1]
     if weights.shape[-1] != K:
-        raise ValueError("weights and intervals must share their last length")
+        raise ShapeMismatchError(
+            "weights and intervals must share their last length")
     size = 1
     while size < 2 * K:
         size *= 2
@@ -203,7 +288,7 @@ def lag_correlate(weights, nodes_series):
     z = np.asarray(nodes_series)
     K = z.shape[-1] - 1
     if weights.shape[-1] != K:
-        raise ValueError("weights must have length K = len(z) - 1")
+        raise ShapeMismatchError("weights must have length K = len(z) - 1")
     size = 1
     while size < 2 * K + 1:
         size *= 2

@@ -243,16 +243,20 @@ def _heat_volume(f: Field, adjoint: bool) -> Field:
     return type(f)(grid, data, domain="whole")
 
 
+# Below log(tiny), exp(arg) is subnormal: exact zeros there keep the exp and
+# the inverse FFT off their slow subnormal paths.
+_LOG_TINY = np.log(np.finfo(float).tiny)
+
+
 def heat_semigroup(h: VectorField) -> VectorField:
     """Heat evolution of whole-space initial data across all time nodes."""
     if h.domain != "whole" or h.time_dependent:
         raise ShapeMismatchError("expected steady whole-space initial data")
     grid = h.grid
     modes = tr.whole_fft(h.data, grid, offset=1)
-    k2 = _spatial_k2(grid)
-    evolved = modes[..., np.newaxis] * np.exp(
-        -k2[..., np.newaxis] * grid.time_nodes)
-    data = tr.whole_ifft(evolved, grid, offset=1)
+    arg = -_spatial_k2(grid)[..., np.newaxis] * grid.time_nodes
+    decay = np.exp(arg, out=np.zeros(arg.shape), where=arg > _LOG_TINY)
+    data = tr.whole_ifft(modes[..., np.newaxis] * decay, grid, offset=1)
     return VectorField(grid, data, domain="whole")
 
 

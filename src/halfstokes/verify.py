@@ -13,11 +13,11 @@ continuum objects.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc, roots_legendre
 
 from .core import (BesovIndex, BoundaryField, HalfSpaceGrid, ScalarField,
                    VectorField, parabolic_scale)
 from .errors import ConfigError, ShapeMismatchError
+from .numerics import erfc
 from . import besov
 from . import datagen
 from . import potentials as pot
@@ -41,7 +41,7 @@ def refine(grid: HalfSpaceGrid) -> HalfSpaceGrid:
 
 
 def _gauss_panel(a, b, order=16):
-    x, w = roots_legendre(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     weights = 0.5 * (b - a) * w
     return nodes, weights

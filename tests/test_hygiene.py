@@ -2,10 +2,14 @@
 used by the package, its CLI or its benchmark, or is a test oracle or
 fixture named in ``TEST_ONLY_ALLOWED``; every dataclass field is read in the
 package, its tests or its benchmark; every default is set by some caller;
-and real data go through real transforms."""
+real data go through real transforms; and the package imports no scipy."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
@@ -282,3 +286,20 @@ def test_real_data_use_real_transforms():
                   in _complex_transform_uses(ast.parse(path.read_text()),
                                              path.name)]
     assert not found, f"complex transforms of real data: {found}"
+
+
+def test_package_imports_only_numpy():
+    # a fresh interpreter, so that modules the test run loaded do not count
+    code = (
+        "import importlib, json, pkgutil, sys, halfstokes\n"
+        "for m in pkgutil.walk_packages(halfstokes.__path__, 'halfstokes.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    loaded = json.loads(run.stdout)
+    submodules = {"halfstokes." + f.stem for f in PACKAGE.glob("*.py")
+                  if f.stem != "__init__"}
+    assert submodules <= set(loaded)
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []

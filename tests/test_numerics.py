@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 from scipy.integrate import quad
+from scipy.special import erfcx as scipy_erfcx
 
-from halfstokes.numerics import (derivative_matrix, exp_linear_weights,
+from halfstokes.errors import ShapeMismatchError
+from halfstokes.numerics import (derivative_matrix, erfcx, exp_linear_weights,
                                  fornberg_weights, heat_layer_cumulative,
                                  lag_convolve, lag_correlate, smooth_step,
                                  trapezoid_weights)
@@ -14,6 +17,11 @@ def test_fornberg_weights_exact_on_polynomials():
         vals = nodes ** p
         exact = p * 0.35 ** (p - 1) if p else 0.0
         assert abs(np.dot(w, vals) - exact) < 1e-12
+
+
+def test_fornberg_weights_reject_too_few_nodes():
+    with pytest.raises(ShapeMismatchError):
+        fornberg_weights(0.0, np.array([0.0, 0.5]), 2)
 
 
 def test_derivative_matrix_one_sided_wall_accuracy():
@@ -59,6 +67,31 @@ def test_heat_layer_cumulative_stable_at_large_arguments():
     assert np.isfinite(val) and val >= 0.0
 
 
+def test_erfcx_matches_scipy_on_dense_grids():
+    grids = [
+        np.linspace(0.0, 0.46875, 20001),       # first range, to its end
+        np.linspace(0.46875, 4.0, 20001),       # second range
+        np.linspace(4.0, 60.0, 20001),          # third range
+        np.geomspace(1e-300, 1e300, 60001),
+        np.nextafter([0.46875, 0.46875, 4.0, 4.0], [0.0, 1.0, 0.0, 5.0]),
+    ]
+    for x in grids:
+        ref = scipy_erfcx(x)
+        assert np.max(np.abs(erfcx(x) - ref) / ref) < 2e-15
+
+
+def test_erfcx_special_values_and_reflection():
+    assert erfcx(0.0) == 1.0
+    assert erfcx(np.inf) == 0.0
+    assert np.isnan(erfcx(np.nan))
+    got = erfcx(np.array([0.3, np.nan, np.inf, 2.0]))
+    assert np.isnan(got[1]) and got[2] == 0.0
+    # negative arguments: erfcx(x) = 2 exp(x^2) - erfcx(-x), as scipy
+    x = -np.linspace(0.0, 26.0, 5001)
+    ref = scipy_erfcx(x)
+    assert np.max(np.abs(erfcx(x) - ref) / ref) < 2e-15
+
+
 def test_smooth_step_partition():
     x = np.linspace(-3, 4, 701)
     s = smooth_step(x)
@@ -84,3 +117,13 @@ def test_lag_convolve_and_correlate_are_adjoint():
     for m in range(1, K + 1):
         brute[m] = sum(w[j] * v[m - 1 - j] for j in range(m))
     assert np.allclose(conv, brute)
+
+
+def test_lag_convolve_rejects_mismatched_lengths():
+    with pytest.raises(ShapeMismatchError):
+        lag_convolve(np.ones(4), np.ones(5))
+
+
+def test_lag_correlate_rejects_mismatched_lengths():
+    with pytest.raises(ShapeMismatchError):
+        lag_correlate(np.ones(4), np.ones(4))

@@ -78,6 +78,18 @@ def test_kernel_quadrature_weights_match_adaptive_quad():
     assert np.all(np.isfinite(quad_table.weights))
 
 
+def test_kernel_quadrature_weights_match_scipy_erfcx(monkeypatch):
+    from scipy.special import erfcx
+    from halfstokes import numerics
+    g = grid2(N=32, Nv=33, Nt=32)
+    weights = pot.kernel_quadrature(g).weights
+    monkeypatch.setattr(numerics, "erfcx", erfcx)
+    ref = pot._build_quadrature(g).weights
+    # the weights are differences of cumulative masses, so the bound is on
+    # the largest weight: tiny late-lag weights are pure cancellation
+    assert np.max(np.abs(weights - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
 # -- heat semigroup ---------------------------------------------------------
 
 def test_semigroup_identity_and_decay():

@@ -30,6 +30,15 @@ def test_two_dimensional_samplers_reject_3d_grids(sampler):
         sampler(g, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("order", [12, 16, 24, 32])
+def test_gauss_panel_matches_scipy_roots(order):
+    from scipy.special import roots_legendre
+    x, w = roots_legendre(order)
+    nodes, weights = verify._gauss_panel(0.5, 2.0, order)
+    assert np.max(np.abs(nodes - (0.75 * x + 1.25))) < 1e-14
+    assert np.max(np.abs(weights / (0.75 * w) - 1.0)) < 1e-12
+
+
 def test_single_layer_oracle_agreement():
     g = make_grid(2, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=17, T=0.5,
                   N_time=17)
