@@ -17,9 +17,11 @@ lattice (modulus |k|) and the space-time lattice (parabolic modulus
 (|k|^2 + |eta|)^{1/2}).  Both are half lattices of a real transform
 (:func:`halfstokes.transforms.half_lattice`): the last transformed axis,
 which is the last tangential axis on the boundary, the reflected vertical
-axis (+X duplicate dropped) on the whole space, or time, keeps its
-``n // 2 + 1`` non-negative frequencies.  The windows depend on the
-modulus only, so each block equals the complex-transform block to roundoff.
+axis on the whole space, or time, keeps its ``n // 2 + 1`` non-negative
+frequencies.  A whole-space field is stored as one period of the reflected
+axis, in the order of the transforms, so it enters them as it is.  The
+windows depend on the modulus only, so each block equals the
+complex-transform block to roundoff.
 
 At q = 2 no block is formed: the quadrature weights of the periodic layout
 are one cell volume, so by Plancherel every norm is one weighted sum of
@@ -161,15 +163,13 @@ def _weights(grid: HalfSpaceGrid, domain: str, ndim: int,
              offset: int) -> np.ndarray:
     """Product quadrature weights of the spatial axes of ``domain``, shaped
     to broadcast against an ``ndim``-array whose spatial axes start at
-    ``offset``.  Uniform rules on the periodic axes, trapezoid on the half
-    space's vertical nodes; a whole-space axis weighs its +X duplicate 0."""
+    ``offset``.  Uniform rules on the periodic axes, the reflected vertical
+    one included, and trapezoid on the half space's vertical nodes."""
     vecs = [np.full(grid.N_tan, grid.L / grid.N_tan)] * grid.n_tan_axes
     if domain == "half":
         vecs.append(trapezoid_weights(grid.vert_nodes))
     elif domain == "whole":
-        wv = np.full(grid.n_vert_whole, grid.X / (grid.N_vert - 1))
-        wv[-1] = 0.0
-        vecs.append(wv)
+        vecs.append(np.full(grid.n_vert_whole, grid.X / (grid.N_vert - 1)))
     w = np.ones([1] * ndim)
     for a, vec in enumerate(vecs):
         sh = [1] * ndim
@@ -217,20 +217,15 @@ def _components(field: Field, extension: str = "even"):
     """``(comps, domain)``: the components of ``field``, or of its
     whole-space reflection (``extension``: "even", or "solenoidal" for
     vector fields), flattened onto the first axis in the periodic layout
-    of the transforms, ``(component, *tan[, vert][, time])``.  The +X
-    duplicate of a whole-space vertical axis is dropped: what is left is
-    one period of the reflected axis, starting at -X."""
+    of the transforms, ``(component, *tan[, vert][, time])``."""
     if field.domain != "half":
         work = field
     elif extension == "solenoidal" and isinstance(field, VectorField):
         work = tr.extend_solenoidal(field)
     else:
         work = tr.extend_even(field)
-    comps = work.data.reshape((-1,) + work.data.shape[work.ncomp_axes:])
-    if work.domain == "whole":
-        comps = comps[(slice(None),) * (work.grid.n_tan_axes + 1)
-                      + (slice(0, -1),)]
-    return comps, work.domain
+    data = work.data
+    return data.reshape((-1,) + data.shape[work.ncomp_axes:]), work.domain
 
 
 def _lp_blocks(comps: np.ndarray, part: GridPartition):
@@ -266,7 +261,7 @@ def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """``sum_k W(k) |F(k)|^2`` per trailing slice, summed over the
     components; F is the real transform of each component over its leading
     ``weight.ndim`` axes."""
-    axes = tuple(range(weight.ndim))
+    axes = list(range(weight.ndim))
     acc = 0.0
     for comp in comps:
         modes = np.ascontiguousarray(np.fft.rfftn(comp, axes=axes))
@@ -275,7 +270,11 @@ def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
         parts = modes.view(float).reshape(modes.shape + (2,))
         with np.errstate(over="ignore", invalid="ignore"):
             np.square(parts, out=parts)
-            acc = acc + np.tensordot(weight, parts, weight.ndim).sum(axis=-1)
+            power = parts[..., 0] + parts[..., 1]
+            # einsum without optimize sums in a fixed order; a BLAS product
+            # would sum in an order that follows the BLAS thread count
+            acc = acc + np.einsum(weight, axes, power, list(range(power.ndim)),
+                                  list(range(weight.ndim, power.ndim)))
     return acc
 
 

@@ -81,7 +81,7 @@ def _build_index(cfg: dict, n: int) -> BesovIndex:
                              beta=_number(cfg, "index", "beta"),
                              p=_number(cfg, "index", "p"))
         return idx
-    except ValueError as exc:
+    except NormOrderError as exc:
         raise ConfigError(f"bad index: {exc}") from exc
 
 
@@ -225,7 +225,7 @@ def cmd_verify_ops(args) -> int:
     if "gradient_duhamel" in names and index.beta is None:
         try:
             index.with_default_force_pair()
-        except ValueError as exc:
+        except NormOrderError as exc:
             raise ConfigError(f"[verify] targets: gradient_duhamel has no "
                               f"force pair for this [index]: {exc}") from exc
     study = verify.operator_ratio_study(names, index, grid, samples=samples,

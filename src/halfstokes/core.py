@@ -5,7 +5,8 @@ space: the first ``n - 1`` axes are uniform periodic of period ``L``, the
 vertical axis runs from the wall ``x_n = 0`` up to ``X`` (uniform or
 geometrically graded toward the wall), and time is a uniform axis on
 ``[0, T]``.  Whole-space fields live on the reflected vertical axis
-``[-X, X]`` treated as periodic with period ``2X``.
+``[-X, X]``, periodic with period ``2X``, stored as one period in FFT
+order (:attr:`HalfSpaceGrid.whole_vert_nodes`).
 
 All containers are immutable value objects; operations elsewhere in the
 package are pure functions over them.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGridError, ShapeMismatchError
+from .errors import InvalidGridError, NormOrderError, ShapeMismatchError
 
 _CRITICAL_TOL = 1e-12
 
@@ -93,13 +94,16 @@ class HalfSpaceGrid:
 
     @property
     def n_vert_whole(self) -> int:
-        """Node count of the reflected axis [-X, X], both ends stored."""
-        return 2 * self.N_vert - 1
+        """Node count of one period of the reflected axis [-X, X]."""
+        return 2 * (self.N_vert - 1)
 
     @property
     def whole_vert_nodes(self) -> np.ndarray:
+        """One period of the reflected axis in FFT order: the half-space
+        nodes below X, then -X, ..., -dy.  The wall is index 0, and the
+        slice ``[:N_vert]`` is the half space, with -X standing for +X."""
         v = self.vert_nodes
-        return np.concatenate((-v[::-1], v[1:]))
+        return np.concatenate((v[:-1], -v[:0:-1]))
 
     @property
     def dt(self) -> float:
@@ -288,6 +292,11 @@ class BoundaryField(Field):
 # exponent bookkeeping
 # ---------------------------------------------------------------------------
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 2.0:
+        raise NormOrderError(f"alpha must lie in (0, 2), got {alpha}")
+
+
 @dataclass(frozen=True)
 class BesovIndex:
     """Smoothness/integrability exponents (alpha, q) with optional force pair.
@@ -305,14 +314,13 @@ class BesovIndex:
     p: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not 1.0 < self.q < math.inf:
-            raise ValueError(f"q must lie in (1, inf), got {self.q}")
+            raise NormOrderError(f"q must lie in (1, inf), got {self.q}")
         if self.n not in (2, 3):
-            raise ValueError("n must be 2 or 3")
+            raise NormOrderError("n must be 2 or 3")
         if (self.beta is None) != (self.p is None):
-            raise ValueError("beta and p must be given together")
+            raise NormOrderError("beta and p must be given together")
         if self.beta is not None:
             self.validate_force_pair(self.beta, self.p)
 
@@ -322,20 +330,21 @@ class BesovIndex:
 
     @classmethod
     def critical_index(cls, alpha, n) -> "BesovIndex":
+        _check_alpha(alpha)
         return cls(alpha=alpha, q=(n + 2) / (alpha + 1), n=n)
 
     def validate_force_pair(self, beta, p):
         n, alpha, q = self.n, self.alpha, self.q
         if not (1.0 < p <= q):
-            raise ValueError(f"force exponent p={p} must satisfy 1 < p <= q={q}")
+            raise NormOrderError(f"force exponent p={p} must satisfy 1 < p <= q={q}")
         if not (0.0 < beta < alpha <= beta + 1.0 < 2.0):
-            raise ValueError(
+            raise NormOrderError(
                 f"force order beta={beta} must satisfy 0 < beta < alpha <= beta+1 < 2")
         balance = 1.0 - alpha + beta - (n + 2) * (1.0 / p - 1.0 / q)
         if abs(balance) > 1e-10:
-            raise ValueError(f"scaling balance violated by {balance:.3e}")
+            raise NormOrderError(f"scaling balance violated by {balance:.3e}")
         if not (n + 1) / p > (n + 2) / q - alpha:
-            raise ValueError("trace condition (n+1)/p > (n+2)/q - alpha violated")
+            raise NormOrderError("trace condition (n+1)/p > (n+2)/q - alpha violated")
 
     def with_default_force_pair(self) -> "BesovIndex":
         """Attach the default admissible (beta, p) for the quadratic force."""

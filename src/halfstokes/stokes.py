@@ -56,11 +56,10 @@ class StokesSolution:
 # ---------------------------------------------------------------------------
 
 
-def build_v(h: VectorField) -> tuple[VectorField, VectorField]:
-    """Heat evolution of the solenoidal extension; returns (half, whole)."""
-    h_ext = tr.extend_solenoidal(h)
-    v_whole = pot.heat_semigroup(h_ext)
-    return tr.restrict_half(v_whole), v_whole
+def build_v(h: VectorField) -> VectorField:
+    """Half-space restriction of the heat evolution of the solenoidal
+    extension."""
+    return tr.restrict_half(pot.heat_semigroup(tr.extend_solenoidal(h)))
 
 
 def build_grad_phi(psi: BoundaryField, rpsi: list) -> VectorField:
@@ -198,9 +197,8 @@ def assemble(g: BoundaryField, F: TensorField | None, v: VectorField,
     grid = g.grid
     if F is not None:
         with _part("V"):
-            V_whole = pot.stokes_volume_potential(F)
-            V = tr.restrict_half(V_whole)
-            V_wall = tr.trace_boundary(V_whole)
+            V = tr.restrict_half(pot.stokes_volume_potential(F))
+            V_wall = tr.trace_boundary(V)
     else:
         V, V_wall = _zero_like_parts(grid)
 
@@ -236,8 +234,8 @@ def solve_stokes(h: VectorField, g: BoundaryField,
             raise HalfStokesError(f"{name} contains non-finite values")
 
     with _part("v"):
-        v, v_whole = build_v(h)
-        v_wall = tr.trace_boundary(v_whole)
+        v = build_v(h)
+        v_wall = tr.trace_boundary(v)
     sol = assemble(g, F, v, v_wall)
     u = sol.u
 

@@ -2,11 +2,14 @@
 projection, reflections/extensions and boundary traces.
 
 Tangential axes are periodic of period L.  Whole-space fields use the
-reflected vertical axis [-X, X] treated as periodic of period 2X; the stored
-layout keeps both endpoints (the +X slot duplicates -X) and the transform
-helpers drop the duplicate.  Zero-mode conventions: Riesz transforms and the
-scalar potential map the zero mode to zero; the Helmholtz projection passes
-it through unchanged.
+reflected vertical axis [-X, X], periodic of period 2X, stored as one period
+in FFT order (:attr:`~halfstokes.core.HalfSpaceGrid.whole_vert_nodes`):
+y = 0, ..., X - dy, then -X, ..., -dy.  The wall is index 0, the half-space
+restriction is the slice ``[..., :N_vert, :]`` (-X stands for +X), and the
+zero extension is y = 0, ..., X - dy and N_vert - 1 zeros, which
+:func:`zero_extension_fft` transforms without building it.  Zero-mode
+conventions: Riesz transforms and the scalar potential map the zero mode to
+zero; the Helmholtz projection passes it through unchanged.
 
 Half lattice: all fields are real, so the transforms are ``rfftn`` and
 ``irfftn(..., s=...)``; the last transformed axis (the last tangential one,
@@ -15,11 +18,6 @@ or the reflected vertical one of length 2 (N_vert - 1)) keeps its
 symbol is even in k, or odd with the unpaired Nyquist mode zeroed
 (``deriv``), so it keeps the modes Hermitian and ``irfftn`` equals
 ``ifftn(...).real`` on the full lattice to roundoff.
-
-FFT layout of the reflected axis: y = 0, ..., X - dy, then -X, ..., -dy.
-Its half-space restriction is the slice ``[..., :N_vert, :]`` (-X stands
-for +X); the zero extension is y = 0, ..., X - dy and N_vert - 1 zeros,
-which :func:`zero_extension_fft` transforms without building it.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ def spectral_axes(grid: HalfSpaceGrid, domain: str) -> list:
         raise ShapeMismatchError("half-space fields have no full spectral lattice")
     if not grid.uniform_vertical:
         raise ShapeMismatchError("whole-space transforms need uniform vertical nodes")
-    return axes + [(2 * (grid.N_vert - 1), grid.X / (grid.N_vert - 1))]
+    return axes + [(grid.n_vert_whole, grid.X / (grid.N_vert - 1))]
 
 
 def half_lattice(axes, ndim: int, offset: int = 0, deriv: bool = False):
@@ -121,27 +119,10 @@ def tan_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
     return np.fft.irfftn(modes, s=(grid.N_tan,) * grid.n_tan_axes, axes=axes)
 
 
-def whole_to_fft_layout(data: np.ndarray, vaxis: int) -> np.ndarray:
-    """Drop the duplicate +X slot and roll so the vertical axis starts at 0."""
-    n_vert = (data.shape[vaxis] + 1) // 2
-    return np.roll(data[(slice(None),) * vaxis + (slice(0, -1),)],
-                   -(n_vert - 1), axis=vaxis)
-
-
-def fft_to_whole_layout(data: np.ndarray, vaxis: int) -> np.ndarray:
-    """Inverse of :func:`whole_to_fft_layout`, in one copy: the lower half
-    -X, ..., -dy, then the half-space slice 0, ..., X (the +X duplicate)."""
-    n_vert = data.shape[vaxis] // 2 + 1
-    head = (slice(None),) * vaxis
-    return np.concatenate([data[head + (slice(n_vert - 1, None),)],
-                           data[head + (slice(0, n_vert),)]], axis=vaxis)
-
-
 def whole_fft(data: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
-    """Real FFT over the spatial axes of a stored whole-space array."""
-    vaxis = offset + grid.n_tan_axes
-    return np.fft.rfftn(whole_to_fft_layout(data, vaxis),
-                        axes=tuple(range(offset, vaxis + 1)))
+    """Real FFT over the spatial axes of a whole-space array."""
+    axes = tuple(range(offset, offset + grid.n_tan_axes + 1))
+    return np.fft.rfftn(data, axes=axes)
 
 
 def zero_extension_fft(data: np.ndarray, grid: HalfSpaceGrid,
@@ -156,11 +137,10 @@ def zero_extension_fft(data: np.ndarray, grid: HalfSpaceGrid,
 
 
 def whole_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
-    """Inverse of :func:`whole_fft`, in storage layout."""
-    vaxis = offset + grid.n_tan_axes
-    axes = tuple(range(offset, vaxis + 1))
-    shape = (grid.N_tan,) * grid.n_tan_axes + (2 * (grid.N_vert - 1),)
-    return fft_to_whole_layout(np.fft.irfftn(modes, s=shape, axes=axes), vaxis)
+    """Inverse of :func:`whole_fft`."""
+    axes = tuple(range(offset, offset + grid.n_tan_axes + 1))
+    return np.fft.irfftn(modes, s=grid.tan_shape + (grid.n_vert_whole,),
+                         axes=axes)
 
 
 def _field_fft(field: Field) -> np.ndarray:
@@ -290,14 +270,15 @@ def vertical_derivative_array(data: np.ndarray, grid: HalfSpaceGrid,
 
 
 def _reflect(data_half: np.ndarray, vaxis: int, parity: int) -> np.ndarray:
-    """Reflect a half-space array onto the [-X, X] storage (both ends kept).
-
-    The wall node keeps the upper-half value, so restriction to x_n >= 0
-    reproduces the input exactly even for odd reflections with a jump.
-    """
-    flip = np.flip(data_half, axis=vaxis)
-    lower = parity * flip[(slice(None),) * vaxis + (slice(0, -1),)]
-    return np.concatenate([lower, data_half], axis=vaxis)
+    """Reflect a half-space array onto one period of the reflected axis:
+    the samples below X, then ``parity`` times the samples from X down to
+    the node next to the wall.  The wall node keeps its value, so the
+    restriction to x_n >= 0 reproduces the input below X exactly, also for
+    odd reflections with a jump."""
+    head = (slice(None),) * vaxis
+    return np.concatenate([data_half[head + (slice(0, -1),)],
+                           parity * data_half[head + (slice(-1, 0, -1),)]],
+                          axis=vaxis)
 
 
 def extend_even(field: Field) -> Field:
@@ -348,11 +329,11 @@ def extend_solenoidal(h: VectorField) -> VectorField:
 
 
 def restrict_half(field: Field) -> Field:
-    """Restriction of a whole-space field to x_n >= 0."""
+    """Restriction of a whole-space field to x_n >= 0; the top node X takes
+    the periodic image at -X."""
     if field.domain != "whole":
         raise ShapeMismatchError("restriction needs a whole-space field")
-    vaxis = field.vert_axis
-    upper = (slice(None),) * vaxis + (slice(field.grid.N_vert - 1, None),)
+    upper = (slice(None),) * field.vert_axis + (slice(0, field.grid.N_vert),)
     return type(field)(field.grid, field.data[upper], domain="half",
                        time_dependent=field.time_dependent)
 
@@ -364,9 +345,7 @@ def trace_boundary(field: Field) -> BoundaryField:
     grid = field.grid
     if grid.vert_nodes[0] != 0.0:
         raise ShapeMismatchError("grid's first vertical node must be 0")
-    vaxis = field.vert_axis
-    idx = 0 if field.domain == "half" else grid.N_vert - 1
-    wall = np.take(field.data, idx, axis=vaxis)
+    wall = np.take(field.data, 0, axis=field.vert_axis)
     if isinstance(field, ScalarField):
         wall = wall[np.newaxis]
     return BoundaryField(grid, wall, time_dependent=field.time_dependent)

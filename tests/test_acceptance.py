@@ -135,7 +135,7 @@ def test_criterion_4_adjoint_identities():
         T1sh = pot.heat_volume_potential_adjoint(h)
 
         def ip(a, b):
-            return np.sum(a.data[:, :, :-1, :] * b.data[:, :, :-1, :])
+            return np.sum(a.data * b.data)
 
         worst_t1 = max(worst_t1, abs(ip(T1f, h) - ip(f, T1sh))
                        / max(abs(ip(T1f, h)), 1e-30))

@@ -9,7 +9,8 @@ from halfstokes import besov, numerics, potentials
 from halfstokes.core import (BesovIndex, BoundaryField, GridCache,
                              IterationTrace, ScalarField, VectorField,
                              make_grid, parabolic_scale)
-from halfstokes.errors import InvalidGridError, ShapeMismatchError
+from halfstokes.errors import (InvalidGridError, NormOrderError,
+                               ShapeMismatchError)
 
 
 def test_uniform_grid_nodes():
@@ -77,10 +78,12 @@ def test_besov_index_critical_flag():
     idx = BesovIndex.critical_index(1.0, 2)
     assert idx.critical and np.isclose(idx.q, 2.0)
     assert not BesovIndex(alpha=1.0, q=2.5, n=2).critical
-    with pytest.raises(ValueError):
+    with pytest.raises(NormOrderError):
         BesovIndex(alpha=2.5, q=2.0, n=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(NormOrderError):
         BesovIndex(alpha=1.0, q=1.0, n=2)
+    with pytest.raises(NormOrderError):  # checked before q = 4 / (alpha + 1)
+        BesovIndex.critical_index(-1.0, 2)
 
 
 def test_besov_index_force_pair():
@@ -89,7 +92,7 @@ def test_besov_index_force_pair():
     assert 0.0 < idx.beta < idx.alpha <= idx.beta + 1.0 < 2.0
     balance = 1 - idx.alpha + idx.beta - (idx.n + 2) * (1 / idx.p - 1 / idx.q)
     assert abs(balance) < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(NormOrderError):
         BesovIndex(alpha=1.0, q=2.0, n=2, beta=1.5, p=1.2)
 
 

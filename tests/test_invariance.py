@@ -2,15 +2,15 @@
 
 The solver's operators are Fourier multipliers in the tangential variable
 and linear in the data (h, g, F), and the homogeneous norms are translation
-invariant.  So a translation or a mirror of the data moves the solution the
-same way, the solution of a sum of data is the sum of the solutions, and a
+invariant.  So a translation or a mirror of the data, or in 3-D a swap of
+the tangential axes, moves the solution the same way, the solution of a sum of data is the sum of the solutions, and a
 rolled field keeps its norm, each to roundoff.
 """
 
 import numpy as np
 import pytest
 
-from halfstokes.core import BoundaryField, make_grid
+from halfstokes.core import BoundaryField, TensorField, VectorField, make_grid
 from halfstokes import besov, datagen, stokes as stk
 
 TOL = 1e-13
@@ -71,11 +71,69 @@ def test_solve_is_linear_in_the_data(problem):
     assert deviation(data_part + force_part, u) < TOL
 
 
+# -- three dimensions ------------------------------------------------------
+
+# x1 <-> x2 swaps the vector and tensor indices 0 and 1
+SWAP = [1, 0, 2]
+
+
+@pytest.fixture(scope="module")
+def problem3():
+    """3-D data on the grid of the benchmark's 3-D solve: a solenoidal h
+    whose x1 and x2 modes differ, wall data with a random part, and a
+    random stress, so that the volume potential runs."""
+    g = make_grid(3, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=17, T=0.5,
+                  N_time=17)
+    rng = np.random.default_rng(6)
+    x1 = g.tan_nodes[:, None, None]
+    x2 = g.tan_nodes[None, :, None]
+    cy = np.cos(np.pi * g.vert_nodes / g.X)[None, None, :]
+    # (d2 psi, -d1 psi, 0) of psi = sin(x1 + .3) sin(2 x2 + .7) cos(pi y / X)
+    h = VectorField(g, np.stack([
+        2.0 * np.sin(x1 + 0.3) * np.cos(2.0 * x2 + 0.7) * cy,
+        -np.cos(x1 + 0.3) * np.sin(2.0 * x2 + 0.7) * cy,
+        np.zeros(g.tan_shape + (g.N_vert,))]), domain="half",
+        time_dependent=False)
+    decay = np.exp(-2.0 * g.time_nodes)
+    wall = np.take(h.data, 0, axis=3)[..., None] * decay
+    noise = rng.standard_normal((3,) + g.tan_shape + (g.N_time,))
+    gb = BoundaryField(g, wall + 0.1 * noise * decay)
+    F = TensorField(g, rng.standard_normal(
+        (3, 3) + g.tan_shape + (g.N_vert, g.N_time)), domain="half")
+    return h, gb, F, solve(h, gb, F)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_3d_solve_commutes_with_tangential_translation(problem3, axis):
+    h, gb, F, u = problem3
+    shifted = solve(h._like(np.roll(h.data, SHIFT, 1 + axis)),
+                    gb._like(np.roll(gb.data, SHIFT, 1 + axis)),
+                    F._like(np.roll(F.data, SHIFT, 2 + axis)))
+    assert deviation(shifted, np.roll(u, SHIFT, 1 + axis)) < TOL
+
+
+def test_3d_solve_commutes_with_tangential_swap(problem3):
+    h, gb, F, u = problem3
+    swapped = solve(h._like(np.swapaxes(h.data[SWAP], 1, 2)),
+                    gb._like(np.swapaxes(gb.data[SWAP], 1, 2)),
+                    F._like(np.swapaxes(F.data[SWAP][:, SWAP], 2, 3)))
+    assert deviation(swapped, np.swapaxes(u[SWAP], 1, 2)) < TOL
+
+
+def test_3d_solve_is_linear_in_the_data(problem3):
+    h, gb, F, u = problem3
+    data_part = solve(h, gb, None)
+    force_part = solve(h._like(np.zeros_like(h.data)),
+                       gb._like(np.zeros_like(gb.data)), F)
+    assert deviation(data_part + force_part, u) < TOL
+
+
 @pytest.mark.parametrize("q", [2.0, 2.5])
 def test_aniso_norm_is_translation_invariant(q):
     g = make_grid(2, L=2 * np.pi, N_tan=32, X=np.pi, N_vert=17, T=1.0,
                   N_time=17)
     f = datagen.random_whole_field(g, np.random.default_rng(4))
     ref = besov.aniso_norm(f, 1.0, q)
-    rolled = besov.aniso_norm(f._like(np.roll(f.data, 7, 1)), 1.0, q)
-    assert abs(rolled - ref) <= TOL * ref
+    for axis in (1, 2):  # tangential, then the reflected vertical axis
+        rolled = besov.aniso_norm(f._like(np.roll(f.data, 7, axis)), 1.0, q)
+        assert abs(rolled - ref) <= TOL * ref, axis

@@ -17,15 +17,17 @@ def test_field_roundtrip(tmp_path):
     g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0,
                   N_time=5)
     rng = np.random.default_rng(0)
-    f = datagen.random_halfspace_field(g, rng)
-    io.save_field(f, tmp_path / "snap")
-    back = io.load_field(tmp_path / "snap")
-    assert type(back) is type(f)
-    assert np.array_equal(back.data, f.data)
-    assert back.grid.key() == g.key()
-    sidecar = json.loads((tmp_path / "snap.json").read_text())
-    assert sidecar["endianness"] == "little"
-    assert sidecar["dtype"] == "float64"
+    for f in (datagen.random_halfspace_field(g, rng),
+              datagen.random_whole_field(g, rng)):
+        io.save_field(f, tmp_path / "snap")
+        back = io.load_field(tmp_path / "snap")
+        assert type(back) is type(f) and back.domain == f.domain
+        assert np.array_equal(back.data, f.data)
+        assert back.grid.key() == g.key()
+        sidecar = json.loads((tmp_path / "snap.json").read_text())
+        assert sidecar["endianness"] == "little"
+        assert sidecar["dtype"] == "float64"
+        assert sidecar["shape"] == list(f.data.shape)
 
 
 def test_boundary_field_roundtrip_and_csv(tmp_path):
@@ -275,6 +277,34 @@ def test_cli_verify_ops_time_seminorm_report_is_deterministic(tmp_path):
     assert study["target"] == "heat_semigroup"
 
 
+def test_cli_verify_ops_report_does_not_depend_on_blas_threads(tmp_path):
+    # heat_volume measures its input with the q = 2 space-time norm, whose
+    # mode sum once ran through a BLAS product; on the README grid its
+    # summation order followed the BLAS thread count.  On a one-core host
+    # the two-thread run may not split a reduction, so it can pass there
+    # without showing anything.
+    cp = configparser.ConfigParser()
+    cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
+    cp["grid"].update({"n_tan": "32", "n_vert": "33", "n_time": "32"})
+    cp["verify"].update({"targets": "heat_volume", "samples": "1",
+                         "refinements": "1"})
+    cfg = tmp_path / "cfg.ini"
+    with cfg.open("w") as fh:
+        cp.write(fh)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "halfstokes.cli",
+                              "verify-ops", "--config", str(cfg), "--out",
+                              str(out), "--seed", "7"],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", ["scaling", "verify-ops"])
 @pytest.mark.parametrize("value", ["-1", "0", "nan"])
 def test_cli_bad_tolerance_scale_is_config_error(tmp_path, capsys, command,
@@ -306,6 +336,19 @@ def _nan_value(prefix):
     data.tofile(path)
 
 
+def _whole_with_top_slot(prefix):
+    """A whole-space snapshot in the layout of [-X, X] with both ends
+    stored, 2 N_vert - 1 vertical nodes, which fields no longer use."""
+    snap = io.load_field(prefix)
+    grid = snap.grid
+    f = datagen.random_whole_field(grid, np.random.default_rng(1))
+    io.save_field(f, prefix)
+    n = grid.N_vert
+    old = np.concatenate([f.data[:, :, n - 1:], f.data[:, :, :n]], axis=2)
+    old.astype("<f8").tofile(prefix.with_suffix(".bin"))
+    _edit_sidecar(shape=list(old.shape))(prefix)
+
+
 @pytest.mark.parametrize("damage, what", [
     (_truncate_bin, "cannot reshape"),
     (lambda prefix: prefix.with_suffix(".json").write_text("{shape: ["),
@@ -313,12 +356,20 @@ def _nan_value(prefix):
     (_edit_sidecar(kind=None), "KeyError"),
     (_edit_sidecar(kind="MatrixField"), "KeyError"),
     (_nan_value, "non-finite"),
+    (_whole_with_top_slot, "ShapeMismatchError"),
 ], ids=["truncated_bin", "unparsable_sidecar", "missing_key", "unknown_kind",
-        "nan_value"])
+        "nan_value", "whole_with_top_slot"])
 def test_cli_norms_bad_snapshot_is_config_error(tmp_path, capsys, damage,
                                                 what):
     err = config_error(tmp_path, capsys, "norms", {}, damage=damage)
     assert str(tmp_path / "snap") in err and what in err
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "2.5", "nan"])
+def test_cli_bad_alpha_is_config_error(tmp_path, capsys, alpha):
+    err = config_error(tmp_path, capsys, "solve-stokes",
+                       {("index", "alpha"): alpha})
+    assert err.startswith("config error: bad index: alpha must lie in (0, 2)")
 
 
 @pytest.mark.parametrize("command", ["solve-ns", "scaling"])

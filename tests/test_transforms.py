@@ -60,7 +60,7 @@ def test_riesz_skew_symmetry():
     rh = tr.riesz_apply(h, 0)
 
     def ip(a, b):
-        return np.sum(a.data[:, :, :-1] * b.data[:, :, :-1])
+        return np.sum(a.data * b.data)
 
     assert abs(ip(rf, h) + ip(f, rh)) <= 1e-10 * max(abs(ip(rf, h)), 1.0)
 
@@ -103,7 +103,7 @@ def test_scalar_potential_inverts_gradients():
     g = grid2()
     rng = np.random.default_rng(4)
     psi = band_limited_whole(g, rng, ncomp=1)
-    psi0 = psi.data - psi.data[:, :-1].mean()
+    psi0 = psi.data - psi.data.mean()
     gradpsi = tr.spectral_gradient(psi)
     q = tr.q_potential(gradpsi)
     assert np.max(np.abs(q.data - psi0)) < 1e-12
@@ -126,9 +126,12 @@ def test_extend_solenoidal_properties():
     g = grid2(Nv=17)
     h = datagen.stream_mode_initial_data(g, k1=1, m=2)
     ext = tr.extend_solenoidal(h)
-    # restriction reproduces the input exactly
+    # restriction reproduces the input exactly below X; the top node X
+    # takes the periodic image at -X, (h_1, -h_2)
     back = tr.restrict_half(ext)
-    assert np.array_equal(back.data, h.data)
+    assert np.array_equal(back.data[:, :, :-1], h.data[:, :, :-1])
+    assert np.array_equal(back.data[:, :, -1],
+                          h.data[:, :, -1] * np.array([[1.0], [-1.0]]))
     # divergence-free on both halves (spectral)
     assert tr.spectral_divergence(ext).max_abs() < 1e-12
     # tangential wall trace preserved exactly
@@ -159,10 +162,10 @@ def test_extend_solenoidal_wall_jump_warns():
         ext = tr.extend_solenoidal(h)
     # the value just below the wall is -h_n at the mirrored node, so the
     # jump across the wall tends to 2 |h_n(x', 0)| as the spacing shrinks
-    below = ext.data[1][:, g.N_vert - 2]
+    below = ext.data[1][:, -1]
     mirror = h.data[1][:, 1]
     assert np.allclose(below, -mirror)
-    jump = np.abs(ext.data[1][:, g.N_vert - 1] - below)
+    jump = np.abs(ext.data[1][:, 0] - below)
     assert np.allclose(jump, 2.0 * np.abs(h.data[1][:, 0]), rtol=0.25)
 
 
@@ -272,30 +275,17 @@ def _ref_axes(grid, domain, offset):
 
 def _ref_fft(data, grid, domain, offset):
     """Complex FFT over the spatial axes, on the full lattice."""
-    axes = _ref_axes(grid, domain, offset)
-    if domain == "whole":
-        data = tr.whole_to_fft_layout(data, axes[-1])
-    return np.fft.fftn(data, axes=axes)
+    return np.fft.fftn(data, axes=_ref_axes(grid, domain, offset))
 
 
 def _ref_ifft(modes, grid, domain, offset):
     """Real part of the inverse of :func:`_ref_fft`."""
-    axes = _ref_axes(grid, domain, offset)
-    out = np.fft.ifftn(modes, axes=axes).real
-    return tr.fft_to_whole_layout(out, axes[-1]) if domain == "whole" else out
+    return np.fft.ifftn(modes, axes=_ref_axes(grid, domain, offset)).real
 
 
 def _ref_apply(data, grid, domain, offset, symbol):
     return _ref_ifft(symbol(_ref_fft(data, grid, domain, offset)), grid,
                      domain, offset)
-
-
-def _periodic_noise(rng, shape, vaxis):
-    """White noise on the whole-space storage layout: the +X slot of the
-    vertical axis ``vaxis`` duplicates -X."""
-    data = rng.standard_normal(shape)
-    data[(slice(None),) * vaxis + (-1,)] = data[(slice(None),) * vaxis + (0,)]
-    return data
 
 
 def _inv(x):
@@ -304,11 +294,11 @@ def _inv(x):
 
 def _extend_zero(data, grid, offset):
     """Zero extension of a half-space array below the wall, in the
-    whole-space storage layout (spatial axes from ``offset``)."""
+    whole-space layout (spatial axes from ``offset``): the samples below X,
+    then N_vert - 1 zeros."""
     vaxis = offset + grid.n_tan_axes
-    pad = list(data.shape)
-    pad[vaxis] = grid.N_vert - 1
-    return np.concatenate([np.zeros(pad), data], axis=vaxis)
+    below_x = data[(slice(None),) * vaxis + (slice(0, grid.N_vert - 1),)]
+    return np.concatenate([below_x, np.zeros_like(below_x)], axis=vaxis)
 
 
 def _close(got, ref):
@@ -325,9 +315,9 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
     tan, nt = g.tan_shape, g.N_time
     whole_sp = tan + (g.n_vert_whole,)
     bnd = BoundaryField(g, rng.standard_normal((1,) + tan + (nt,)))
-    wsc = ScalarField(g, _periodic_noise(rng, whole_sp + (nt,), n - 1),
+    wsc = ScalarField(g, rng.standard_normal(whole_sp + (nt,)),
                       domain="whole")
-    wvec = VectorField(g, _periodic_noise(rng, (n,) + whole_sp, n),
+    wvec = VectorField(g, rng.standard_normal((n,) + whole_sp),
                        domain="whole", time_dependent=False)
 
     # round trips and the half-lattice layout
