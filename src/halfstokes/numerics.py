@@ -20,37 +20,39 @@ from .core import GridCache
 from .errors import ShapeMismatchError
 
 
-def fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
+def fornberg_weights(x0, nodes: np.ndarray, order: int) -> np.ndarray:
     """Finite-difference weights of the given derivative order at ``x0``.
 
     Classic recursion valid for arbitrary distinct nodes; returns weights w
-    with f^(order)(x0) ~= sum_j w[j] f(nodes[j]).
+    with f^(order)(x0) ~= sum_j w[j] f(nodes[j]).  ``x0`` of shape (rows,)
+    and ``nodes`` of shape (rows, width) run every row at once.
     """
     nodes = np.asarray(nodes, dtype=float)
-    n = len(nodes)
+    n = nodes.shape[-1]
     if order >= n:
         raise ShapeMismatchError("need more nodes than the derivative order")
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
+    c = np.zeros(nodes.shape + (order + 1,))
+    c[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = nodes[0] - x0
+    c4 = nodes[..., 0] - x0
     for i in range(1, n):
         mn = min(i, order)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - x0
+        c4 = nodes[..., i] - x0
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = nodes[..., i] - nodes[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1]
+                                         - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
-    return c[:, order]
+    return c[..., order]
 
 
 _DERIVATIVES = GridCache()
@@ -68,11 +70,11 @@ def derivative_matrix(nodes: np.ndarray, stencil: int = 5) -> np.ndarray:
     def build():
         n = len(nodes)
         width = min(stencil, n)
+        rows = np.arange(n)
+        lo = np.clip(rows - width // 2, 0, n - width)
+        cols = lo[:, None] + np.arange(width)
         D = np.zeros((n, n))
-        for i in range(n):
-            lo = min(max(i - width // 2, 0), n - width)
-            sel = slice(lo, lo + width)
-            D[i, sel] = fornberg_weights(nodes[i], nodes[sel], 1)
+        D[rows[:, None], cols] = fornberg_weights(nodes, nodes[cols], 1)
         D.flags.writeable = False
         return D
 
@@ -111,20 +113,22 @@ def exp_linear_weights(a, dt):
     return E, w_old, w_new
 
 
-def heat_layer_cumulative(y, lam, T):
+def heat_layer_cumulative(y, lam, T, *, tail: bool = False):
     """``int_0^T (4 pi r)^{-1/2} exp(-y^2/(4r) - lam^2 r) dr`` elementwise.
 
     This is the mass the single-layer heat kernel at height y deposits over a
     lag window of length T, for one tangential frequency magnitude lam.
     Evaluated through scaled complementary error functions so that it stays
     accurate for large ``lam * y``.
+
+    With ``tail``, also returns the mass still to come, exp(-lam y)/(2 lam)
+    minus the mass, where it is a sum of positive terms (lam > 0 and
+    lam sqrt(T) > y/(2 sqrt(T))), and NaN elsewhere.
     """
     y, lam, T = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, lam, T)))
     out = np.zeros(y.shape)
+    rest = np.full(y.shape, np.nan)
     pos = T > 0
-    if not np.any(pos):
-        return out
-
     yy, ll, tt = y[pos], lam[pos], T[pos]
     sq = np.sqrt(tt)
     p = yy / (2.0 * sq)
@@ -138,6 +142,7 @@ def heat_layer_cumulative(y, lam, T):
         res[zero] = (np.sqrt(tt[zero] / np.pi) * np.exp(-p[zero] ** 2)
                      - 0.5 * yy[zero] * erfc(p[zero]))
     nz = ~zero
+    after = np.full(yy.shape, np.nan)
     if np.any(nz):
         pn, qn, gn, lln = p[nz], q[nz], gauss[nz], ll[nz]
         term2 = gn * erfcx(pn + qn)
@@ -145,8 +150,10 @@ def heat_layer_cumulative(y, lam, T):
         term1 = gn * erfcx(np.abs(diff))
         t1 = np.where(diff >= 0, term1, 2.0 * np.exp(-2.0 * pn * qn) - term1)
         res[nz] = (t1 - term2) / (4.0 * lln)
+        after[nz] = np.where(diff >= 0, np.nan, (term1 + term2) / (4.0 * lln))
     out[pos] = res
-    return out
+    rest[pos] = after
+    return (out, rest) if tail else out
 
 
 def erfc(x):
@@ -253,12 +260,14 @@ def smooth_step(x):
 def lag_convolve(weights, intervals):
     """Causal lag convolution along the last axis.
 
-    ``weights[..., j]`` and ``intervals[..., k]`` both have K entries; the
-    result has K + 1 with ``out[..., 0] = 0`` and
+    ``weights[..., j]`` (real) and ``intervals[..., k]`` (real or complex)
+    both have K entries; the result has K + 1 with ``out[..., 0] = 0`` and
     ``out[..., m] = sum_{j+k = m-1} weights[..., j] * intervals[..., k]``.
-    FFT-based, exact to roundoff; broadcasts leading axes.
+    Real FFTs, exact to roundoff: complex intervals go through as their real
+    and imaginary parts.  Leading axes broadcast, so one call serves any
+    batch of kernels and series.
     """
-    weights = np.asarray(weights)
+    weights = np.asarray(weights, dtype=float)
     intervals = np.asarray(intervals)
     K = intervals.shape[-1]
     if weights.shape[-1] != K:
@@ -267,14 +276,15 @@ def lag_convolve(weights, intervals):
     size = 1
     while size < 2 * K:
         size *= 2
-    Fw = np.fft.fft(weights, n=size, axis=-1)
-    Fv = np.fft.fft(intervals, n=size, axis=-1)
-    conv = np.fft.ifft(Fw * Fv, axis=-1)[..., :K]
-    shape = np.broadcast_shapes(weights.shape[:-1], intervals.shape[:-1]) + (K + 1,)
-    out = np.zeros(shape, dtype=conv.dtype)
-    out[..., 1:] = conv
-    if np.isrealobj(weights) and np.isrealobj(intervals):
-        out = out.real
+    split = np.iscomplexobj(intervals)
+    parts = (np.stack((intervals.real, intervals.imag), axis=-2) if split
+             else intervals[..., None, :])
+    Fw = np.fft.rfft(weights, n=size)[..., None, :]
+    conv = np.fft.irfft(Fw * np.fft.rfft(parts, n=size), n=size)
+    out = np.zeros(conv.shape[:-2] + (K + 1,), dtype=complex if split else float)
+    out.real[..., 1:] = conv[..., 0, :K]
+    if split:
+        out.imag[..., 1:] = conv[..., 1, :K]
     return out
 
 

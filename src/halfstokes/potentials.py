@@ -88,16 +88,15 @@ def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
                                   return_inverse=True)
     taus = grid.dt * np.arange(grid.N_time)
     y = grid.vert_nodes
-    C = heat_layer_cumulative(y[None, :, None],
-                              lam_unique[:, None, None],
-                              taus[None, None, :])
+    C, rest = heat_layer_cumulative(y[None, :, None],
+                                    lam_unique[:, None, None],
+                                    taus[None, None, :], tail=True)
+    # once the tail is defined it stays defined at later lags; difference
+    # it there, where the masses only cancel
+    weights = np.where(np.isnan(rest[..., :-1]), np.diff(C, axis=-1),
+                       -np.diff(rest, axis=-1))
     return KernelQuadrature(lam_unique=lam_unique, group_index=group,
-                            weights=np.diff(C, axis=-1))
-
-
-def _interval_values(nodal: np.ndarray) -> np.ndarray:
-    """Midpoint (piecewise-constant) interval values from nodal samples."""
-    return 0.5 * (nodal[..., 1:] + nodal[..., :-1])
+                            weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -105,23 +104,28 @@ def _interval_values(nodal: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def single_layer_modes(ghat_flat: np.ndarray, quad: KernelQuadrature,
-                        grid: HalfSpaceGrid) -> np.ndarray:
+# Cap, in bytes, on the spectral product of one layer convolution, so that
+# it stays in a core's L2 cache; larger grids convolve blocks of modes.
+_LAYER_BLOCK_BYTES = 1 << 20
+
+
+def single_layer_modes(ghat: np.ndarray, quad: KernelQuadrature) -> np.ndarray:
     """Apply the layer convolution to flattened tangential modes.
 
-    ``ghat_flat``: (n_modes, N_time) complex; returns (n_modes, N_vert,
-    N_time).
+    ``ghat``: (..., n_modes, N_time) complex, leading axes for components;
+    returns (..., N_vert, n_modes, N_time), vertical node first.  One lag
+    convolution serves every frequency group and component of a block of
+    modes, and one block holds all modes unless the cache bound splits them.
     """
-    intervals = _interval_values(ghat_flat)
-    group = quad.group_index
-    out = np.empty(ghat_flat.shape[:1] + (grid.N_vert, grid.N_time),
-                   dtype=complex)
-    for gidx in range(len(quad.lam_unique)):
-        rows = np.nonzero(group == gidx)[0]
-        W = quad.weights[gidx]  # (N_vert, nt-1)
-        vals = lag_convolve(W[None, :, :], intervals[rows][:, None, :])
-        out[rows] = vals
-    return out
+    weights = np.moveaxis(quad.weights, 0, 1)[:, quad.group_index]
+    # data piecewise constant in time: the midpoint value of each interval
+    intervals = 0.5 * (ghat[..., None, :, 1:] + ghat[..., None, :, :-1])
+    nv, n_modes = weights.shape[:2]
+    # two complex spectra per component, node and mode: 32 bytes a lag
+    step = max(1, _LAYER_BLOCK_BYTES // (32 * nv * ghat[..., 0, :].size))
+    cuts = [slice(a, a + step) for a in range(0, n_modes, step)]
+    blocks = [lag_convolve(weights[:, c], intervals[..., c, :]) for c in cuts]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
 
 
 def heat_single_layer(g: BoundaryField) -> Field:
@@ -130,15 +134,12 @@ def heat_single_layer(g: BoundaryField) -> Field:
     grid = g.grid
     if not g.time_dependent:
         raise ShapeMismatchError("boundary data must carry a time axis")
-    quad = kernel_quadrature(grid)
     ghat = tr.tan_fft(g.data, grid, offset=1)
-    flat = ghat.reshape(g.ncomp, -1, grid.N_time)
-    comps = []
-    for c in range(g.ncomp):
-        modes = single_layer_modes(flat[c], quad, grid)
-        modes = modes.reshape(ghat.shape[1:-1] + (grid.N_vert, grid.N_time))
-        comps.append(tr.tan_ifft(modes, grid, offset=0))
-    data = np.stack(comps)
+    modes = single_layer_modes(ghat.reshape(g.ncomp, -1, grid.N_time),
+                               kernel_quadrature(grid))
+    modes = modes.reshape((g.ncomp, grid.N_vert) + ghat.shape[1:])
+    data = np.ascontiguousarray(
+        tr.tan_ifft(np.moveaxis(modes, 1, -2), grid, offset=1))
     if g.ncomp == grid.n:
         return VectorField(grid, data, domain="half")
     if g.ncomp == 1:
@@ -333,44 +334,47 @@ def poisson_extension(f: BoundaryField) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def strip_newton_modes(flat: np.ndarray, lam: np.ndarray, y: np.ndarray):
+def strip_newton_modes(f: np.ndarray, lam: np.ndarray, y: np.ndarray):
     """Mode-level slab Newtonian potential and its vertical derivative.
 
-    ``flat``: (n_modes, N_vert[, extra]) complex values of one tangential
-    mode group; ``lam``: (n_modes,) frequency magnitudes.  Vertical kernel
+    ``f``: (N_vert, n_modes[, extra]) complex mode values, vertical node
+    first; ``lam``: (n_modes,) frequency magnitudes.  Vertical kernel
     -exp(-lam (y - z))/(2 lam) for z in (0, y); the zero mode uses the
     renormalized kernel (y - z)/2.  Running integrals are exact for
-    piecewise-linear data; results vanish on the wall.
+    piecewise-linear data and sweep the nodes over contiguous (mode,
+    extra) rows; results, shaped like ``f``, vanish on the wall.
     """
-    nv = len(y)
-    S = np.zeros_like(flat)
-    dS = np.zeros_like(flat)
+    f = np.ascontiguousarray(f)
+    tail = (1,) * (f.ndim - 2)
     zero = np.flatnonzero(lam == 0)
-    nz = np.flatnonzero(lam != 0)
-    f_zero = flat[zero]
-    tail = (1,) * (flat.ndim - 2)
-    lam_nz = lam[nz].reshape((-1,) + tail)
-    d = np.diff(y)
-    E, w_old, w_new = (w.reshape(w.shape + tail)
-                       for w in exp_linear_weights(lam[nz], d[:, None]))
-    f_prev = flat[nz, 0]
-    J = np.zeros_like(f_prev)
-    A = np.zeros_like(f_zero[:, 0])
-    B = np.zeros_like(f_zero[:, 0])
-    dS[nz, 0] = -f_prev / (2.0 * lam_nz)
-    for i in range(1, nv):
-        f_i = flat[nz, i]
-        J = E[i - 1] * J + w_old[i - 1] * f_prev + w_new[i - 1] * f_i
-        S[nz, i] = -J / (2.0 * lam_nz)
-        dS[nz, i] = -f_i / (2.0 * lam_nz) + J / 2.0
-        f_prev = f_i
-        A = A + 0.5 * d[i - 1] * (f_zero[:, i - 1] + f_zero[:, i])
-        B = B + (f_zero[:, i - 1] * (y[i] ** 2 - y[i - 1] ** 2) / 2.0
-                 + (f_zero[:, i] - f_zero[:, i - 1]) / d[i - 1]
-                 * ((y[i] ** 3 - y[i - 1] ** 3) / 3.0
-                    - y[i - 1] * (y[i] ** 2 - y[i - 1] ** 2) / 2.0))
-        S[zero, i] = (y[i] * A - B) / 2.0
-        dS[zero, i] = A / 2.0
+    lam = np.where(lam == 0, 1.0, lam)  # stand-in; zero modes are redone below
+    neg_two_lam = -2.0 * lam.reshape((-1,) + tail)
+    E, w_old, w_new = (w.reshape(w.shape + tail) for w in
+                       exp_linear_weights(lam, np.diff(y)[:, None]))
+    S = np.empty_like(f)
+    dS = np.empty_like(f)
+    J = np.zeros_like(f[0])
+    S[0] = 0.0
+    np.divide(f[0], neg_two_lam, out=dS[0])
+    for i in range(1, len(y)):
+        J *= E[i - 1]
+        J += w_old[i - 1] * f[i - 1]
+        J += w_new[i - 1] * f[i]
+        np.divide(J, neg_two_lam, out=S[i])
+        np.divide(f[i], neg_two_lam, out=dS[i])
+        dS[i] += J / 2.0
+
+    # zero modes: running integrals A of f and B of z f, summed in node order
+    fz = f[:, zero]
+    y = y.reshape((-1,) + (1,) * (f.ndim - 1))
+    d, y0, y1 = y[1:] - y[:-1], y[:-1], y[1:]
+    sq = y1 ** 2 - y0 ** 2
+    cube = (y1 ** 3 - y0 ** 3) / 3.0 - y0 * sq / 2.0
+    A = np.cumsum(0.5 * d * (fz[:-1] + fz[1:]), axis=0)
+    B = np.cumsum(fz[:-1] * sq / 2.0 + (fz[1:] - fz[:-1]) / d * cube, axis=0)
+    S[1:, zero] = (y1 * A - B) / 2.0
+    dS[1:, zero] = A / 2.0
+    dS[0, zero] = 0.0
     return S, dS
 
 
@@ -387,6 +391,8 @@ def strip_newton_potential(f: ScalarField) -> ScalarField:
     modes = tr.tan_fft(f.data, grid, offset=0)
     flat = modes.reshape((-1, grid.N_vert)
                          + ((grid.N_time,) if f.time_dependent else ()))
-    S, _ = strip_newton_modes(flat, tr.tan_modulus(grid), grid.vert_nodes)
-    return ScalarField(grid, tr.tan_ifft(S.reshape(modes.shape), grid, 0),
+    S, _ = strip_newton_modes(np.moveaxis(flat, 1, 0), tr.tan_modulus(grid),
+                              grid.vert_nodes)
+    S = np.moveaxis(S, 0, 1).reshape(modes.shape)
+    return ScalarField(grid, tr.tan_ifft(S, grid, 0),
                        domain="half", time_dependent=f.time_dependent)

@@ -99,28 +99,37 @@ def build_w(G: BoundaryField) -> VectorField:
     if np.max(np.abs(G.data[n - 1])) > 1e-10 * scale:
         raise ShapeMismatchError("boundary layer requires zero normal data")
 
-    quad = pot.kernel_quadrature(grid)
     nt, nv = grid.N_time, grid.N_vert
     mesh = np.broadcast_arrays(
         *tr.k_vectors(grid, "boundary", grid.n_tan_axes, deriv=True))
-    xi = [k.reshape(-1) for k in mesh]
+    xi = [k.reshape(-1, 1) for k in mesh]
     lam = tr.tan_modulus(grid, deriv=True)
 
+    # (node, mode, time) arrays; the vertical derivative acts on real pairs
+    ghat = tr.tan_fft(G.data[:n - 1], grid, offset=1).reshape(n - 1, -1, nt)
+    theta = pot.single_layer_modes(ghat, pot.kernel_quadrature(grid))
     D = derivative_matrix(grid.vert_nodes)
-    betas = []
-    for j in range(n - 1):
-        ghat = tr.tan_fft(G.data[j], grid, offset=0).reshape(-1, nt)
-        theta = pot.single_layer_modes(ghat, quad, grid)   # (modes, nv, nt)
-        betas.append(np.matmul(D, theta))
-    sigma = sum(1j * xi[j][:, None, None] * betas[j] for j in range(n - 1))
+    betas = np.matmul(D, theta.reshape(n - 1, nv, -1).view(float))
+    betas = betas.view(complex).reshape(theta.shape)
+    del theta
+    sigma = 1j * xi[0] * betas[0]
+    for j in range(1, n - 1):
+        sigma += 1j * xi[j] * betas[j]
     S, dS = pot.strip_newton_modes(sigma, lam, grid.vert_nodes)
 
-    comps = [-2.0 * betas[i] + 4.0 * 1j * xi[i][:, None, None] * S
-             for i in range(n - 1)]
+    # a (node, mode) view of (mode, node) storage: C order for tan_ifft
+    modes = np.empty((n,) + mesh[0].shape + (nv, nt), dtype=complex)
+    w = np.moveaxis(modes.reshape(n, -1, nv, nt), 2, 1)
+    for i in range(n - 1):
+        np.multiply(4.0 * 1j * xi[i], S, out=w[i])
+        w[i] -= 2.0 * betas[i]
     # -2 sum_j R'_j beta_j = 2 sigma / lam  with the zero-mode convention
-    comps.append(2.0 * tr.inv_or_zero(lam)[:, None, None] * sigma + 4.0 * dS)
-    shape = mesh[0].shape + (nv, nt)
-    data = np.stack([tr.tan_ifft(c.reshape(shape), grid, 0) for c in comps])
+    np.multiply(2.0 * tr.inv_or_zero(lam)[:, None], sigma, out=w[n - 1])
+    dS *= 4.0
+    w[n - 1] += dS
+    # freed before the transform allocates, so that the heap does not grow
+    del betas, sigma, S, dS
+    data = tr.tan_ifft(modes, grid, offset=1)
     return VectorField(grid, data, domain="half")
 
 

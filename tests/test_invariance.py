@@ -4,14 +4,16 @@ The solver's operators are Fourier multipliers in the tangential variable
 and linear in the data (h, g, F), and the homogeneous norms are translation
 invariant.  So a translation or a mirror of the data, or in 3-D a swap of
 the tangential axes, moves the solution the same way, the solution of a sum of data is the sum of the solutions, and a
-rolled field keeps its norm, each to roundoff.
+rolled field keeps its norm, and a Picard iteration on translated data
+repeats its trace, each to roundoff.
 """
 
 import numpy as np
 import pytest
 
-from halfstokes.core import BoundaryField, TensorField, VectorField, make_grid
-from halfstokes import besov, datagen, stokes as stk
+from halfstokes.core import (BesovIndex, BoundaryField, TensorField,
+                             VectorField, make_grid)
+from halfstokes import besov, datagen, navier_stokes as ns, stokes as stk
 
 TOL = 1e-13
 SHIFT = 5
@@ -126,6 +128,32 @@ def test_3d_solve_is_linear_in_the_data(problem3):
     force_part = solve(h._like(np.zeros_like(h.data)),
                        gb._like(np.zeros_like(gb.data)), F)
     assert deviation(data_part + force_part, u) < TOL
+
+
+def test_picard_trace_commutes_with_tangential_translation():
+    # the Picard benchmark's data; each solve runs the boundary layer
+    g = make_grid(2, L=2 * np.pi, N_tan=32, X=2 * np.pi, N_vert=33, T=1.0,
+                  N_time=32)
+    h0 = datagen.stream_mode_initial_data(g, k1=1, m=2)
+    g0 = datagen.compatible_boundary_data(g, h0)
+    index = BesovIndex.critical_index(1.0, 2)
+    h = h0._like(0.2 * h0.data)
+    gb = g0._like(0.2 * g0.data)
+    _, ref = ns.picard_solve(h, gb, index, tol=1e-8)
+    _, got = ns.picard_solve(h._like(np.roll(h.data, SHIFT, 1)),
+                             gb._like(np.roll(gb.data, SHIFT, 1)), index,
+                             tol=1e-8)
+    assert ref.converged and got.converged
+    assert got.stop_reason == ref.stop_reason
+    assert len(got.steps) == len(ref.steps) > 2
+    first = ref.steps[0].solution_norm
+    for a, b in zip(ref.steps, got.steps):
+        assert abs(b.solution_norm - a.solution_norm) \
+            <= TOL * a.solution_norm
+        # late increments are ~1e-9 of the solution: bound them on the
+        # first iterate's scale, not their own
+        if a.increment_norm is not None:
+            assert abs(b.increment_norm - a.increment_norm) <= TOL * first
 
 
 @pytest.mark.parametrize("q", [2.0, 2.5])

@@ -277,12 +277,14 @@ def test_cli_verify_ops_time_seminorm_report_is_deterministic(tmp_path):
     assert study["target"] == "heat_semigroup"
 
 
-def test_cli_verify_ops_report_does_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("command", ["verify-ops", "solve-stokes", "solve-ns"])
+def test_cli_report_does_not_depend_on_blas_threads(tmp_path, command):
     # heat_volume measures its input with the q = 2 space-time norm, whose
     # mode sum once ran through a BLAS product; on the README grid its
-    # summation order followed the BLAS thread count.  On a one-core host
-    # the two-thread run may not split a reduction, so it can pass there
-    # without showing anything.
+    # summation order followed the BLAS thread count.  The solves reach the
+    # BLAS products of the boundary layer's vertical derivative and of
+    # vertical_derivative_array.  On a one-core host the two-thread run may
+    # not split a product, so it can pass there without showing anything.
     cp = configparser.ConfigParser()
     cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
     cp["grid"].update({"n_tan": "32", "n_vert": "33", "n_time": "32"})
@@ -297,7 +299,7 @@ def test_cli_verify_ops_report_does_not_depend_on_blas_threads(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(cli.__file__).parents[1]))
         run = subprocess.run([sys.executable, "-m", "halfstokes.cli",
-                              "verify-ops", "--config", str(cfg), "--out",
+                              command, "--config", str(cfg), "--out",
                               str(out), "--seed", "7"],
                              capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr

@@ -32,6 +32,46 @@ def test_derivative_matrix_one_sided_wall_accuracy():
     assert err < 1e-5
 
 
+def _ref_fornberg(x0, nodes, order):
+    """The scalar Fornberg recursion, one row at a time."""
+    n = len(nodes)
+    c = np.zeros((n, order + 1))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = nodes[0] - x0
+    for i in range(1, n):
+        mn = min(i, order)
+        c2 = 1.0
+        c5 = c4
+        c4 = nodes[i] - x0
+        for j in range(i):
+            c3 = nodes[i] - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, order]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 17, 33, 65])
+@pytest.mark.parametrize("grading", [1.0, 1.07])
+def test_derivative_matrix_equals_row_by_row_fornberg(n, grading):
+    steps = grading ** np.arange(n - 1)
+    nodes = np.concatenate([[0.0], np.cumsum(steps)]) * np.pi / np.sum(steps)
+    D = derivative_matrix(nodes)
+    width = min(5, n)
+    ref = np.zeros((n, n))
+    for i in range(n):
+        lo = min(max(i - width // 2, 0), n - width)
+        ref[i, lo:lo + width] = _ref_fornberg(nodes[i], nodes[lo:lo + width], 1)
+    assert np.array_equal(D, ref)
+
+
 def test_trapezoid_weights_integrate_linears_exactly():
     nodes = np.array([0.0, 0.2, 0.5, 1.2, 2.0])
     w = trapezoid_weights(nodes)
@@ -117,6 +157,7 @@ def test_lag_convolve_and_correlate_are_adjoint():
     for m in range(1, K + 1):
         brute[m] = sum(w[j] * v[m - 1 - j] for j in range(m))
     assert np.allclose(conv, brute)
+    assert np.allclose(lag_convolve(w, v - 2j * v), brute - 2j * brute)
 
 
 def test_lag_convolve_rejects_mismatched_lengths():

@@ -4,7 +4,8 @@ import pytest
 from halfstokes.core import (BoundaryField, ScalarField, TensorField,
                              VectorField, make_grid)
 from halfstokes import datagen, potentials as pot, transforms as tr
-from halfstokes.numerics import derivative_matrix, trapezoid_weights
+from halfstokes.numerics import (derivative_matrix, exp_linear_weights,
+                                 trapezoid_weights)
 
 
 def grid2(N=16, Nv=17, Nt=33, X=np.pi, T=1.0):
@@ -85,9 +86,21 @@ def test_kernel_quadrature_weights_match_scipy_erfcx(monkeypatch):
     weights = pot.kernel_quadrature(g).weights
     monkeypatch.setattr(numerics, "erfcx", erfcx)
     ref = pot._build_quadrature(g).weights
-    # the weights are differences of cumulative masses, so the bound is on
-    # the largest weight: tiny late-lag weights are pure cancellation
+    # the weights are differences of cumulative masses or of their tails,
+    # so the bound is on the largest weight
     assert np.max(np.abs(weights - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, N, X, T, Nt", [
+    (2, 32, np.pi, 1.0, 32), (2, 32, 2 * np.pi, 1.0, 32),
+    (2, 64, np.pi, 1.0, 64), (2, 64, 2 * np.pi, 1.0, 64),
+    (2, 16, np.pi, 1.0, 16), (2, 16, np.pi, 1.0, 33),
+    (3, 16, np.pi, 0.5, 17)])
+def test_kernel_quadrature_weights_are_non_negative(n, N, X, T, Nt):
+    # every weight integrates a positive kernel; differencing the saturated
+    # cumulative masses once left weights down to -1e-17 on these tables
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=X, N_vert=N + 1, T=T, N_time=Nt)
+    assert np.min(pot.kernel_quadrature(g).weights) >= 0.0
 
 
 # -- heat semigroup ---------------------------------------------------------
@@ -232,6 +245,106 @@ def test_single_layer_adjoint_is_time_reversal():
     flipped = BoundaryField(g, gb.data[..., ::-1].copy())
     bwd = pot.heat_single_layer_adjoint(flipped)
     assert np.allclose(bwd.data[..., ::-1], fwd.data)
+
+
+# -- layer convolution against its per-group form ---------------------------
+
+def _ref_single_layer_modes(ghat_flat, quad, grid):
+    """The layer convolution one frequency group at a time, each by complex
+    FFTs: (n_modes, N_time) -> (n_modes, N_vert, N_time)."""
+    intervals = 0.5 * (ghat_flat[:, 1:] + ghat_flat[:, :-1])
+    K = grid.N_time - 1
+    size = 1 << (2 * K - 1).bit_length()
+    out = np.zeros(ghat_flat.shape[:1] + (grid.N_vert, grid.N_time),
+                   dtype=complex)
+    for gidx in range(len(quad.lam_unique)):
+        rows = np.nonzero(quad.group_index == gidx)[0]
+        Fw = np.fft.fft(quad.weights[gidx], n=size)[None]      # (1, nv, size)
+        Fv = np.fft.fft(intervals[rows], n=size)[:, None]      # (rows, 1, size)
+        out[rows, :, 1:] = np.fft.ifft(Fw * Fv)[..., :K]
+    return out
+
+
+LAYER_GRIDS = {
+    "2d-N32": lambda: make_grid(2, L=2 * np.pi, N_tan=32, X=np.pi, N_vert=33,
+                                T=1.0, N_time=32),
+    "3d-N16": lambda: make_grid(3, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=17,
+                                T=0.5, N_time=17),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_GRIDS))
+def test_single_layer_modes_batch_matches_per_group_reference(name):
+    g = LAYER_GRIDS[name]()
+    quad = pot.kernel_quadrature(g)
+    rng = np.random.default_rng(21)
+    data = rng.standard_normal((2,) + g.tan_shape + (g.N_time,))
+    ghat = tr.tan_fft(data, g, offset=1).reshape(2, -1, g.N_time)
+    if g.n == 3:  # Nyquist modes, and several modes per frequency group
+        assert len(quad.lam_unique) < ghat.shape[1]
+    both = pot.single_layer_modes(ghat, quad)
+    for c in range(2):
+        one = pot.single_layer_modes(ghat[c], quad)
+        ref = np.moveaxis(_ref_single_layer_modes(ghat[c], quad, g), 0, 1)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(both[c] - one)) <= 1e-15 * scale
+        assert np.max(np.abs(both[c] - ref)) <= 1e-15 * scale
+
+
+def _ref_strip_newton_modes(flat, lam, y):
+    """The per-node sweep over (n_modes, N_vert[, extra]) rows, with the
+    nonzero and zero modes gathered and scattered at each node."""
+    nv = len(y)
+    S = np.zeros_like(flat)
+    dS = np.zeros_like(flat)
+    zero = np.flatnonzero(lam == 0)
+    nz = np.flatnonzero(lam != 0)
+    f_zero = flat[zero]
+    tail = (1,) * (flat.ndim - 2)
+    lam_nz = lam[nz].reshape((-1,) + tail)
+    d = np.diff(y)
+    E, w_old, w_new = (w.reshape(w.shape + tail)
+                       for w in exp_linear_weights(lam[nz], d[:, None]))
+    f_prev = flat[nz, 0]
+    J = np.zeros_like(f_prev)
+    A = np.zeros_like(f_zero[:, 0])
+    B = np.zeros_like(f_zero[:, 0])
+    dS[nz, 0] = -f_prev / (2.0 * lam_nz)
+    for i in range(1, nv):
+        f_i = flat[nz, i]
+        J = E[i - 1] * J + w_old[i - 1] * f_prev + w_new[i - 1] * f_i
+        S[nz, i] = -J / (2.0 * lam_nz)
+        dS[nz, i] = -f_i / (2.0 * lam_nz) + J / 2.0
+        f_prev = f_i
+        A = A + 0.5 * d[i - 1] * (f_zero[:, i - 1] + f_zero[:, i])
+        B = B + (f_zero[:, i - 1] * (y[i] ** 2 - y[i - 1] ** 2) / 2.0
+                 + (f_zero[:, i] - f_zero[:, i - 1]) / d[i - 1]
+                 * ((y[i] ** 3 - y[i - 1] ** 3) / 3.0
+                    - y[i - 1] * (y[i] ** 2 - y[i - 1] ** 2) / 2.0))
+        S[zero, i] = (y[i] * A - B) / 2.0
+        dS[zero, i] = A / 2.0
+    return S, dS
+
+
+@pytest.mark.parametrize("n, grading, steady",
+                         [(2, 1.0, False), (2, 1.07, False), (3, 1.0, False),
+                          (3, 1.07, False), (2, 1.07, True)])
+def test_strip_newton_modes_match_per_node_reference(n, grading, steady):
+    g = make_grid(n, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=33, T=1.0,
+                  N_time=9, grading=grading)
+    lam = tr.tan_modulus(g, deriv=True)
+    zero = lam == 0
+    assert 1 < zero.sum() < len(lam)  # the zero mode and Nyquist modes
+    rng = np.random.default_rng(22)
+    shape = (len(lam), g.N_vert) + (() if steady else (g.N_time,))
+    flat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = _ref_strip_newton_modes(flat, lam, g.vert_nodes)
+    got = pot.strip_newton_modes(np.moveaxis(flat, 1, 0), lam, g.vert_nodes)
+    for r, x in zip(ref, got):
+        x = np.moveaxis(x, 0, 1)
+        assert np.array_equal(x[~zero], r[~zero])
+        assert np.max(np.abs(x[zero] - r[zero])) \
+            <= 1e-13 * np.max(np.abs(r[zero]))
 
 
 # -- volume potential and gradient Duhamel ----------------------------------
