@@ -113,7 +113,7 @@ def exp_linear_weights(a, dt):
     return E, w_old, w_new
 
 
-def heat_layer_cumulative(y, lam, T, *, tail: bool = False):
+def heat_layer_cumulative(y, lam, T):
     """``int_0^T (4 pi r)^{-1/2} exp(-y^2/(4r) - lam^2 r) dr`` elementwise.
 
     This is the mass the single-layer heat kernel at height y deposits over a
@@ -121,8 +121,8 @@ def heat_layer_cumulative(y, lam, T, *, tail: bool = False):
     Evaluated through scaled complementary error functions so that it stays
     accurate for large ``lam * y``.
 
-    With ``tail``, also returns the mass still to come, exp(-lam y)/(2 lam)
-    minus the mass, where it is a sum of positive terms (lam > 0 and
+    Returns the mass and the mass still to come, exp(-lam y)/(2 lam) minus
+    the mass, where that is a sum of positive terms (lam > 0 and
     lam sqrt(T) > y/(2 sqrt(T))), and NaN elsewhere.
     """
     y, lam, T = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, lam, T)))
@@ -153,7 +153,7 @@ def heat_layer_cumulative(y, lam, T, *, tail: bool = False):
         after[nz] = np.where(diff >= 0, np.nan, (term1 + term2) / (4.0 * lln))
     out[pos] = res
     rest[pos] = after
-    return (out, rest) if tail else out
+    return out, rest
 
 
 def erfc(x):

@@ -90,7 +90,7 @@ def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
     y = grid.vert_nodes
     C, rest = heat_layer_cumulative(y[None, :, None],
                                     lam_unique[:, None, None],
-                                    taus[None, None, :], tail=True)
+                                    taus[None, None, :])
     # once the tail is defined it stays defined at later lags; difference
     # it there, where the masses only cancel
     weights = np.where(np.isnan(rest[..., :-1]), np.diff(C, axis=-1),
@@ -104,28 +104,17 @@ def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
 # ---------------------------------------------------------------------------
 
 
-# Cap, in bytes, on the spectral product of one layer convolution, so that
-# it stays in a core's L2 cache; larger grids convolve blocks of modes.
-_LAYER_BLOCK_BYTES = 1 << 20
-
-
 def single_layer_modes(ghat: np.ndarray, quad: KernelQuadrature) -> np.ndarray:
     """Apply the layer convolution to flattened tangential modes.
 
     ``ghat``: (..., n_modes, N_time) complex, leading axes for components;
     returns (..., N_vert, n_modes, N_time), vertical node first.  One lag
-    convolution serves every frequency group and component of a block of
-    modes, and one block holds all modes unless the cache bound splits them.
+    convolution serves every frequency group and component.
     """
     weights = np.moveaxis(quad.weights, 0, 1)[:, quad.group_index]
     # data piecewise constant in time: the midpoint value of each interval
     intervals = 0.5 * (ghat[..., None, :, 1:] + ghat[..., None, :, :-1])
-    nv, n_modes = weights.shape[:2]
-    # two complex spectra per component, node and mode: 32 bytes a lag
-    step = max(1, _LAYER_BLOCK_BYTES // (32 * nv * ghat[..., 0, :].size))
-    cuts = [slice(a, a + step) for a in range(0, n_modes, step)]
-    blocks = [lag_convolve(weights[:, c], intervals[..., c, :]) for c in cuts]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
+    return lag_convolve(weights, intervals)
 
 
 def heat_single_layer(g: BoundaryField) -> Field:
@@ -138,8 +127,9 @@ def heat_single_layer(g: BoundaryField) -> Field:
     modes = single_layer_modes(ghat.reshape(g.ncomp, -1, grid.N_time),
                                kernel_quadrature(grid))
     modes = modes.reshape((g.ncomp, grid.N_vert) + ghat.shape[1:])
-    data = np.ascontiguousarray(
-        tr.tan_ifft(np.moveaxis(modes, 1, -2), grid, offset=1))
+    # (comp, mode, node, time) storage, so that the transform returns C order
+    data = tr.tan_ifft(np.ascontiguousarray(np.moveaxis(modes, 1, -2)),
+                       grid, offset=1)
     if g.ncomp == grid.n:
         return VectorField(grid, data, domain="half")
     if g.ncomp == 1:

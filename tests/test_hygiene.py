@@ -242,12 +242,12 @@ def test_every_default_is_set_by_a_caller():
 
 
 # Complex FFTs of real data waste half the work: the package transforms real
-# fields with rfftn/irfftn.  The exceptions are named: the lag convolutions
-# act on complex tangential modes, and the strip-potential oracle of
+# fields with rfftn/irfftn.  The exceptions are named: the lag correlation
+# behind the wall-trace adjoint, the independent side of the layer duality,
+# acts on complex tangential modes, and the strip-potential oracle of
 # ``verify`` stays on the full lattice as an independent reference.
 COMPLEX_FFTS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
-COMPLEX_ALLOWED = {("numerics.py", "lag_convolve"),
-                   ("numerics.py", "lag_correlate"),
+COMPLEX_ALLOWED = {("numerics.py", "lag_correlate"),
                    ("verify.py", "_sample_field_2d")}
 
 

@@ -97,13 +97,16 @@ def test_heat_layer_cumulative_against_quadrature():
             ref = quad(lambda s: np.exp(-y ** 2 / (4 * s ** 2)
                                         - lam ** 2 * s ** 2) / np.sqrt(np.pi),
                        0, np.sqrt(T))[0]
-            got = float(heat_layer_cumulative(y, lam, T))
+            got, rest = map(float, heat_layer_cumulative(y, lam, T))
             assert abs(got - ref) < 1e-13 + 1e-9 * ref
+            if not np.isnan(rest):  # the mass still to come
+                ref = np.exp(-lam * y) / (2 * lam) - ref
+                assert abs(rest - ref) < 1e-13 + 1e-9 * ref
 
 
 def test_heat_layer_cumulative_stable_at_large_arguments():
     # erfcx-based evaluation must not overflow for lam*y >> 1
-    val = float(heat_layer_cumulative(50.0, 40.0, 1.0))
+    val = float(heat_layer_cumulative(50.0, 40.0, 1.0)[0])
     assert np.isfinite(val) and val >= 0.0
 
 
