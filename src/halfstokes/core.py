@@ -9,7 +9,10 @@ geometrically graded toward the wall), and time is a uniform axis on
 order (:attr:`HalfSpaceGrid.whole_vert_nodes`).
 
 All containers are immutable value objects; operations elsewhere in the
-package are pure functions over them.
+package are pure functions over them.  A field takes ownership of a
+C-contiguous array that owns its memory: it keeps that array without a copy
+and marks it read-only, so a later write through the caller's name raises.
+Any other input (a view, a non-contiguous array, a list) is copied.
 """
 
 from __future__ import annotations
@@ -169,6 +172,10 @@ class Field:
     layout ``(*component axes, *tangential axes, vertical axis, time axis)``.
     The vertical axis is absent for boundary fields, the time axis is absent
     when ``time_dependent`` is False (e.g. initial data).
+
+    ``data`` is always read-only.  A C-contiguous array that owns its memory
+    becomes ``data`` itself (hand over only arrays you will not write to
+    again); any other input is copied.
     """
 
     ncomp_axes = 0
@@ -187,9 +194,10 @@ class Field:
         self.grid = grid
         self.domain = domain
         self.time_dependent = bool(time_dependent)
-        buf = np.array(data, copy=True)
-        buf.setflags(write=False)
-        self.data = buf
+        if not (data.flags.c_contiguous and data.flags.owndata):
+            data = np.array(data, copy=True)
+        data.setflags(write=False)
+        self.data = data
 
     # shape bookkeeping ----------------------------------------------------
 

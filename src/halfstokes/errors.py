@@ -17,6 +17,11 @@ class NotDivergenceFreeError(HalfStokesError, ValueError):
     """A field that must be solenoidal exceeds the divergence tolerance."""
 
 
+class InvalidDataError(HalfStokesError, ValueError):
+    """Input values violate a precondition: non-finite entries, or a test
+    function that does not vanish on the wall."""
+
+
 class NormOrderError(HalfStokesError, ValueError):
     """Requested smoothness order is outside the supported range."""
 

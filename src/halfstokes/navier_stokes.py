@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (BoundaryField, IterationTrace, TensorField, VectorField)
-from .errors import ConfigError, PicardDivergenceError
+from .errors import (ConfigError, InvalidDataError, NotDivergenceFreeError,
+                     PicardDivergenceError)
 from . import besov
 from . import stokes as stk
 from . import transforms as tr
@@ -26,10 +27,8 @@ from .numerics import trapezoid_weights
 def nonlinear_flux(u: VectorField) -> TensorField:
     """Quadratic flux tensor F[k, i] = -u_k u_i (symmetric)."""
     if not np.all(np.isfinite(u.data)):
-        raise ValueError("velocity field contains non-finite values")
-    n = u.grid.n
-    data = np.stack([np.stack([-u.data[k] * u.data[i] for i in range(n)])
-                     for k in range(n)])
+        raise InvalidDataError("velocity field contains non-finite values")
+    data = -u.data[:, None] * u.data[None, :]
     return TensorField(u.grid, data, domain=u.domain,
                        time_dependent=u.time_dependent)
 
@@ -115,10 +114,10 @@ def _validate_test_function(fields, scale):
     tol = 1e-10 * max(scale, 1e-300)
     wall = np.max(np.abs(fields["phi"][:, :, 0, :]))
     if wall > tol:
-        raise ValueError("test function does not vanish on the wall")
+        raise InvalidDataError("test function does not vanish on the wall")
     div = fields["grad"][0][0] + fields["grad"][1][1]
     if np.max(np.abs(div)) > tol:
-        raise ValueError("test function is not divergence-free")
+        raise NotDivergenceFreeError("test function is not divergence-free")
 
 
 def weak_form_gap(u: VectorField, h: VectorField, g: BoundaryField,

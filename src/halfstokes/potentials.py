@@ -256,6 +256,24 @@ def heat_trace(h: VectorField) -> BoundaryField:
     return tr.trace_boundary(heat_semigroup(h))
 
 
+def _stress_modes(F: TensorField):
+    """:func:`tr.zero_extension_fft` of each stress component, indexed
+    ``[k][i]``.  A component equal to its transposed partner (the flux
+    -u (x) u is symmetric) shares that partner's modes, and the distinct
+    components go through one batched transform; a stress with no equal
+    pair is transformed as it is, uncopied."""
+    n, data = F.grid.n, F.data
+    distinct = [(k, i) for k in range(n) for i in range(n)
+                if not (i < k and np.array_equal(data[k, i], data[i, k]))]
+    if len(distinct) == n * n:
+        return tr.zero_extension_fft(data, F.grid, 2)
+    stacked = tr.zero_extension_fft(np.stack([data[p] for p in distinct]),
+                                    F.grid, 1)
+    row = {p: r for r, p in enumerate(distinct)}
+    return [[stacked[row[(k, i) if (k, i) in row else (i, k)]]
+             for i in range(n)] for k in range(n)]
+
+
 def stokes_volume_potential(F: TensorField) -> VectorField:
     """Duhamel solution of the forced heat equation with the projected
     divergence of the (zero-extended) stress tensor as right-hand side.
@@ -265,11 +283,11 @@ def stokes_volume_potential(F: TensorField) -> VectorField:
     if F.domain != "half" or not F.time_dependent:
         raise ShapeMismatchError("expected a time-dependent half-space tensor")
     grid = F.grid
-    modes = tr.zero_extension_fft(F.data, grid, 2)  # (n, n, *tan, M, nt)
+    modes = _stress_modes(F)
     ks = [k[..., np.newaxis] for k in tr.k_vectors(
         grid, "whole", grid.n_tan_axes + 1, deriv=True)]
     # f_i = D_k F_{ki}
-    fhat = np.stack([sum(1j * ks[k] * modes[k, i] for k in range(grid.n))
+    fhat = np.stack([sum(1j * ks[k] * modes[k][i] for k in range(grid.n))
                      for i in range(grid.n)])
     out = _duhamel_forward(tr.leray(fhat, ks), _spatial_k2(grid), grid.dt)
     data = tr.whole_ifft(out, grid, offset=1)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (BoundaryField, HalfSpaceGrid, TensorField,
                    VectorField)
-from .errors import HalfStokesError, ShapeMismatchError
+from .errors import InvalidDataError, ShapeMismatchError
 from . import besov
 from . import potentials as pot
 from . import transforms as tr
@@ -220,8 +220,11 @@ def assemble(g: BoundaryField, F: TensorField | None, v: VectorField,
     with _part("w"):
         w = build_w(build_G(g, v_wall, V_wall, rpsi))
 
-    u = VectorField(grid, v.data + V.data + grad_phi.data + w.data,
-                    domain="half")
+    # one new array; the order ((v + V) + grad_phi) + w fixes u's rounding
+    data = v.data + V.data
+    data += grad_phi.data
+    data += w.data
+    u = VectorField(grid, data, domain="half")
     return StokesSolution(u=u, v=v, V=V, grad_phi=grad_phi, w=w)
 
 
@@ -240,7 +243,7 @@ def solve_stokes(h: VectorField, g: BoundaryField,
 
     for name, f in (("h", h), ("g", g), ("F", F)):
         if f is not None and not np.all(np.isfinite(f.data)):
-            raise HalfStokesError(f"{name} contains non-finite values")
+            raise InvalidDataError(f"{name} contains non-finite values")
 
     with _part("v"):
         v = build_v(h)

@@ -74,6 +74,41 @@ def test_field_data_immutable():
         f.data[0, 0, 0] = 1.0
 
 
+def test_field_takes_ownership_of_fresh_contiguous_array():
+    g = make_grid(2, L=2 * np.pi, N_tan=8, X=1.0, N_vert=5, T=1.0, N_time=4)
+    fresh = np.random.default_rng(0).standard_normal((8, 5, 4))
+    f = ScalarField(g, fresh, domain="half")
+    assert np.shares_memory(f.data, fresh)
+    assert not f.data.flags.writeable
+    with pytest.raises(ValueError):
+        fresh[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: np.stack([a, a])[0],            # a C-contiguous view
+    lambda a: np.ascontiguousarray(a.T).T,    # a transposed view
+    np.asfortranarray,                        # owning, not C-contiguous
+])
+def test_field_copies_views_and_non_contiguous_arrays(make):
+    g = make_grid(2, L=2 * np.pi, N_tan=8, X=1.0, N_vert=5, T=1.0, N_time=4)
+    arr = make(np.arange(8 * 5 * 4, dtype=float).reshape(8, 5, 4))
+    f = ScalarField(g, arr, domain="half")
+    assert not np.shares_memory(f.data, arr)
+    assert not f.data.flags.writeable
+    assert arr.flags.writeable
+    arr[0, 0, 0] = -1.0
+    assert f.data[0, 0, 0] == 0.0
+
+
+def test_field_copies_lists():
+    g = make_grid(2, L=2 * np.pi, N_tan=8, X=1.0, N_vert=5, T=1.0, N_time=4)
+    rows = np.arange(2 * 8 * 4, dtype=float).reshape(2, 8, 4).tolist()
+    f = BoundaryField(g, rows)
+    assert not f.data.flags.writeable
+    rows[0][0][0] = -1.0
+    assert f.data[0, 0, 0] == 0.0
+
+
 def test_besov_index_critical_flag():
     idx = BesovIndex.critical_index(1.0, 2)
     assert idx.critical and np.isclose(idx.q, 2.0)

@@ -5,7 +5,9 @@ and linear in the data (h, g, F), and the homogeneous norms are translation
 invariant.  So a translation or a mirror of the data, or in 3-D a swap of
 the tangential axes, moves the solution the same way, the solution of a sum of data is the sum of the solutions, and a
 rolled field keeps its norm, and a Picard iteration on translated data
-repeats its trace, each to roundoff.
+repeats its trace, each to roundoff.  On the torus, f(2.) of a field
+band-limited below a quarter of the grid has the q = 2 norm of order s of f
+times 2^s.
 """
 
 import numpy as np
@@ -165,3 +167,26 @@ def test_aniso_norm_is_translation_invariant(q):
     for axis in (1, 2):  # tangential, then the reflected vertical axis
         rolled = besov.aniso_norm(f._like(np.roll(f.data, 7, axis)), 1.0, q)
         assert abs(rolled - ref) <= TOL * ref, axis
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("s", [-0.5, 0.5, 1.0, 1.5])
+def test_lp_norm_scales_under_dilation_by_two(n, N, s):
+    # only q = 2: at other q the sampled L^q sum of f(2.) visits every other
+    # node twice, which is a discretization error, not an identity
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=1.0, N_vert=5)
+    rng = np.random.default_rng(n * N)
+    axes = tuple(range(1, n))
+    band = np.abs(np.fft.fftfreq(N, 1.0 / N)) < N // 4
+    inside = np.ones(g.tan_shape, dtype=bool)
+    for a in range(n - 1):
+        inside &= np.expand_dims(band, tuple(b for b in range(n - 1) if b != a))
+    modes = (rng.standard_normal((n,) + g.tan_shape)
+             + 1j * rng.standard_normal((n,) + g.tan_shape)) * inside
+    data = np.fft.ifftn(modes, axes=axes).real
+    # f(2 x_m) = f(x_{2m}) on the periodic nodes
+    doubled = data[(slice(None),) + np.ix_(*[2 * np.arange(N) % N] * (n - 1))]
+    f = BoundaryField(g, data, time_dependent=False)
+    f2 = BoundaryField(g, doubled, time_dependent=False)
+    ratio = besov.lp_norm(f2, s, 2.0) / besov.lp_norm(f, s, 2.0)
+    assert abs(ratio - 2.0 ** s) <= 1e-14 * 2.0 ** s

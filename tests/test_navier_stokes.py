@@ -3,7 +3,9 @@ import pytest
 
 from halfstokes.core import (BesovIndex, BoundaryField, VectorField,
                              make_grid)
-from halfstokes.errors import HalfStokesError, PicardDivergenceError
+from halfstokes.errors import (HalfStokesError, InvalidDataError,
+                               NotDivergenceFreeError,
+                               PicardDivergenceError)
 from halfstokes import besov, datagen, navier_stokes as ns, stokes as stk
 
 IDX = BesovIndex.critical_index(1.0, 2)
@@ -39,6 +41,15 @@ def test_nonlinear_flux_trivials():
     u = datagen.random_halfspace_field(g, rng)
     Fu = ns.nonlinear_flux(u)
     assert np.allclose(Fu.data[0, 1], Fu.data[1, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonlinear_flux_rejects_non_finite_velocity(bad):
+    g = grid2()
+    data = np.zeros((2, g.N_tan, g.N_vert, g.N_time))
+    data[1, 3, 4, 5] = bad
+    with pytest.raises(InvalidDataError, match="non-finite"):
+        ns.nonlinear_flux(VectorField(g, data, domain="half"))
 
 
 def test_bilinear_norm_bound_sampled():
@@ -188,7 +199,7 @@ def test_weak_form_rejects_bad_test_functions():
             fields["phi"] = fields["phi"] + 1.0
             return fields
 
-    with pytest.raises(ValueError, match="wall"):
+    with pytest.raises(InvalidDataError, match="wall"):
         ns.weak_form_gap(u, h, gb, BadWall(k=1, trig="sin", theta="decay2"))
 
     class BadDiv(datagen.StreamTestFunction):
@@ -197,7 +208,7 @@ def test_weak_form_rejects_bad_test_functions():
             fields["grad"] = fields["grad"] + 1.0
             return fields
 
-    with pytest.raises(ValueError, match="divergence"):
+    with pytest.raises(NotDivergenceFreeError, match="divergence"):
         ns.weak_form_gap(u, h, gb, BadDiv(k=1, trig="sin", theta="decay2"))
 
 

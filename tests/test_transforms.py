@@ -380,9 +380,9 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
         lambda m: m * np.exp(-k2[..., None] * g.time_nodes)))
 
     # Stokes volume potential: Leray projection of div F, then the Duhamel
-    # integral (a per-mode recursion, lattice-agnostic)
+    # integral (a per-mode recursion, lattice-agnostic), for a general and a
+    # symmetric stress
     F = rng.standard_normal((n, n) + tan + (g.N_vert, nt))
-    Fw = _extend_zero(F, g, 2)
     kt = [k[..., None] for k in ks]
 
     def volume(m):
@@ -393,9 +393,57 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
                        for k, fi in zip(kt, f)])
         return _duhamel_forward_ref(pf, k2, g.dt)
 
-    ref = _ref_ifft(volume(_ref_fft(Fw, g, "whole", 2)), g, "whole", 1)
-    _close(pot.stokes_volume_potential(TensorField(g, F, domain="half")).data,
-           ref)
+    for stress in (F, F + F.swapaxes(0, 1)):
+        ref = _ref_ifft(volume(_ref_fft(_extend_zero(stress, g, 2), g,
+                                        "whole", 2)), g, "whole", 1)
+        _close(pot.stokes_volume_potential(
+            TensorField(g, stress, domain="half")).data, ref)
+
+
+def _off_by_one_ulp(stress, k, i):
+    """``stress`` with one entry of component [k, i] moved by one ulp."""
+    out = stress.copy()
+    out[k, i].flat[0] = np.nextafter(out[k, i].flat[0], np.inf)
+    return out
+
+
+@pytest.mark.parametrize("n, N", HALF_LATTICE_GRIDS)
+def test_symmetric_stress_modes_match_full_transform(n, N, monkeypatch):
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
+                  N_time=4)
+    F = np.random.default_rng(40 * n + N).standard_normal(
+        (n, n) + g.tan_shape + (g.N_vert, g.N_time))
+    sym = F + F.swapaxes(0, 1)
+    # symmetric, and (3-D) equal in the (0, 1) pair only: shared modes are
+    # bitwise those of the n^2-component transform
+    stresses = [sym]
+    if n == 3:
+        stresses.append(_off_by_one_ulp(_off_by_one_ulp(sym, 2, 0), 2, 1))
+    for stress in stresses:
+        full = tr.zero_extension_fft(stress, g, 2)
+        modes = pot._stress_modes(TensorField(g, stress, domain="half"))
+        for k in range(n):
+            for i in range(n):
+                assert np.array_equal(modes[k][i], full[k, i])
+
+    # one ulp off symmetric in every pair: the stress itself goes to the
+    # n^2-component transform, uncopied
+    off = sym
+    for k in range(1, n):
+        for i in range(k):
+            off = _off_by_one_ulp(off, k, i)
+    field = TensorField(g, off, domain="half")
+    seen = []
+    transform = tr.zero_extension_fft
+
+    def spy(data, grid, offset):
+        seen.append(np.shares_memory(data, field.data) and offset == 2)
+        return transform(data, grid, offset)
+
+    monkeypatch.setattr(tr, "zero_extension_fft", spy)
+    modes = pot._stress_modes(field)
+    assert seen == [True]
+    assert np.array_equal(modes, transform(off, g, 2))
 
 
 # -- the whole-space heat kernels against references written here ---------
