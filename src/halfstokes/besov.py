@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoundaryField, Field, GridCache, HalfSpaceGrid, VectorField
-from .errors import NormOrderError, ShapeMismatchError
+from .errors import InvalidDataError, NormOrderError, ShapeMismatchError
 from .numerics import smooth_step, trapezoid_weights
 from . import transforms as tr
 
@@ -374,7 +374,7 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
                         * np.sum(diff, axis=axes)
             D = D ** (1.0 / q)
     else:
-        raise ValueError(f"unknown spatial norm spec {spatial_norm!r}")
+        raise InvalidDataError(f"unknown spatial norm spec {spatial_norm!r}")
     return D + D.T
 
 

@@ -64,7 +64,7 @@ def _build_grid(cfg: dict):
                          grading=_number(cfg, "grid", "grading", 1.0),
                          T=_number(cfg, "grid", "t", 1.0),
                          N_time=_number(cfg, "grid", "n_time", 32, int))
-    except (ValueError, HalfStokesError) as exc:
+    except HalfStokesError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
 

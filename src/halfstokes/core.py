@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGridError, NormOrderError, ShapeMismatchError
+from .errors import (InvalidDataError, InvalidGridError, NormOrderError,
+                     ShapeMismatchError)
 
 _CRITICAL_TOL = 1e-12
 
@@ -399,13 +400,13 @@ class IterationTrace:
     def validate(self):
         for k, s in enumerate(self.steps):
             if not np.isfinite(s.solution_norm) or s.solution_norm < 0:
-                raise ValueError(f"bad solution norm at step {k + 1}")
+                raise InvalidDataError(f"bad solution norm at step {k + 1}")
             if s.increment_norm is not None and (
                     not np.isfinite(s.increment_norm) or s.increment_norm < 0):
-                raise ValueError(f"bad increment norm at step {k + 1}")
+                raise InvalidDataError(f"bad increment norm at step {k + 1}")
             if k >= 2 and s.increment_norm is not None and s.ratio is None \
                     and self.steps[k - 1].increment_norm:
-                raise ValueError(f"missing ratio at step {k + 1}")
+                raise InvalidDataError(f"missing ratio at step {k + 1}")
 
     def ratios(self):
         return [s.ratio for s in self.steps if s.ratio is not None]
@@ -438,7 +439,7 @@ def parabolic_scale(h: VectorField, g: BoundaryField, lam: float):
     error is incurred for any lam > 0.
     """
     if lam <= 0:
-        raise ValueError(f"scaling factor must be positive, got {lam}")
+        raise InvalidDataError(f"scaling factor must be positive, got {lam}")
     if h.grid.key() != g.grid.key():
         raise ShapeMismatchError("h and g must share a grid")
     new_grid = h.grid.scaled(lam)

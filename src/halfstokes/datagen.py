@@ -15,7 +15,7 @@ from numpy.polynomial import Polynomial
 
 from .core import (BoundaryField, HalfSpaceGrid, ScalarField, TensorField,
                    VectorField)
-from .errors import ShapeMismatchError
+from .errors import InvalidDataError, ShapeMismatchError
 
 
 def _require_2d(grid: HalfSpaceGrid):
@@ -215,7 +215,7 @@ def _time_profile(rng, t, kind: str):
         coef = rng.standard_normal(n_modes)
         return sum(c * np.sin(np.pi * (j + 1) * t / T) ** 2
                    for j, c in enumerate(coef))
-    raise ValueError(f"unknown time profile {kind!r}")
+    raise InvalidDataError(f"unknown time profile {kind!r}")
 
 
 def random_boundary_field(grid: HalfSpaceGrid, rng, ncomp: int = 1,
@@ -397,7 +397,7 @@ class StreamTestFunction:
             return (1.0 - s) ** 3
         if self.theta == "bump":
             return s * (1.0 - s) ** 2
-        raise ValueError(self.theta)
+        raise InvalidDataError(f"unknown time factor {self.theta!r}")
 
     def _theta_dot(self, t, T):
         s = t / T
@@ -407,7 +407,7 @@ class StreamTestFunction:
             return -3.0 * (1.0 - s) ** 2 / T
         if self.theta == "bump":
             return ((1.0 - s) ** 2 - 2.0 * s * (1.0 - s)) / T
-        raise ValueError(self.theta)
+        raise InvalidDataError(f"unknown time factor {self.theta!r}")
 
     def _trigs(self, x, kx):
         if self.trig == "sin":

@@ -19,6 +19,7 @@ from .core import (BoundaryField, IterationTrace, TensorField, VectorField)
 from .errors import (ConfigError, InvalidDataError, NotDivergenceFreeError,
                      PicardDivergenceError)
 from . import besov
+from . import potentials as pot
 from . import stokes as stk
 from . import transforms as tr
 from .numerics import trapezoid_weights
@@ -59,7 +60,8 @@ def picard_solve(h: VectorField, g: BoundaryField, index, max_iter: int = 50,
     trace = IterationTrace(data_norm=M0, beta=index.beta, p=index.p)
 
     sol = stk.solve_stokes(h, g, None, index=index, with_norms=False)
-    u = sol.u
+    u, v = sol.u, sol.v
+    del sol  # frees the parts of the first solve that the loop does not use
     first_norm = besov.aniso_norm(u, alpha, q)
     _require_finite(trace, first_norm)
     trace.add(first_norm)
@@ -68,12 +70,13 @@ def picard_solve(h: VectorField, g: BoundaryField, index, max_iter: int = 50,
         trace.stop_reason = "zero data"
         return u, trace
 
-    v, v_wall = sol.v, tr.trace_boundary(sol.v)
+    v_wall = tr.trace_boundary(v)
+    work = pot.Workspace()  # the volume potential's buffers, for every step
     bad_streak = 0
     for m in range(1, max_iter + 1):
         F = nonlinear_flux(u)
         _require_finite(trace, F.data)
-        u_next = stk.assemble(g, F, v, v_wall).u
+        u_next = stk.assemble(g, F, v, v_wall, work).u
         increment = VectorField(u.grid, u_next.data - u.data, domain="half")
         inc_norm = besov.aniso_norm(increment, alpha, q)
         sol_norm = besov.aniso_norm(u_next, alpha, q)

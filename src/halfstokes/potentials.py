@@ -6,7 +6,11 @@ convolutions integrate the singular kernel factor exactly over each time
 subinterval (error-function closed forms) against piecewise-constant data;
 volume Duhamel integrals integrate the exponential factor exactly against
 piecewise-linear data, which keeps stiff modes accurate; their sweeps
-run on contiguous time-major slices and return C order, time last.
+run in place on time-major modes, one contiguous slice per time node, and
+the operators return fields in C order, time last.  The volume potential
+keeps its spectral intermediates in a :class:`Workspace`: one Picard solve
+owns one and reuses its buffers at every step, and a buffer never becomes
+a field's data.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .core import (BoundaryField, Field, GridCache, HalfSpaceGrid,
                    ScalarField, TensorField, VectorField)
-from .errors import ShapeMismatchError
+from .errors import InvalidDataError, ShapeMismatchError
 from .numerics import (exp_linear_weights, heat_layer_cumulative,
                        lag_convolve, lag_correlate, trapezoid_weights)
 from . import transforms as tr
@@ -49,7 +53,7 @@ def newton_kernel(x, n: int):
         raise ShapeMismatchError(f"points must have {n} coordinates")
     r = np.sqrt(np.sum(x * x, axis=-1))
     if np.any(r == 0):
-        raise ValueError("Newtonian kernel is singular at the origin")
+        raise InvalidDataError("Newtonian kernel is singular at the origin")
     if n == 2:
         out = np.log(r) / (2.0 * np.pi)
     else:
@@ -181,29 +185,44 @@ def single_layer_wall_trace_adjoint(phi: Field) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _duhamel_forward(fhat: np.ndarray, k2: np.ndarray, dt: float) -> np.ndarray:
-    """Exact Duhamel integral of exp(-k2 (t-s)) against piecewise-linear data."""
+def _duhamel_forward(f: np.ndarray, k2: np.ndarray, dt: float) -> np.ndarray:
+    """Exact Duhamel integral of exp(-k2 (t-s)) against piecewise-linear
+    data, in place on time-major modes ``f`` (time on the first axis)."""
     E, w_old, w_new = exp_linear_weights(k2, dt)
-    f = np.ascontiguousarray(np.moveaxis(fhat, -1, 0))
-    out = np.zeros_like(f)
+    prev, cur = f[0].copy(), np.empty_like(f[0])  # f[m - 1], f[m] as given
+    f[0] = 0.0
     for m in range(1, len(f)):
-        out[m] = E * out[m - 1] + w_old * f[m - 1] + w_new * f[m]
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+        np.copyto(cur, f[m])
+        np.multiply(w_old, prev, out=prev)
+        np.multiply(E, f[m - 1], out=f[m])
+        f[m] += prev
+        f[m] += np.multiply(w_new, cur, out=prev)
+        prev, cur = cur, prev
+    return f
 
 
-def _duhamel_backward(fhat: np.ndarray, k2: np.ndarray, dt: float) -> np.ndarray:
-    """Exact transpose of :func:`_duhamel_forward` (anticausal integral)."""
+def _duhamel_backward(f: np.ndarray, k2: np.ndarray, dt: float) -> np.ndarray:
+    """Exact transpose of :func:`_duhamel_forward` (anticausal integral),
+    in place on time-major modes ``f``."""
     E, w_old, w_new = exp_linear_weights(k2, dt)
-    f = np.ascontiguousarray(np.moveaxis(fhat, -1, 0))
-    g = np.zeros_like(f[0])
-    out = np.empty_like(f)
-    out[-1] = w_new * f[-1]
     w_mid = w_old + E * w_new
+    g, term = np.zeros_like(f[0]), np.empty_like(f[0])
+    nxt = f[-1].copy()  # f[a + 1] as given
+    np.multiply(w_new, f[-1], out=f[-1])
     for a in range(len(f) - 2, -1, -1):
-        g = f[a + 1] + E * g
-        out[a] = w_new * f[a] + w_mid * g
-    out[0] = w_old * g  # the first output node sees only the old weights
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+        np.multiply(E, g, out=g)
+        np.add(nxt, g, out=g)
+        np.copyto(nxt, f[a])
+        np.multiply(w_new, f[a], out=f[a])
+        f[a] += np.multiply(w_mid, g, out=term)
+    # the first output node sees only the old weights
+    np.multiply(w_old, g, out=f[0])
+    return f
+
+
+def _time_major(modes: np.ndarray) -> np.ndarray:
+    """A time-major copy of modes whose time axis is the last one."""
+    return np.ascontiguousarray(np.moveaxis(modes, -1, 0))
 
 
 def heat_volume_potential(f: Field) -> Field:
@@ -226,11 +245,10 @@ def _heat_volume(f: Field, adjoint: bool) -> Field:
     if f.domain != "whole" or not f.time_dependent:
         raise ShapeMismatchError("expected a time-dependent whole-space field")
     grid = f.grid
-    modes = tr.whole_fft(f.data, grid, offset=f.ncomp_axes)
-    k2 = _spatial_k2(grid)
+    modes = _time_major(tr.whole_fft(f.data, grid, offset=f.ncomp_axes))
     apply = _duhamel_backward if adjoint else _duhamel_forward
-    out = apply(modes, k2, grid.dt)
-    data = tr.whole_ifft(out, grid, offset=f.ncomp_axes)
+    apply(modes, _spatial_k2(grid), grid.dt)
+    data = tr.whole_ifft(np.moveaxis(modes, 0, -1), grid, offset=f.ncomp_axes)
     return type(f)(grid, data, domain="whole")
 
 
@@ -256,41 +274,74 @@ def heat_trace(h: VectorField) -> BoundaryField:
     return tr.trace_boundary(heat_semigroup(h))
 
 
-def _stress_modes(F: TensorField):
+class Workspace:
+    """Named scratch buffers that :func:`stokes_volume_potential` reuses
+    across the calls of one owner, such as one Picard solve.  A buffer
+    lives as long as its workspace, and never becomes a field's data."""
+
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """Complex buffer ``name`` seen with ``shape``, whose last (time)
+        axis is stored first, so that each time slice is contiguous; it is
+        made anew only when ``shape`` changes."""
+        stored = shape[-1:] + shape[:-1]
+        buf = vars(self).get(name)
+        if buf is None or buf.shape != stored:
+            buf = np.empty(stored, dtype=complex)
+            setattr(self, name, buf)
+        return np.moveaxis(buf, 0, -1)
+
+
+def _stress_modes(F: TensorField, work: Workspace):
     """:func:`tr.zero_extension_fft` of each stress component, indexed
-    ``[k][i]``.  A component equal to its transposed partner (the flux
-    -u (x) u is symmetric) shares that partner's modes, and the distinct
-    components go through one batched transform; a stress with no equal
-    pair is transformed as it is, uncopied."""
-    n, data = F.grid.n, F.data
+    ``[k][i]``, written into the workspace buffer ``stress``.  A component
+    equal to its transposed partner (the flux -u (x) u is symmetric) shares
+    that partner's modes, and only the distinct components are transformed;
+    a stress with no equal pair goes to one transform as it is, uncopied."""
+    grid, data = F.grid, F.data
+    n = grid.n
     distinct = [(k, i) for k in range(n) for i in range(n)
                 if not (i < k and np.array_equal(data[k, i], data[i, k]))]
+    shape = _spatial_k2(grid).shape + (grid.N_time,)
     if len(distinct) == n * n:
-        return tr.zero_extension_fft(data, F.grid, 2)
-    stacked = tr.zero_extension_fft(np.stack([data[p] for p in distinct]),
-                                    F.grid, 1)
+        return tr.zero_extension_fft(
+            data, grid, 2, out=work.buffer("stress", (n, n) + shape))
+    out = work.buffer("stress", (len(distinct),) + shape)
+    for r, p in enumerate(distinct):
+        tr.zero_extension_fft(data[p], grid, 0, out=out[r])
     row = {p: r for r, p in enumerate(distinct)}
-    return [[stacked[row[(k, i) if (k, i) in row else (i, k)]]
+    return [[out[row[(k, i) if (k, i) in row else (i, k)]]
              for i in range(n)] for k in range(n)]
 
 
-def stokes_volume_potential(F: TensorField) -> VectorField:
+def stokes_volume_potential(F: TensorField,
+                            work: Workspace | None = None) -> VectorField:
     """Duhamel solution of the forced heat equation with the projected
     divergence of the (zero-extended) stress tensor as right-hand side.
 
     Vanishes identically at t = 0 and is divergence-free for all times.
+    The stress modes, the divergence modes and the projection's scratch
+    live in the buffers of ``work`` (a throwaway workspace without it),
+    time-major, so that the Leray projection and the Duhamel sweep run in
+    place; the result is a fresh array.
     """
     if F.domain != "half" or not F.time_dependent:
         raise ShapeMismatchError("expected a time-dependent half-space tensor")
-    grid = F.grid
-    modes = _stress_modes(F)
+    grid, n = F.grid, F.grid.n
+    work = Workspace() if work is None else work
+    modes = _stress_modes(F, work)
     ks = [k[..., np.newaxis] for k in tr.k_vectors(
         grid, "whole", grid.n_tan_axes + 1, deriv=True)]
+    shape = modes[0][0].shape
+    fhat = work.buffer("fhat", (n,) + shape)
+    kdotu, term = work.buffer("kdotu", shape), work.buffer("term", shape)
     # f_i = D_k F_{ki}
-    fhat = np.stack([sum(1j * ks[k] * modes[k][i] for k in range(grid.n))
-                     for i in range(grid.n)])
-    out = _duhamel_forward(tr.leray(fhat, ks), _spatial_k2(grid), grid.dt)
-    data = tr.whole_ifft(out, grid, offset=1)
+    for i, f in enumerate(fhat):
+        f[...] = 0.0
+        for k in range(n):
+            f += np.multiply(1j * ks[k], modes[k][i], out=term)
+    tr.leray(fhat, ks, kdotu, term)
+    _duhamel_forward(np.moveaxis(fhat, -1, 0), _spatial_k2(grid), grid.dt)
+    data = tr.whole_ifft(fhat, grid, offset=1)
     return VectorField(grid, data, domain="whole")
 
 
@@ -300,11 +351,11 @@ def gradient_heat_potential(f: Field, axis: int) -> Field:
     if f.domain != "whole" or not f.time_dependent:
         raise ShapeMismatchError("expected a time-dependent whole-space field")
     grid = f.grid
-    modes = tr.whole_fft(f.data, grid, offset=f.ncomp_axes)
-    kax = tr.k_vectors(grid, "whole", grid.n_tan_axes + 1,
-                       deriv=True)[axis][..., np.newaxis]
-    out = _duhamel_forward(modes, _spatial_k2(grid), grid.dt) * (1j * kax)
-    data = tr.whole_ifft(out, grid, offset=f.ncomp_axes)
+    modes = _time_major(tr.whole_fft(f.data, grid, offset=f.ncomp_axes))
+    kax = tr.k_vectors(grid, "whole", grid.n_tan_axes + 1, deriv=True)[axis]
+    _duhamel_forward(modes, _spatial_k2(grid), grid.dt)
+    modes *= 1j * kax
+    data = tr.whole_ifft(np.moveaxis(modes, 0, -1), grid, offset=f.ncomp_axes)
     return type(f)(grid, data, domain="whole")
 
 

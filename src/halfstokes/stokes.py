@@ -199,14 +199,16 @@ def gradient_scale(u: VectorField) -> float:
 
 
 def assemble(g: BoundaryField, F: TensorField | None, v: VectorField,
-             v_wall: BoundaryField) -> StokesSolution:
+             v_wall: BoundaryField,
+             work: pot.Workspace | None = None) -> StokesSolution:
     """``u = v + V + grad(phi) + w`` from the boundary data ``g``, the force
     ``F``, the heat part ``v`` of the initial data and its wall trace
-    ``v_wall``; no checks and no diagnostics."""
+    ``v_wall``; no checks and no diagnostics.  ``work`` holds the scratch
+    buffers of the volume potential."""
     grid = g.grid
     if F is not None:
         with _part("V"):
-            V = tr.restrict_half(pot.stokes_volume_potential(F))
+            V = tr.restrict_half(pot.stokes_volume_potential(F, work))
             V_wall = tr.trace_boundary(V)
     else:
         V, V_wall = _zero_like_parts(grid)

@@ -95,12 +95,22 @@ def inv_or_zero(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), 0.0)
 
 
-def leray(modes: np.ndarray, ks) -> np.ndarray:
-    """Leray projection of vector modes (components on the first axis):
-    symbol delta_ij - k_i k_j / |k|^2; the zero mode passes through."""
+def leray(modes: np.ndarray, ks, kdotu=None, term=None) -> np.ndarray:
+    """Leray projection of vector modes (components on the first axis), in
+    place: symbol delta_ij - k_i k_j / |k|^2; the zero mode passes through.
+    ``kdotu`` and ``term``, shaped like one component, are scratch; fresh
+    ones serve when they are not given."""
     inv = inv_or_zero(sum(k ** 2 for k in ks))
-    kdotu = sum(k * m for k, m in zip(ks, modes))
-    return np.stack([m - k * kdotu * inv for k, m in zip(ks, modes)])
+    kdotu = np.empty_like(modes[0]) if kdotu is None else kdotu
+    term = np.empty_like(modes[0]) if term is None else term
+    kdotu[...] = 0.0
+    for k, m in zip(ks, modes):
+        kdotu += np.multiply(k, m, out=term)
+    for k, m in zip(ks, modes):
+        np.multiply(k, kdotu, out=term)
+        term *= inv
+        m -= term
+    return modes
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +136,24 @@ def whole_fft(data: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
 
 
 def zero_extension_fft(data: np.ndarray, grid: HalfSpaceGrid,
-                       offset: int) -> np.ndarray:
+                       offset: int, out=None) -> np.ndarray:
     """:func:`whole_fft` of the zero extension of a half-space array,
-    without building it: the samples below X, zero-padded to one period."""
+    without building it: the samples below X, zero-padded to one period;
+    written into ``out`` when it is given."""
     vaxis = offset + grid.n_tan_axes
     lengths = [n for n, _ in spectral_axes(grid, "whole")]
     below_x = data[(slice(None),) * vaxis + (slice(0, grid.N_vert - 1),)]
     return np.fft.rfftn(below_x, s=lengths,
-                        axes=tuple(range(offset, vaxis + 1)))
+                        axes=tuple(range(offset, vaxis + 1)), out=out)
 
 
 def whole_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
-    """Inverse of :func:`whole_fft`."""
+    """Inverse of :func:`whole_fft`, into a fresh C-ordered array whatever
+    the memory order of ``modes``."""
     axes = tuple(range(offset, offset + grid.n_tan_axes + 1))
-    return np.fft.irfftn(modes, s=grid.tan_shape + (grid.n_vert_whole,),
-                         axes=axes)
+    s = grid.tan_shape + (grid.n_vert_whole,)
+    out = np.empty(modes.shape[:offset] + s + modes.shape[axes[-1] + 1:])
+    return np.fft.irfftn(modes, s=s, axes=axes, out=out)
 
 
 def _field_fft(field: Field) -> np.ndarray:

@@ -6,7 +6,8 @@ import pytest
 
 from halfstokes.core import (BesovIndex, BoundaryField, ScalarField,
                              VectorField, make_grid, parabolic_scale)
-from halfstokes.errors import NormOrderError, ShapeMismatchError
+from halfstokes.errors import (InvalidDataError, NormOrderError,
+                               ShapeMismatchError)
 from halfstokes import besov, datagen
 from halfstokes import transforms as tr
 from halfstokes.numerics import trapezoid_weights
@@ -135,6 +136,13 @@ def test_gagliardo_rejects_bad_order():
     f = BoundaryField(g, np.ones((1, g.N_tan, g.N_time)))
     with pytest.raises(NormOrderError):
         besov.gagliardo_time_norm(f, 1.2, 2.0)
+
+
+def test_gagliardo_rejects_unknown_spatial_norm():
+    g = grid2()
+    f = BoundaryField(g, np.ones((1, g.N_tan, g.N_time)))
+    with pytest.raises(InvalidDataError, match="spatial norm spec 'h1'"):
+        besov.gagliardo_time_norm(f, 0.5, 2.0, "h1")
 
 
 def test_aniso_separable_factorization():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 
@@ -9,8 +10,8 @@ from halfstokes import besov, numerics, potentials
 from halfstokes.core import (BesovIndex, BoundaryField, GridCache,
                              IterationTrace, ScalarField, VectorField,
                              make_grid, parabolic_scale)
-from halfstokes.errors import (InvalidGridError, NormOrderError,
-                               ShapeMismatchError)
+from halfstokes.errors import (InvalidDataError, InvalidGridError,
+                               NormOrderError, ShapeMismatchError)
 
 
 def test_uniform_grid_nodes():
@@ -173,7 +174,7 @@ def test_parabolic_scale_rejects_nonpositive():
     h = VectorField(g, np.zeros((2, 8, 5)), domain="half",
                     time_dependent=False)
     gb = BoundaryField(g, np.zeros((2, 8, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDataError, match="positive"):
         parabolic_scale(h, gb, 0.0)
 
 
@@ -185,10 +186,25 @@ def test_iteration_trace_bookkeeping():
     trace.validate()
     ratios = trace.ratios()
     assert len(ratios) == 1 and np.isclose(ratios[0], 0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDataError, match="solution norm"):
         bad = IterationTrace(data_norm=1.0, beta=0.5, p=1.25)
         bad.add(float("nan"))
         bad.validate()
+
+
+def test_iteration_trace_rejects_bad_increment_and_missing_ratio():
+    bad = IterationTrace(data_norm=1.0, beta=0.5, p=1.25)
+    bad.add(2.0)
+    bad.add(1.9, increment_norm=-0.5)
+    with pytest.raises(InvalidDataError, match="increment norm at step 2"):
+        bad.validate()
+    gap = IterationTrace(data_norm=1.0, beta=0.5, p=1.25)
+    gap.add(2.0)
+    gap.add(1.9, increment_norm=0.5)
+    gap.add(1.85, increment_norm=0.2)
+    gap.steps[2] = dataclasses.replace(gap.steps[2], ratio=None)
+    with pytest.raises(InvalidDataError, match="missing ratio at step 3"):
+        gap.validate()
 
 
 # (lookup, cache) for every module-level GridCache of the package

@@ -2,7 +2,8 @@
 used by the package, its CLI or its benchmark, or is a test oracle or
 fixture named in ``TEST_ONLY_ALLOWED``; every dataclass field is read in the
 package, its tests or its benchmark; every default is set by some caller;
-real data go through real transforms; and the package imports no scipy."""
+real data go through real transforms; the package imports no scipy; and it
+tunes no allocator."""
 
 import ast
 import json
@@ -303,3 +304,34 @@ def test_package_imports_only_numpy():
                   if f.stem != "__init__"}
     assert submodules <= set(loaded)
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def _ctypes_imports(tree):
+    """Line of each ``import ctypes``, ``from ctypes import ...`` and
+    ``"ctypes"`` string (an ``importlib`` or ``__import__`` lookup)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        if any(n.split(".")[0] == "ctypes" for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_package_tunes_no_allocator():
+    # speed has to come from the code: no process-wide malloc settings
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text()
+        found += [f"{path.name}:{text.count(chr(10), 0, m.start()) + 1} "
+                  f"{m.group()}"
+                  for m in re.finditer(r"mallopt|MALLOC_", text)]
+        found += [f"{path.name}:{line} ctypes"
+                  for line in _ctypes_imports(ast.parse(text))]
+    assert not found, f"allocator tuning in the package: {found}"

@@ -212,6 +212,17 @@ def test_weak_form_rejects_bad_test_functions():
         ns.weak_form_gap(u, h, gb, BadDiv(k=1, trig="sin", theta="decay2"))
 
 
+def test_datagen_rejects_unknown_time_factors():
+    g = grid2()
+    with pytest.raises(InvalidDataError, match="time profile 'ramp'"):
+        datagen.random_boundary_field(g, np.random.default_rng(0),
+                                      time_profile="ramp")
+    tf = datagen.StreamTestFunction(k=1, trig="sin", theta="ramp")
+    for factor in (tf._theta, tf._theta_dot):
+        with pytest.raises(InvalidDataError, match="time factor 'ramp'"):
+            factor(g.time_nodes, g.T)
+
+
 def test_weak_linear_case_matches_stokes_form():
     # with a prescribed force and no quadratic term the identity reduces to
     # the linear weak form; converged small-data velocities satisfy the
@@ -224,6 +235,27 @@ def test_weak_linear_case_matches_stokes_form():
     u, _ = ns.picard_solve(h, gb, IDX, tol=1e-9)
     ns_gap = ns.weak_ns_residual(u, h, gb, fam)
     assert ns_gap <= 5.0 * lin_gap
+
+
+def test_picard_workspace_matches_throwaway_workspaces(monkeypatch):
+    # one workspace serves every Picard step; a fresh one per step gives
+    # bitwise the same iterates and trace
+    g = grid2()
+    h, gb = small_data(g, 0.5)
+    u, trace = ns.picard_solve(h, gb, IDX, tol=1e-10)
+    assemble, seen = stk.assemble, []
+
+    def throwaway(g, F, v, v_wall, work=None):
+        seen.append(work)
+        return assemble(g, F, v, v_wall, None)
+
+    monkeypatch.setattr(stk, "assemble", throwaway)
+    u_ref, trace_ref = ns.picard_solve(h, gb, IDX, tol=1e-10)
+    # the first, unforced solve has no workspace
+    assert seen[0] is None and len(seen) == len(trace.steps) >= 3
+    assert all(w is seen[1] for w in seen[1:]) and seen[1] is not None
+    assert np.array_equal(u.data, u_ref.data)
+    assert trace.as_dict() == trace_ref.as_dict()
 
 
 def test_picard_solution_norms_bounded_and_cauchy():

@@ -4,6 +4,7 @@ import pytest
 from halfstokes.core import (BoundaryField, ScalarField, TensorField,
                              VectorField, make_grid)
 from halfstokes import datagen, potentials as pot, transforms as tr
+from halfstokes.errors import InvalidDataError
 from halfstokes.numerics import (derivative_matrix, exp_linear_weights,
                                  trapezoid_weights)
 
@@ -44,7 +45,7 @@ def test_newton_kernel_values():
     assert pot.newton_kernel(np.array([1.0, 0.0]), 2) == 0.0
     assert np.isclose(pot.newton_kernel(np.array([0.0, 0.0, 1.0]), 3),
                       -1.0 / (4 * np.pi))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDataError, match="singular"):
         pot.newton_kernel(np.zeros(2), 2)
 
 
@@ -364,6 +365,54 @@ def test_stokes_volume_potential_time_constant_mode():
     assert np.max(np.abs(V.data[..., 0])) == 0.0
     div = tr.spectral_divergence(V)
     assert div.max_abs() < 1e-12 * max(V.max_abs(), 1e-30)
+
+
+def _stresses(kind, count):
+    """``count`` random stresses of one kind on one grid: a symmetric 2-D
+    flux -u (x) u, a general 2-D stress or a general 3-D stress."""
+    n = 3 if kind == "general 3-D" else 2
+    g = make_grid(n, L=2 * np.pi, N_tan=12 if n == 2 else 6, X=np.pi,
+                  N_vert=9 if n == 2 else 5, T=1.0, N_time=8 if n == 2 else 4)
+    rng = np.random.default_rng(len(kind) + count)
+    shape = g.tan_shape + (g.N_vert, g.N_time)
+    out = []
+    for _ in range(count):
+        if kind == "symmetric flux":
+            u = rng.standard_normal((n,) + shape)
+            data = -u[:, None] * u[None, :]
+        else:
+            data = rng.standard_normal((n, n) + shape)
+        out.append(TensorField(g, data, domain="half"))
+    return out
+
+
+KINDS = ["symmetric flux", "general 2-D", "general 3-D"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_volume_potential_workspace_is_bitwise_transparent(kind):
+    # stale buffer contents from one call must not leak into the next
+    work = pot.Workspace()
+    for F in _stresses(kind, 3):
+        assert np.array_equal(pot.stokes_volume_potential(F, work).data,
+                              pot.stokes_volume_potential(F).data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_volume_potential_reuses_its_buffers(kind):
+    first, second = _stresses(kind, 2)
+    work = pot.Workspace()
+    pot.stokes_volume_potential(first, work)
+    buffers = {name: id(buf) for name, buf in vars(work).items()}
+    assert {"stress", "fhat"} <= set(buffers)
+    V = pot.stokes_volume_potential(second, work)
+    assert {name: id(buf) for name, buf in vars(work).items()} == buffers
+    # the result owns fresh memory: read-only, while the buffers stay
+    # writable for the next call
+    assert not V.data.flags.writeable
+    for buf in vars(work).values():
+        assert buf.flags.writeable
+        assert not np.shares_memory(V.data, buf)
 
 
 def test_stokes_volume_pde_residual_converges():

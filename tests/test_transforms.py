@@ -421,7 +421,8 @@ def test_symmetric_stress_modes_match_full_transform(n, N, monkeypatch):
         stresses.append(_off_by_one_ulp(_off_by_one_ulp(sym, 2, 0), 2, 1))
     for stress in stresses:
         full = tr.zero_extension_fft(stress, g, 2)
-        modes = pot._stress_modes(TensorField(g, stress, domain="half"))
+        modes = pot._stress_modes(TensorField(g, stress, domain="half"),
+                                  pot.Workspace())
         for k in range(n):
             for i in range(n):
                 assert np.array_equal(modes[k][i], full[k, i])
@@ -436,12 +437,12 @@ def test_symmetric_stress_modes_match_full_transform(n, N, monkeypatch):
     seen = []
     transform = tr.zero_extension_fft
 
-    def spy(data, grid, offset):
+    def spy(data, grid, offset, out=None):
         seen.append(np.shares_memory(data, field.data) and offset == 2)
-        return transform(data, grid, offset)
+        return transform(data, grid, offset, out=out)
 
     monkeypatch.setattr(tr, "zero_extension_fft", spy)
-    modes = pot._stress_modes(field)
+    modes = pot._stress_modes(field, pot.Workspace())
     assert seen == [True]
     assert np.array_equal(modes, transform(off, g, 2))
 
@@ -482,11 +483,14 @@ def test_duhamel_recurrences_match_strided_reference(n, N):
     shape = (n,) + k2.shape + (g.N_time,)
     f, h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             for _ in range(2))
-    fwd = pot._duhamel_forward(f, k2, g.dt)
-    bwd = pot._duhamel_backward(h, k2, g.dt)
+    # the sweeps run in place on time-major copies and hand them back
+    f_t, h_t = (pot._time_major(a) for a in (f, h))
+    assert pot._duhamel_forward(f_t, k2, g.dt) is f_t
+    assert pot._duhamel_backward(h_t, k2, g.dt) is h_t
+    fwd, bwd = np.moveaxis(f_t, 0, -1), np.moveaxis(h_t, 0, -1)
     assert np.array_equal(fwd, _duhamel_forward_ref(f, k2, g.dt))
     assert np.array_equal(bwd, _duhamel_backward_ref(h, k2, g.dt))
-    assert fwd.flags.c_contiguous and bwd.flags.c_contiguous
+    assert f_t.flags.c_contiguous and h_t.flags.c_contiguous
     # the backward recurrence is the transpose of the forward one
     lhs, rhs = np.vdot(fwd, h), np.vdot(f, bwd)
     assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(f) * np.linalg.norm(h)
