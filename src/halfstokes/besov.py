@@ -30,6 +30,13 @@ are one cell volume, so by Plancherel every norm is one weighted sum of
 Gagliardo pair distances at q = 2 come from one Gram matrix of the time
 increments (:func:`_row_distances`).
 
+Buffers: a norm transforms into arrays it allocates once per call and
+reuses for every component and block, and keeps none of them between
+calls.  :func:`_parseval_sq` owns one ``modes`` array, which ``rfftn``
+writes in place, and one real ``power`` array.  :func:`_lp_blocks` owns
+one ``modes``, one windowed-modes and one block array, and yields that one
+block every time: a block is valid only until the next one is drawn.
+
 Caching, each in a :class:`~halfstokes.core.GridCache` of 8 entries:
 :func:`partition_for` keeps the spatial partition with its windows per
 ``(grid.key(), domain)``, and the q = 2 weight is rebuilt from them per
@@ -234,15 +241,20 @@ def _lp_blocks(comps: np.ndarray, part: GridPartition):
     after the component axis; ``extra`` collects trailing axes such as
     time.  Each block keeps the component axis: with held windows it spans
     one component at a time, which bounds the memory; windows built per
-    block are built once for all components."""
+    block are built once for all components.  Every block is the same
+    array: reduce it before taking the next."""
     axes = tuple(range(1, len(part.lengths) + 1))
     groups = [comps] if part.windows is None else [c[None] for c in comps]
+    extra = comps.shape[len(axes) + 1:]
+    modes = np.empty((len(groups[0]),) + part.modulus.shape + extra, complex)
+    scaled, block = np.empty_like(modes), np.empty(groups[0].shape)
     for group in groups:
-        modes = np.fft.rfftn(group, axes=axes)
-        extra = (1,) * (group.ndim - len(axes) - 1)
+        np.fft.rfftn(group, axes=axes, out=modes)
         for j, chi in part.block_windows():
-            yield j, np.fft.irfftn(modes * chi.reshape(chi.shape + extra),
-                                   s=part.lengths, axes=axes)
+            np.multiply(modes, chi.reshape(chi.shape + (1,) * len(extra)),
+                        out=scaled)
+            yield j, np.fft.irfftn(scaled, s=part.lengths, axes=axes,
+                                   out=block)
 
 
 def _parseval_weight(part: GridPartition, s: float) -> np.ndarray:
@@ -262,15 +274,17 @@ def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
     components; F is the real transform of each component over its leading
     ``weight.ndim`` axes."""
     axes = list(range(weight.ndim))
+    modes = np.empty(weight.shape + comps.shape[weight.ndim + 1:], complex)
+    power = np.empty(modes.shape)
+    parts = modes.view(float).reshape(modes.shape + (2,))  # re, im (C order)
     acc = 0.0
     for comp in comps:
-        modes = np.ascontiguousarray(np.fft.rfftn(comp, axes=axes))
-        # squares of the real and imaginary parts (C order), in place; an
-        # overflow reads as a non-finite norm, without a warning
-        parts = modes.view(float).reshape(modes.shape + (2,))
+        np.fft.rfftn(comp, axes=axes, out=modes)
+        # squares of the real and imaginary parts, in place; an overflow
+        # reads as a non-finite norm, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
             np.square(parts, out=parts)
-            power = parts[..., 0] + parts[..., 1]
+            np.add(parts[..., 0], parts[..., 1], out=power)
             # einsum without optimize sums in a fixed order; a BLAS product
             # would sum in an order that follows the BLAS thread count
             acc = acc + np.einsum(weight, axes, power, list(range(power.ndim)),
@@ -358,7 +372,8 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
         if q == 2.0:
             # sum_k W |F_k - F_i|^2: the modes pre-scaled by W^(1/2), their
             # real and imaginary parts laid out as one real row per time
-            modes = np.fft.rfftn(comps, axes=axes[1:])
+            modes = np.fft.rfftn(comps, axes=axes[1:], out=np.empty(
+                comps.shape[:1] + part.modulus.shape + (nt,), complex))
             with np.errstate(invalid="ignore"):  # inf modes times W = 0
                 modes *= np.sqrt(_parseval_weight(part, s_sp))[..., None]
             rows = np.ascontiguousarray(modes.reshape(-1, nt).T)

@@ -251,9 +251,8 @@ def cmd_norms(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
     try:
         field = io.load_field(args.field)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        # a missing file, an unparsable sidecar or one with a missing key or
-        # unknown kind, or a .bin that does not fill the recorded shape
+    except (OSError, HalfStokesError) as exc:
+        # a missing file, or one that load_field rejects
         raise ConfigError(f"field snapshot {args.field} does not load: "
                           f"{type(exc).__name__}: {exc}") from exc
     if not np.all(np.isfinite(field.data)):

@@ -12,6 +12,7 @@ import numpy as np
 from . import __version__
 from .core import (BoundaryField, HalfSpaceGrid, ScalarField, TensorField,
                    VectorField)
+from .errors import InvalidDataError
 
 _FIELD_KINDS = {
     "ScalarField": ScalarField,
@@ -62,17 +63,20 @@ def save_field(field, prefix) -> None:
 
 
 def load_field(prefix):
+    """Read a snapshot of :func:`save_field`.  A missing file raises OSError;
+    a sidecar that does not parse, lacks a key or names an unknown kind, or a
+    ``.bin`` that does not fill its recorded shape, raises InvalidDataError."""
     prefix = Path(prefix)
-    sidecar = json.loads(prefix.with_suffix(".json").read_text())
-    grid = grid_from_dict(sidecar["grid"])
-    data = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
-    data = data.reshape(sidecar["shape"])
-    cls = _FIELD_KINDS[sidecar["kind"]]
-    if cls is BoundaryField:
-        return BoundaryField(grid, data,
-                             time_dependent=sidecar["time_dependent"])
-    return cls(grid, data, domain=sidecar["domain"],
-               time_dependent=sidecar["time_dependent"])
+    try:
+        sidecar = json.loads(prefix.with_suffix(".json").read_text())
+        grid = grid_from_dict(sidecar["grid"])
+        data = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
+        data = data.reshape(sidecar["shape"])
+        cls = _FIELD_KINDS[sidecar["kind"]]
+        kw = {} if cls is BoundaryField else {"domain": sidecar["domain"]}
+        return cls(grid, data, time_dependent=sidecar["time_dependent"], **kw)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise InvalidDataError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def export_csv_slice(field, path) -> None:

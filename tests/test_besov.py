@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -525,3 +526,119 @@ def test_gagliardo_of_overflowing_field_is_non_finite_without_warnings(
         value = besov.gagliardo_time_norm(BoundaryField(g, data), 0.5, 2.0,
                                           spatial_norm)
     assert not np.isfinite(value)
+
+
+# ---------------------------------------------------------------------------
+# transform buffers of the norm engine
+# ---------------------------------------------------------------------------
+#
+# The engine transforms into buffers it allocates once per call.  The copies
+# below allocate a fresh transform per component and per block, as the
+# engine once did; the buffers must not move a bit.
+
+def _fresh_parseval_sq(comps, weight):
+    axes = list(range(weight.ndim))
+    acc = 0.0
+    for comp in comps:
+        modes = np.ascontiguousarray(np.fft.rfftn(comp, axes=axes))
+        parts = modes.view(float).reshape(modes.shape + (2,))
+        np.square(parts, out=parts)
+        power = parts[..., 0] + parts[..., 1]
+        acc = acc + np.einsum(weight, axes, power, list(range(power.ndim)),
+                              list(range(weight.ndim, power.ndim)))
+    return acc
+
+
+def _fresh_lp_blocks(comps, part):
+    axes = tuple(range(1, len(part.lengths) + 1))
+    groups = [comps] if part.windows is None else [c[None] for c in comps]
+    for group in groups:
+        modes = np.fft.rfftn(group, axes=axes)
+        extra = (1,) * (group.ndim - len(axes) - 1)
+        for j, chi in part.block_windows():
+            yield j, np.fft.irfftn(modes * chi.reshape(chi.shape + extra),
+                                   s=part.lengths, axes=axes)
+
+
+def _fresh_q2_pair_diffs(field, s):
+    comps, domain = besov._components(field)
+    part = besov.partition_for(field.grid, domain)
+    nt = field.grid.N_time
+    modes = np.fft.rfftn(comps, axes=tuple(range(1, len(part.lengths) + 1)))
+    modes *= np.sqrt(besov._parseval_weight(part, s))[..., None]
+    rows = np.ascontiguousarray(modes.reshape(-1, nt).T)
+    D = besov._row_distances(rows.view(float), 2.0)
+    return D + D.T
+
+
+def _buffer_cases():
+    """1-, 2- and 3-component boundary, half and whole fields on a 2-D and a
+    3-D grid, steady and time-dependent."""
+    cases = []
+    for n, N in ((2, 12), (3, 6)):
+        g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=N // 2 + 1,
+                      T=1.0, N_time=7)
+        rng = np.random.default_rng(n)
+        for time_dependent in (False, True):
+            nt = (g.N_time,) if time_dependent else ()
+            for ncomp in sorted({1, 2, n}):
+                cases.append(BoundaryField(
+                    g, rng.standard_normal((ncomp,) + g.tan_shape + nt),
+                    time_dependent=time_dependent))
+            for domain, nv in (("half", g.N_vert), ("whole", g.n_vert_whole)):
+                shape = g.tan_shape + (nv,) + nt
+                cases.append(ScalarField(g, rng.standard_normal(shape),
+                                         domain=domain,
+                                         time_dependent=time_dependent))
+                cases.append(VectorField(g, rng.standard_normal((n,) + shape),
+                                         domain=domain,
+                                         time_dependent=time_dependent))
+    return cases
+
+
+@pytest.mark.parametrize("field", _buffer_cases(), ids=lambda f: (
+    f"{f.grid.n}d-{f.domain}-{f.data.shape[0] if f.ncomp_axes else 1}comp-"
+    + ("time" if f.time_dependent else "steady")))
+def test_buffered_transforms_match_fresh_transforms_bitwise(field,
+                                                            monkeypatch):
+    grid, s = field.grid, 0.6
+    comps, domain = besov._components(field)
+    weights = [besov._parseval_weight(besov.partition_for(grid, domain), s)]
+    if field.time_dependent:
+        weights.append(besov._spacetime_weight(grid, domain, s))
+    for weight in weights:
+        assert np.array_equal(besov._parseval_sq(comps, weight),
+                              _fresh_parseval_sq(comps, weight))
+    lattices = (False, True) if field.time_dependent else (False,)
+    got = {(q, time): besov._lp_norm_q(comps, grid, domain, s, q, time)
+           for q in (1.5, 3.0) for time in lattices}
+    if field.time_dependent:
+        pairs = besov._pair_diff_norms(field, 1.5, ("besov", -s))
+        assert np.array_equal(besov._pair_diff_norms(field, 2.0, ("besov", s)),
+                              _fresh_q2_pair_diffs(field, s))
+    monkeypatch.setattr(besov, "_lp_blocks", _fresh_lp_blocks)
+    for (q, time), value in got.items():
+        assert np.array_equal(
+            value, besov._lp_norm_q(comps, grid, domain, s, q, time)), (q, time)
+    if field.time_dependent:
+        assert np.array_equal(
+            pairs, besov._pair_diff_norms(field, 1.5, ("besov", -s)))
+
+
+def test_q2_norm_holds_one_modes_and_one_power_array():
+    # _parseval_sq transforms every component into the same modes array, in
+    # place; a fresh transform per component holds the last component's
+    # modes and power next to two arrays of each axis pass
+    g = make_grid(3, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=17, T=1.0,
+                  N_time=8)
+    f = VectorField(g, np.random.default_rng(9).standard_normal(
+        (3, 16, 16, g.n_vert_whole, 8)), domain="whole")
+    besov.lq_time_lp_space(f, 0.5, 2.0)  # the partition is cached
+    modes_bytes = 16 * 16 * 16 * 17 * 8
+    tracemalloc.start()
+    try:
+        besov.lq_time_lp_space(f, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < modes_bytes + modes_bytes // 2 + modes_bytes // 4

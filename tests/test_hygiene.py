@@ -2,8 +2,8 @@
 used by the package, its CLI or its benchmark, or is a test oracle or
 fixture named in ``TEST_ONLY_ALLOWED``; every dataclass field is read in the
 package, its tests or its benchmark; every default is set by some caller;
-real data go through real transforms; the package imports no scipy; and it
-tunes no allocator."""
+real data go through real transforms; the norm engine transforms into
+buffers; the package imports no scipy; and it tunes no allocator."""
 
 import ast
 import json
@@ -287,6 +287,27 @@ def test_real_data_use_real_transforms():
                   in _complex_transform_uses(ast.parse(path.read_text()),
                                              path.name)]
     assert not found, f"complex transforms of real data: {found}"
+
+
+# The Besov norm engine transforms into buffers it allocates once per call
+# and reuses across components and blocks: every FFT call there passes out=.
+FFTS = COMPLEX_FFTS | {"rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
+                       "hfft", "ihfft"}
+
+
+def _fft_calls(tree):
+    """(line, name, passes out=) of each FFT call."""
+    return [(node.lineno, _callee(node.func),
+             any(kw.arg == "out" for kw in node.keywords))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and _callee(node.func) in FFTS]
+
+
+def test_norm_engine_transforms_into_buffers():
+    calls = _fft_calls(ast.parse((PACKAGE / "besov.py").read_text()))
+    assert calls
+    fresh = [f"besov.py:{line} {name}" for line, name, out in calls if not out]
+    assert not fresh, f"FFT calls without out=: {fresh}"
 
 
 def test_package_imports_only_numpy():

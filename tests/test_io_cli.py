@@ -11,6 +11,7 @@ import pytest
 
 from halfstokes.core import BoundaryField, make_grid
 from halfstokes import cli, datagen, io
+from halfstokes.errors import InvalidDataError
 
 
 def test_field_roundtrip(tmp_path):
@@ -321,6 +322,10 @@ def _truncate_bin(prefix):
     path.write_bytes(path.read_bytes()[:-8])
 
 
+def _unparsable_sidecar(prefix):
+    prefix.with_suffix(".json").write_text("{shape: [")
+
+
 def _edit_sidecar(**changes):
     def damage(prefix):
         path = prefix.with_suffix(".json")
@@ -352,11 +357,10 @@ def _whole_with_top_slot(prefix):
 
 
 @pytest.mark.parametrize("damage, what", [
-    (_truncate_bin, "cannot reshape"),
-    (lambda prefix: prefix.with_suffix(".json").write_text("{shape: ["),
-     "JSONDecodeError"),
-    (_edit_sidecar(kind=None), "KeyError"),
-    (_edit_sidecar(kind="MatrixField"), "KeyError"),
+    (_truncate_bin, "InvalidDataError: ValueError: cannot reshape"),
+    (_unparsable_sidecar, "InvalidDataError: JSONDecodeError"),
+    (_edit_sidecar(kind=None), "InvalidDataError: KeyError"),
+    (_edit_sidecar(kind="MatrixField"), "InvalidDataError: KeyError"),
     (_nan_value, "non-finite"),
     (_whole_with_top_slot, "ShapeMismatchError"),
 ], ids=["truncated_bin", "unparsable_sidecar", "missing_key", "unknown_kind",
@@ -365,6 +369,20 @@ def test_cli_norms_bad_snapshot_is_config_error(tmp_path, capsys, damage,
                                                 what):
     err = config_error(tmp_path, capsys, "norms", {}, damage=damage)
     assert str(tmp_path / "snap") in err and what in err
+
+
+@pytest.mark.parametrize("damage, cause", [
+    (_truncate_bin, "ValueError"), (_unparsable_sidecar, "JSONDecodeError"),
+    (_edit_sidecar(kind=None), "KeyError"),
+    (_edit_sidecar(kind="MatrixField"), "KeyError"),
+], ids=["truncated_bin", "unparsable_sidecar", "missing_key", "unknown_kind"])
+def test_load_field_raises_invalid_data_error(tmp_path, damage, cause):
+    g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0, N_time=5)
+    io.save_field(datagen.random_boundary_field(g, np.random.default_rng(0)),
+                  tmp_path / "snap")
+    damage(tmp_path / "snap")
+    with pytest.raises(InvalidDataError, match=cause):
+        io.load_field(tmp_path / "snap")
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0", "2.5", "nan"])
