@@ -634,7 +634,7 @@ def test_q2_norm_holds_one_modes_and_one_power_array():
     f = VectorField(g, np.random.default_rng(9).standard_normal(
         (3, 16, 16, g.n_vert_whole, 8)), domain="whole")
     besov.lq_time_lp_space(f, 0.5, 2.0)  # the partition is cached
-    modes_bytes = 16 * 16 * 16 * 17 * 8
+    modes_bytes = (16 * 16 * 17) * 8 * 16  # half lattice x time, complex
     tracemalloc.start()
     try:
         besov.lq_time_lp_space(f, 0.5, 2.0)
