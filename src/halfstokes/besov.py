@@ -34,8 +34,8 @@ Buffers: a norm transforms into arrays it allocates once per call and
 reuses for every component and block, and keeps none of them between
 calls.  :func:`_parseval_sq` owns one ``modes`` array, which ``rfftn``
 writes in place, and one real ``power`` array.  :func:`_lp_blocks` owns
-one ``modes``, one windowed-modes and one block array, and yields that one
-block every time: a block is valid only until the next one is drawn.
+one ``modes``, one windowed-modes (inverted in place) and one block array,
+and yields that one block every time, valid until the next is drawn.
 
 Caching, each in a :class:`~halfstokes.core.GridCache` of 8 entries:
 :func:`partition_for` keeps the spatial partition with its windows per
@@ -253,8 +253,7 @@ def _lp_blocks(comps: np.ndarray, part: GridPartition):
         for j, chi in part.block_windows():
             np.multiply(modes, chi.reshape(chi.shape + (1,) * len(extra)),
                         out=scaled)
-            yield j, np.fft.irfftn(scaled, s=part.lengths, axes=axes,
-                                   out=block)
+            yield j, tr.inverse_half(scaled, part.lengths, axes, out=block)
 
 
 def _parseval_weight(part: GridPartition, s: float) -> np.ndarray:

@@ -185,9 +185,12 @@ def cmd_solve_ns(args) -> int:
     _require_critical(index, "solve-ns")
     h, g, _ = _build_data(cfg, grid, args.seed)
     max_iter = _number(cfg, "picard", "max_iter", 50, int)
+    if max_iter < 1:
+        raise ConfigError(f"[picard] max_iter = {max_iter} must be at least 1")
     tol = _number(cfg, "picard", "tol", 1e-8)
-    if not tol > 0:
-        raise ConfigError(f"[picard] tol = {tol:g} must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"[picard] tol = {tol:g} must be finite and "
+                          "positive")
     try:
         u, trace = nsmod.picard_solve(h, g, index, max_iter=max_iter,
                                       tol=tol * args.tolerance_scale)

@@ -263,24 +263,24 @@ def random_divfree_initial(grid: HalfSpaceGrid, rng) -> VectorField:
 def random_whole_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None,
                        time_profile: str = "taper_both") -> VectorField | ScalarField:
     """Random band-limited space-time field on the reflected whole axis
-    (modes k, m = 1, 2)."""
+    (modes k, m = 1, 2), per component a sum of four separable terms."""
     _require_2d(grid)
-    x = grid.tan_nodes[:, None, None]
-    y = grid.whole_vert_nodes[None, :, None]
+    x = grid.tan_nodes[:, None]
+    y = grid.whole_vert_nodes[None, :]
     nc = grid.n if ncomp is None else ncomp
     comps = []
     for _ in range(nc):
-        acc = np.zeros((grid.N_tan, grid.n_vert_whole, grid.N_time))
+        space, time = [], []
         for k in (1, 2):
             for m in (1, 2):
                 amp = rng.standard_normal() / (k + m)
                 phase = rng.uniform(0, 2 * np.pi)
                 vphase = rng.uniform(0, 2 * np.pi)
-                prof = _time_profile(rng, grid.time_nodes, time_profile)
-                acc += amp * np.cos(2 * np.pi * k * x / grid.L + phase) \
-                    * np.cos(np.pi * m * y / grid.X + vphase) \
-                    * prof[None, None, :]
-        comps.append(acc)
+                time.append(_time_profile(rng, grid.time_nodes, time_profile))
+                space.append(amp * np.cos(2 * np.pi * k * x / grid.L + phase)
+                             * np.cos(np.pi * m * y / grid.X + vphase))
+        # einsum without optimize adds the terms in a fixed order, no BLAS
+        comps.append(np.einsum("jxy,jt->xyt", space, time))
     if nc == 1:
         return ScalarField(grid, comps[0], domain="whole")
     return VectorField(grid, np.stack(comps), domain="whole")

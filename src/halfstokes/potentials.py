@@ -131,9 +131,7 @@ def heat_single_layer(g: BoundaryField) -> Field:
     modes = single_layer_modes(ghat.reshape(g.ncomp, -1, grid.N_time),
                                kernel_quadrature(grid))
     modes = modes.reshape((g.ncomp, grid.N_vert) + ghat.shape[1:])
-    # (comp, mode, node, time) storage, so that the transform returns C order
-    data = tr.tan_ifft(np.ascontiguousarray(np.moveaxis(modes, 1, -2)),
-                       grid, offset=1)
+    data = tr.tan_ifft(np.moveaxis(modes, 1, -2), grid, offset=1)
     if g.ncomp == grid.n:
         return VectorField(grid, data, domain="half")
     if g.ncomp == 1:

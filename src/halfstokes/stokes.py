@@ -117,7 +117,7 @@ def build_w(G: BoundaryField) -> VectorField:
         sigma += 1j * xi[j] * betas[j]
     S, dS = pot.strip_newton_modes(sigma, lam, grid.vert_nodes)
 
-    # a (node, mode) view of (mode, node) storage: C order for tan_ifft
+    # a (node, mode) view of (mode, node) storage, which tan_ifft overwrites
     modes = np.empty((n,) + mesh[0].shape + (nv, nt), dtype=complex)
     w = np.moveaxis(modes.reshape(n, -1, nv, nt), 2, 1)
     for i in range(n - 1):
@@ -192,7 +192,9 @@ def gradient_scale(u: VectorField) -> float:
     ks = tr.k_vectors(grid, "boundary", grid.n_tan_axes, deriv=True)
     weight = sum(k ** 2 for k in ks) * tr.half_multiplicity(grid.N_tan)
     power = np.sum(modes.real ** 2 + modes.imag ** 2, axis=(0, -2, -1))
-    dv = tr.vertical_derivative_array(u.data, grid, grid.n_tan_axes + 1)
+    # C order: the sum runs in one order whatever the layout of dv
+    dv = np.ascontiguousarray(
+        tr.vertical_derivative_array(u.data, grid, grid.n_tan_axes + 1))
     total = (np.sum(weight * power) / grid.N_tan ** grid.n_tan_axes
              + np.sum(dv * dv))
     return float(np.sqrt(total / u.data[0].size))

@@ -18,6 +18,10 @@ or the reflected vertical one of length 2 (N_vert - 1)) keeps its
 symbol is even in k, or odd with the unpaired Nyquist mode zeroed
 (``deriv``), so it keeps the modes Hermitian and ``irfftn`` equals
 ``ifftn(...).real`` on the full lattice to roundoff.
+
+Buffers: a forward transform writes all its passes into one fresh array
+(:func:`forward_half`); an inverse one (:func:`inverse_half`) runs its
+complex passes in place, so it overwrites the modes it is given.
 """
 
 from __future__ import annotations
@@ -118,21 +122,37 @@ def leray(modes: np.ndarray, ks, kdotu=None, term=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def forward_half(data: np.ndarray, axes: tuple) -> np.ndarray:
+    """``rfftn`` over ``axes``, every pass into one fresh destination."""
+    shape = list(data.shape)
+    shape[axes[-1]] = shape[axes[-1]] // 2 + 1
+    return np.fft.rfftn(data, axes=axes, out=np.empty(shape, complex))
+
+
+def inverse_half(modes: np.ndarray, s, axes, out: np.ndarray) -> np.ndarray:
+    """``irfftn(modes, s, axes)`` into ``out``; its complex passes, in the
+    order of ``irfftn``, overwrite ``modes`` in place."""
+    for n, a in zip(s[:-1], axes[:-1]):
+        np.fft.ifft(modes, n, a, out=modes)
+    return np.fft.irfft(modes, s[-1], axes[-1], out=out)
+
+
 def tan_fft(data: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
-    axes = tuple(range(offset, offset + grid.n_tan_axes))
-    return np.fft.rfftn(data, axes=axes)
+    return forward_half(data, tuple(range(offset, offset + grid.n_tan_axes)))
 
 
 def tan_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
-    """Inverse of :func:`tan_fft`."""
+    """Inverse of :func:`tan_fft` into a fresh array; overwrites ``modes``."""
     axes = tuple(range(offset, offset + grid.n_tan_axes))
-    return np.fft.irfftn(modes, s=(grid.N_tan,) * grid.n_tan_axes, axes=axes)
+    out = np.empty(modes.shape[:offset] + grid.tan_shape
+                   + modes.shape[axes[-1] + 1:])
+    return inverse_half(modes, grid.tan_shape, axes, out=out)
 
 
 def whole_fft(data: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
     """Real FFT over the spatial axes of a whole-space array."""
-    axes = tuple(range(offset, offset + grid.n_tan_axes + 1))
-    return np.fft.rfftn(data, axes=axes)
+    return forward_half(data,
+                        tuple(range(offset, offset + grid.n_tan_axes + 1)))
 
 
 def zero_extension_fft(data: np.ndarray, grid: HalfSpaceGrid,
@@ -149,11 +169,11 @@ def zero_extension_fft(data: np.ndarray, grid: HalfSpaceGrid,
 
 def whole_ifft(modes: np.ndarray, grid: HalfSpaceGrid, offset: int) -> np.ndarray:
     """Inverse of :func:`whole_fft`, into a fresh C-ordered array whatever
-    the memory order of ``modes``."""
+    the memory order of ``modes``; overwrites ``modes``."""
     axes = tuple(range(offset, offset + grid.n_tan_axes + 1))
     s = grid.tan_shape + (grid.n_vert_whole,)
     out = np.empty(modes.shape[:offset] + s + modes.shape[axes[-1] + 1:])
-    return np.fft.irfftn(modes, s=s, axes=axes, out=out)
+    return inverse_half(modes, s, axes, out=out)
 
 
 def _field_fft(field: Field) -> np.ndarray:

@@ -584,6 +584,9 @@ def scaling_invariance_check(h: VectorField, g: BoundaryField,
     if not index.critical:
         raise ConfigError("the scaling study requires a critical index")
     base_m0 = besov.data_norm_M0(h, g, index)
+    if not base_m0 > 0:
+        raise ConfigError(f"the scaling study needs data of positive M0 "
+                          f"norm, got M0 = {base_m0:g}")
     base_sol = None
     if solve:
         sol = stk.solve_stokes(h, g, None, index=index, with_norms=False)

@@ -401,7 +401,8 @@ def test_engine_agrees_with_complex_transform_reference(n, N, Nt, q,
 
 def test_q2_norms_need_no_inverse_transform(monkeypatch):
     # at q = 2 every norm is a weighted sum of |modes|^2 (Plancherel); a
-    # fall-back to the dyadic block path would call irfftn once per block
+    # fall-back to the dyadic block path would run an inverse transform
+    # once per block (its real pass is irfft; irfftn stays patched too)
     g = grid2(N=16, Nv=9, Nt=8)
     rng = np.random.default_rng(5)
     fields = _random_fields(g, rng, time_dependent=True)
@@ -411,6 +412,7 @@ def test_q2_norms_need_no_inverse_transform(monkeypatch):
         raise AssertionError("inverse transform on the q = 2 path")
 
     monkeypatch.setattr(np.fft, "irfftn", no_inverse)
+    monkeypatch.setattr(np.fft, "irfft", no_inverse)
     for domain, f in fields.items():
         assert besov.lp_norm(steady[domain], 0.5, 2.0) > 0, domain
         assert besov.lq_time_lp_space(f, 0.5, 2.0) > 0, domain

@@ -2,8 +2,9 @@
 used by the package, its CLI or its benchmark, or is a test oracle or
 fixture named in ``TEST_ONLY_ALLOWED``; every dataclass field is read in the
 package, its tests or its benchmark; every default is set by some caller;
-real data go through real transforms; the norm engine transforms into
-buffers; the package imports no scipy; and it tunes no allocator."""
+real data go through real transforms; the norm engine and the transforms
+write into buffers, and an inverse's complex passes run in place; the
+package imports no scipy; and it tunes no allocator."""
 
 import ast
 import json
@@ -14,6 +15,8 @@ import sys
 from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "halfstokes"
@@ -245,10 +248,13 @@ def test_every_default_is_set_by_a_caller():
 # Complex FFTs of real data waste half the work: the package transforms real
 # fields with rfftn/irfftn.  The exceptions are named: the lag correlation
 # behind the wall-trace adjoint, the independent side of the layer duality,
-# acts on complex tangential modes, and the strip-potential oracle of
+# acts on complex tangential modes; the inverse real transform runs the
+# complex passes of irfftn on complex half-lattice modes, in place (see
+# test_inverse_half_passes_run_in_place); and the strip-potential oracle of
 # ``verify`` stays on the full lattice as an independent reference.
 COMPLEX_FFTS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
 COMPLEX_ALLOWED = {("numerics.py", "lag_correlate"),
+                   ("transforms.py", "inverse_half"),
                    ("verify.py", "_sample_field_2d")}
 
 
@@ -290,7 +296,8 @@ def test_real_data_use_real_transforms():
 
 
 # The Besov norm engine transforms into buffers it allocates once per call
-# and reuses across components and blocks: every FFT call there passes out=.
+# and reuses across components and blocks, and the transforms of the solver
+# write into one destination: every FFT call there passes out=.
 FFTS = COMPLEX_FFTS | {"rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
                        "hfft", "ihfft"}
 
@@ -303,11 +310,57 @@ def _fft_calls(tree):
             and _callee(node.func) in FFTS]
 
 
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _keyword(call, name):
+    return next((kw.value for kw in call.keywords if kw.arg == name), None)
+
+
+def _is_empty_call(node):
+    return isinstance(node, ast.Call) and _callee(node.func) == "empty"
+
+
 def test_norm_engine_transforms_into_buffers():
-    calls = _fft_calls(ast.parse((PACKAGE / "besov.py").read_text()))
+    for module in ("besov.py", "transforms.py"):
+        calls = _fft_calls(ast.parse((PACKAGE / module).read_text()))
+        assert calls, module
+        fresh = [f"{module}:{line} {name}" for line, name, out in calls
+                 if not out]
+        assert not fresh, f"FFT calls without out=: {fresh}"
+
+
+@pytest.mark.parametrize("name", ["tan_ifft", "whole_ifft"])
+def test_inverse_transforms_write_a_fresh_array(name):
+    # the inverse's real pass writes into an np.empty made in the function,
+    # never into the caller's modes or a shared buffer
+    fn = _function(ast.parse((PACKAGE / "transforms.py").read_text()), name)
+    fresh = {target.id for node in ast.walk(fn)
+             if isinstance(node, ast.Assign) and _is_empty_call(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and _callee(node.func) == "inverse_half"]
     assert calls
-    fresh = [f"besov.py:{line} {name}" for line, name, out in calls if not out]
-    assert not fresh, f"FFT calls without out=: {fresh}"
+    for call in calls:
+        out = _keyword(call, "out")
+        assert _is_empty_call(out) or (isinstance(out, ast.Name)
+                                       and out.id in fresh), ast.unparse(call)
+
+
+def test_inverse_half_passes_run_in_place():
+    # the one COMPLEX_ALLOWED entry of transforms.py admits in-place passes
+    # over the modes only: each complex FFT writes back into its input
+    fn = _function(ast.parse((PACKAGE / "transforms.py").read_text()),
+                   "inverse_half")
+    calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and _callee(node.func) in COMPLEX_FFTS]
+    assert calls
+    for call in calls:
+        out = _keyword(call, "out")
+        assert call.args and out is not None \
+            and ast.dump(out) == ast.dump(call.args[0]), ast.unparse(call)
 
 
 def test_package_imports_only_numpy():

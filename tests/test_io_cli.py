@@ -454,6 +454,85 @@ def test_cli_negative_picard_tol_is_config_error(tmp_path, capsys):
     assert "[picard] tol = -1" in err and "positive" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("max_iter", "-3", "[picard] max_iter = -3 must be at least 1"),
+    ("max_iter", "0", "[picard] max_iter = 0 must be at least 1"),
+    ("tol", "inf", "[picard] tol = inf must be finite and positive")])
+def test_cli_picard_setting_out_of_range_is_config_error(tmp_path, capsys,
+                                                         key, value, message):
+    # max_iter < 1 ran only the first solve, exited 0 and reported
+    # "max_iter=-3 reached"; tol = inf passed the positivity check
+    err = config_error(tmp_path, capsys, "solve-ns", {("picard", key): value})
+    assert message in err
+
+
+@pytest.mark.parametrize("settings", [{("data", "amplitude"): "0"},
+                                      {("data", "family"): "zero"}])
+def test_cli_scaling_of_zero_data_is_config_error(tmp_path, capsys,
+                                                  settings):
+    # the relative M0 deviation divided by a zero base norm
+    err = config_error(tmp_path, capsys, "scaling", settings)
+    assert "positive M0 norm" in err
+
+
+# The config fuzz: the test config at toy size, with a [data] k1 and a
+# [norms] section so that every key a subcommand reads is present.
+FUZZ_SETTINGS = {("grid", "n_tan"): "8", ("grid", "n_vert"): "9",
+                 ("grid", "n_time"): "8", ("data", "k1"): "1",
+                 ("picard", "max_iter"): "3", ("verify", "samples"): "1",
+                 ("norms", "kind"): "aniso", ("norms", "s"): "1.0",
+                 ("norms", "q"): "2.0"}
+# missing (None), empty, non-numeric, non-finite, out of range and, for
+# [grid] n, a wrong dimension
+FUZZ_VALUES = (None, "", "abc", "nan", "inf", "-1", "0", "3")
+COMMANDS = ("solve-stokes", "solve-ns", "verify-ops", "norms", "scaling")
+
+
+def _fuzz_config():
+    cp = configparser.ConfigParser()
+    cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
+    cp.add_section("norms")
+    for (section, key), value in FUZZ_SETTINGS.items():
+        cp[section][key] = value
+    return cp
+
+
+def _fuzz_cases():
+    keys = [(s, k) for s, sec in _fuzz_config().items() for k in sec]
+    cases = [{key: value} for key in keys for value in FUZZ_VALUES]
+    return cases + [{("index", "critical"): "false", ("index", "q"): "2.5"}]
+
+
+def test_cli_config_fuzz_exits_with_a_code_and_one_line(tmp_path, capsys):
+    base = _fuzz_config()
+    snap = tmp_path / "snap"
+    path = tmp_path / "cfg.ini"
+    with path.open("w") as fh:
+        base.write(fh)
+    assert cli.main(["solve-stokes", "--config", str(path), "--out",
+                     str(snap)]) == 0
+    failures = []
+    for settings in _fuzz_cases():
+        cp = _fuzz_config()
+        for (section, key), value in settings.items():
+            if value is None:
+                del cp[section][key]
+            else:
+                cp[section][key] = value
+        with path.open("w") as fh:
+            cp.write(fh)
+        capsys.readouterr()
+        for command in COMMANDS:
+            extra = ["--field", str(snap / "velocity")] \
+                if command == "norms" else []
+            code = cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / "out")] + extra)
+            err = capsys.readouterr().err.splitlines()
+            if code not in (0, 2, 3, 4) or len(err) != (code != 0):
+                failures.append((command, settings, code, err))
+    assert not failures, failures
+
+
 @pytest.mark.parametrize("key, value", [("t", "nan"), ("l", "inf")])
 def test_cli_non_finite_grid_is_config_error(tmp_path, capsys, key, value):
     err = config_error(tmp_path, capsys, "solve-stokes", {("grid", key): value})

@@ -324,3 +324,20 @@ def test_gradient_scale_matches_derivative_loop(n, N):
                     domain="half")
     ref = _gradient_scale_ref(u)
     assert abs(stk.gradient_scale(u) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("n, N", [(2, 64), (3, 8)])
+def test_gradient_scale_does_not_depend_on_derivative_layout(n, N,
+                                                              monkeypatch):
+    # the same vertical derivative values in Fortran order give the same
+    # bits; a sum in memory order differs in a few of these draws
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=N // 2 + 1,
+                  T=1.0, N_time=16)
+    shape = (n,) + g.tan_shape + (g.N_vert, g.N_time)
+    fields = [VectorField(g, np.random.default_rng(seed).standard_normal(
+        shape), domain="half") for seed in range(8)]
+    values = [stk.gradient_scale(u) for u in fields]
+    derivative = tr.vertical_derivative_array
+    monkeypatch.setattr(tr, "vertical_derivative_array",
+                        lambda *args: np.asfortranarray(derivative(*args)))
+    assert [stk.gradient_scale(u) for u in fields] == values

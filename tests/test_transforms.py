@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -233,11 +235,12 @@ def test_spectral_field_roundtrip_and_hermitian():
     rng = np.random.default_rng(12)
     f = band_limited_whole(g, rng)
     modes = tr.whole_fft(f.data, g, f.ncomp_axes)
-    back = tr.whole_ifft(modes, g, f.ncomp_axes)
-    assert np.max(np.abs(back - f.data)) < 1e-12 * f.max_abs()
+    # the inverse overwrites the modes: check them before it runs
     assert _hermitian_defect(modes, g, f.ncomp_axes) < 1e-12
     # complex corruption is detected
     assert _hermitian_defect(modes + 1j, g, f.ncomp_axes) > 1e-6
+    back = tr.whole_ifft(modes, g, f.ncomp_axes)
+    assert np.max(np.abs(back - f.data)) < 1e-12 * f.max_abs()
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +512,73 @@ def test_zero_extension_fft_matches_built_extension(n, N):
                        grading=1.2, T=1.0, N_time=3)
     with pytest.raises(ShapeMismatchError, match="uniform vertical"):
         tr.zero_extension_fft(F, graded, offset=2)
+
+
+def _transform_cases():
+    """(grid, data, domain, offset): scalar and vector, boundary and
+    whole-space arrays on a 2-D and a 3-D grid, steady and time-dependent."""
+    cases = []
+    for n, N in ((2, 12), (3, 6)):
+        g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=N // 2 + 1,
+                      T=1.0, N_time=5)
+        rng = np.random.default_rng(40 + n)
+        for nt in ((), (g.N_time,)):
+            for lead in ((), (n,)):
+                for domain, vert in (("boundary", ()),
+                                     ("whole", (g.n_vert_whole,))):
+                    data = rng.standard_normal(lead + g.tan_shape + vert + nt)
+                    cases.append((g, data, domain, len(lead)))
+    return cases
+
+
+@pytest.mark.parametrize("g, data, domain, offset", [
+    pytest.param(*case, id=f"{case[2]}-{case[1].shape}")
+    for case in _transform_cases()])
+def test_transforms_match_plain_numpy_bitwise(g, data, domain, offset):
+    fwd, inv = ((tr.tan_fft, tr.tan_ifft) if domain == "boundary"
+                else (tr.whole_fft, tr.whole_ifft))
+    axes = tuple(range(offset, offset + g.n_tan_axes + (domain == "whole")))
+    s = [data.shape[a] for a in axes]
+    ref = np.fft.rfftn(data, axes=axes)
+    back = np.fft.irfftn(ref, s=s, axes=axes)
+    modes = fwd(data, g, offset)
+    assert np.array_equal(modes, ref)
+    assert np.array_equal(inv(modes, g, offset), back)
+    if data.ndim > len(axes) + offset:
+        # time-major storage seen time-last, as the Duhamel sweeps pass it
+        stored = np.ascontiguousarray(np.moveaxis(ref, -1, 0))
+        got = inv(np.moveaxis(stored, 0, -1), g, offset)
+        assert got.flags.c_contiguous and np.array_equal(got, back)
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes that ``fn(*args)`` allocated above the start)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, domain", [(2, "whole"), (3, "whole"),
+                                       (3, "boundary")])
+def test_transforms_allocate_little_beyond_their_result(n, domain):
+    # the forward passes share one destination and the inverse passes run
+    # in place on the modes, so neither holds a second complex array
+    N = 32 if n == 2 else 16
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=N // 2 + 1,
+                  T=1.0, N_time=8)
+    vert = (g.n_vert_whole,) if domain == "whole" else ()
+    data = np.random.default_rng(n).standard_normal(
+        (n,) + g.tan_shape + vert + (g.N_time,))
+    fwd, inv = ((tr.tan_fft, tr.tan_ifft) if domain == "boundary"
+                else (tr.whole_fft, tr.whole_ifft))
+    modes, fwd_peak = _traced_peak(fwd, data, g, 1)
+    assert fwd_peak <= 1.1 * modes.nbytes
+    back, inv_peak = _traced_peak(inv, modes, g, 1)
+    assert inv_peak <= 1.1 * back.nbytes
 
 
 def test_solver_runs_without_complex_transforms(monkeypatch):

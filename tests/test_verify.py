@@ -30,6 +30,42 @@ def test_two_dimensional_samplers_reject_3d_grids(sampler):
         sampler(g, np.random.default_rng(0))
 
 
+def _random_whole_field_loop(grid, rng, ncomp, time_profile):
+    """The sampler as a loop of separable terms added one at a time."""
+    x = grid.tan_nodes[:, None, None]
+    y = grid.whole_vert_nodes[None, :, None]
+    comps = []
+    for _ in range(ncomp):
+        acc = np.zeros((grid.N_tan, grid.n_vert_whole, grid.N_time))
+        for k in (1, 2):
+            for m in (1, 2):
+                amp = rng.standard_normal() / (k + m)
+                phase = rng.uniform(0, 2 * np.pi)
+                vphase = rng.uniform(0, 2 * np.pi)
+                prof = datagen._time_profile(rng, grid.time_nodes,
+                                             time_profile)
+                acc += amp * np.cos(2 * np.pi * k * x / grid.L + phase) \
+                    * np.cos(np.pi * m * y / grid.X + vphase) \
+                    * prof[None, None, :]
+        comps.append(acc)
+    return comps[0] if ncomp == 1 else np.stack(comps)
+
+
+@pytest.mark.parametrize("N, Nv, Nt", [(16, 9, 8), (32, 17, 16),
+                                       (64, 33, 32), (64, 65, 63)])
+@pytest.mark.parametrize("profile", ["taper_both", "smooth"])
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_random_whole_field_matches_term_loop_bitwise(N, Nv, Nt, profile,
+                                                      ncomp):
+    g = make_grid(2, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=Nv, T=1.0,
+                  N_time=Nt)
+    f = datagen.random_whole_field(g, np.random.default_rng(N + Nt), ncomp,
+                                   profile)
+    ref = _random_whole_field_loop(g, np.random.default_rng(N + Nt), ncomp,
+                                   profile)
+    assert np.array_equal(f.data, ref)
+
+
 @pytest.mark.parametrize("order", [12, 16, 24, 32])
 def test_gauss_panel_matches_scipy_roots(order):
     from scipy.special import roots_legendre
