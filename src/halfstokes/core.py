@@ -227,23 +227,10 @@ class Field:
         return type(self)(self.grid, data, domain=self.domain,
                           time_dependent=self.time_dependent)
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        return self._like(self.data + other.data)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return self._like(self.data - other.data)
-
     def __mul__(self, scalar):
         return self._like(self.data * float(scalar))
 
     __rmul__ = __mul__
-
-    def _check_compatible(self, other):
-        if type(other) is not type(self) or other.data.shape != self.data.shape \
-                or other.domain != self.domain or other.grid.key() != self.grid.key():
-            raise ShapeMismatchError("fields are not compatible")
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0

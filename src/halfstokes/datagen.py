@@ -371,6 +371,15 @@ def random_halfspace_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None):
 # ---------------------------------------------------------------------------
 
 
+# (theta, theta') of s = t / T for each time factor of StreamTestFunction
+_TIME_FACTORS = {
+    "decay2": lambda s, T: ((1.0 - s) ** 2, -2.0 * (1.0 - s) / T),
+    "decay3": lambda s, T: ((1.0 - s) ** 3, -3.0 * (1.0 - s) ** 2 / T),
+    "bump": lambda s, T: (s * (1.0 - s) ** 2,
+                          ((1.0 - s) ** 2 - 2.0 * s * (1.0 - s)) / T),
+}
+
+
 @dataclass
 class StreamTestFunction:
     """Φ = (d/dy chi, -d/dx chi) for chi = trig(k x) P(y) theta(t).
@@ -389,25 +398,11 @@ class StreamTestFunction:
         s = Polynomial([0.0, 1.0 / X])
         return (s ** 2) * (1 - s) ** 3
 
-    def _theta(self, t, T):
-        s = t / T
-        if self.theta == "decay2":
-            return (1.0 - s) ** 2
-        if self.theta == "decay3":
-            return (1.0 - s) ** 3
-        if self.theta == "bump":
-            return s * (1.0 - s) ** 2
-        raise InvalidDataError(f"unknown time factor {self.theta!r}")
-
-    def _theta_dot(self, t, T):
-        s = t / T
-        if self.theta == "decay2":
-            return -2.0 * (1.0 - s) / T
-        if self.theta == "decay3":
-            return -3.0 * (1.0 - s) ** 2 / T
-        if self.theta == "bump":
-            return ((1.0 - s) ** 2 - 2.0 * s * (1.0 - s)) / T
-        raise InvalidDataError(f"unknown time factor {self.theta!r}")
+    def _time_factor(self, t, T):
+        """theta and its derivative at the times ``t``."""
+        if self.theta not in _TIME_FACTORS:
+            raise InvalidDataError(f"unknown time factor {self.theta!r}")
+        return _TIME_FACTORS[self.theta](t / T, T)
 
     def _trigs(self, x, kx):
         if self.trig == "sin":
@@ -430,8 +425,7 @@ class StreamTestFunction:
         y = grid.vert_nodes[None, :, None]
         t = grid.time_nodes[None, None, :]
         tg, tgp = self._trigs(x, kx)   # trig, trig'
-        th = self._theta(t, T)
-        thd = self._theta_dot(t, T)
+        th, thd = self._time_factor(t, T)
         Py, P1y, P2y, P3y = P(y), P1(y), P2(y), P3(y)
 
         phi1 = tg * P1y * th

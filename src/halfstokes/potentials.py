@@ -15,8 +15,6 @@ a field's data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (BoundaryField, Field, GridCache, HalfSpaceGrid,
@@ -66,28 +64,22 @@ def newton_kernel(x, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelQuadrature:
-    """Exact per-interval time weights of the boundary heat layer.
-
-    ``weights[g, i, j]`` is the integral of the layer kernel at vertical node
-    i and frequency group g over the lag interval [j dt, (j+1) dt]; data is
-    taken piecewise constant on each interval.
-    """
-
-    lam_unique: np.ndarray
-    group_index: np.ndarray  # flat tangential half lattice -> lam row
-    weights: np.ndarray      # (n_lam, N_vert, N_time - 1)
-
-
 _QUAD_CACHE = GridCache()
 
 
-def kernel_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
+def kernel_quadrature(grid: HalfSpaceGrid) -> np.ndarray:
+    """Exact per-interval time weights of the boundary heat layer, cached
+    per grid and read-only.
+
+    ``weights[i, k, j]`` is the integral of the layer kernel at vertical
+    node i and flat tangential half-lattice mode k over the lag interval
+    [j dt, (j+1) dt]; data is taken piecewise constant on each interval.
+    """
     return _QUAD_CACHE.get(grid.key(), lambda: _build_quadrature(grid))
 
 
-def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
+def _build_quadrature(grid: HalfSpaceGrid) -> np.ndarray:
+    # the kernel once per distinct |xi|, then its rows spread to every mode
     lam_unique, group = np.unique(np.round(tr.tan_modulus(grid), 12),
                                   return_inverse=True)
     taus = grid.dt * np.arange(grid.N_time)
@@ -99,8 +91,9 @@ def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
     # it there, where the masses only cancel
     weights = np.where(np.isnan(rest[..., :-1]), np.diff(C, axis=-1),
                        -np.diff(rest, axis=-1))
-    return KernelQuadrature(lam_unique=lam_unique, group_index=group,
-                            weights=weights)
+    weights = np.moveaxis(weights, 0, 1)[:, group]
+    weights.setflags(write=False)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +101,14 @@ def _build_quadrature(grid: HalfSpaceGrid) -> KernelQuadrature:
 # ---------------------------------------------------------------------------
 
 
-def single_layer_modes(ghat: np.ndarray, quad: KernelQuadrature) -> np.ndarray:
+def single_layer_modes(ghat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Apply the layer convolution to flattened tangential modes.
 
     ``ghat``: (..., n_modes, N_time) complex, leading axes for components;
-    returns (..., N_vert, n_modes, N_time), vertical node first.  One lag
-    convolution serves every frequency group and component.
+    ``weights``: the :func:`kernel_quadrature` table; returns (..., N_vert,
+    n_modes, N_time), vertical node first.  One lag convolution serves every
+    mode and component.
     """
-    weights = np.moveaxis(quad.weights, 0, 1)[:, quad.group_index]
     # data piecewise constant in time: the midpoint value of each interval
     intervals = 0.5 * (ghat[..., None, :, 1:] + ghat[..., None, :, :-1])
     return lag_convolve(weights, intervals)
@@ -158,23 +151,15 @@ def single_layer_wall_trace_adjoint(phi: Field) -> np.ndarray:
     if phi.domain != "half":
         raise ShapeMismatchError("expected a half-space field")
     grid = phi.grid
-    quad = kernel_quadrature(grid)
     wv = trapezoid_weights(grid.vert_nodes)
     ncomp = int(np.prod(phi.data.shape[: phi.ncomp_axes], dtype=int))
     flat = phi.data.reshape((ncomp,) + grid.tan_shape + (grid.N_vert, grid.N_time))
     phat = tr.tan_fft(flat, grid, offset=1)
     shape = phat.shape[:-2] + (grid.N_time - 1,)
     phat = phat.reshape(ncomp, -1, grid.N_vert, grid.N_time)
-    group = quad.group_index
-    out = np.empty((ncomp, phat.shape[1], grid.N_time - 1), dtype=complex)
-    for gidx in range(len(quad.lam_unique)):
-        rows = np.nonzero(group == gidx)[0]
-        W = quad.weights[gidx]  # (N_vert, nt-1)
-        block = phat[:, rows]   # (ncomp, nrow, nv, nt)
-        # R_k = sum_i w_i sum_j W[i, j] phi-hat[i, k+1+j]
-        weighted = wv[None, None, :, None] * block
-        R = lag_correlate(W[None, None, :, :], weighted)   # (ncomp, nrow, nv, nt-1)
-        out[:, rows] = np.sum(R, axis=2)
+    # R_k = sum_i w_i sum_j W[i, j] phi-hat[i, k+1+j], per mode
+    W = np.moveaxis(kernel_quadrature(grid), 0, 1)   # (n_modes, nv, nt-1)
+    out = np.sum(lag_correlate(W, wv[:, None] * phat), axis=2)
     return tr.tan_ifft(out.reshape(shape), grid, offset=1)
 
 
@@ -291,18 +276,14 @@ class Workspace:
 
 def _stress_modes(F: TensorField, work: Workspace):
     """:func:`tr.zero_extension_fft` of each stress component, indexed
-    ``[k][i]``, written into the workspace buffer ``stress``.  A component
-    equal to its transposed partner (the flux -u (x) u is symmetric) shares
-    that partner's modes, and only the distinct components are transformed;
-    a stress with no equal pair goes to one transform as it is, uncopied."""
+    ``[k][i]``, one row of the workspace buffer ``stress`` per distinct
+    component: a component equal to its transposed partner (the flux
+    -u (x) u is symmetric) shares that partner's modes."""
     grid, data = F.grid, F.data
     n = grid.n
     distinct = [(k, i) for k in range(n) for i in range(n)
                 if not (i < k and np.array_equal(data[k, i], data[i, k]))]
     shape = _spatial_k2(grid).shape + (grid.N_time,)
-    if len(distinct) == n * n:
-        return tr.zero_extension_fft(
-            data, grid, 2, out=work.buffer("stress", (n, n) + shape))
     out = work.buffer("stress", (len(distinct),) + shape)
     for r, p in enumerate(distinct):
         tr.zero_extension_fft(data[p], grid, 0, out=out[r])

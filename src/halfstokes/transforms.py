@@ -293,10 +293,7 @@ def vertical_derivative_array(data: np.ndarray, grid: HalfSpaceGrid,
     """First vertical derivative by 5-point stencils on the (graded) nodes;
     one-sided at the wall, where it evaluates the interior limit."""
     D = derivative_matrix(grid.vert_nodes)
-    if vaxis == data.ndim - 2:  # time-dependent: no transposed copy
-        return np.matmul(D, data)
-    out = np.tensordot(D, data, axes=(1, vaxis))
-    return np.moveaxis(out, 0, vaxis)
+    return np.moveaxis(np.matmul(D, np.moveaxis(data, vaxis, -2)), -2, vaxis)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ continuum objects.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .core import (BesovIndex, BoundaryField, HalfSpaceGrid, ScalarField,
@@ -47,26 +49,26 @@ def _gauss_panel(a, b, order=16):
     return nodes, weights
 
 
-def _graded_panels(a, b, toward_b=True, n_panels=8, order=12):
-    """Panels of [a, b] geometrically graded (ratio 3) toward one endpoint."""
+def _graded_panels(far, near, n_panels, order):
+    """Gauss panels between ``far`` and ``near``, geometrically graded
+    (ratio 3) toward ``near``: listed from ``near`` outward, each panel's
+    nodes in ascending order."""
     fracs = 3.0 ** np.arange(n_panels)
     fracs = fracs / fracs.sum()
-    widths = (b - a) * fracs
-    nodes_all, weights_all = [], []
-    if toward_b:
-        edges = b - np.concatenate(([0.0], np.cumsum(widths)))
-        for i in range(n_panels):
-            lo, hi = edges[i + 1], edges[i]
-            x, w = _gauss_panel(lo, hi, order)
-            nodes_all.append(x)
-            weights_all.append(w)
-    else:
-        edges = a + np.concatenate(([0.0], np.cumsum(widths)))
-        for i in range(n_panels):
-            x, w = _gauss_panel(edges[i], edges[i + 1], order)
-            nodes_all.append(x)
-            weights_all.append(w)
-    return np.concatenate(nodes_all), np.concatenate(weights_all)
+    edges = near + np.concatenate(([0.0], np.cumsum((far - near) * fracs)))
+    panels = [_gauss_panel(min(e0, e1), max(e0, e1), order)
+              for e0, e1 in zip(edges[:-1], edges[1:])]
+    return (np.concatenate([x for x, _ in panels]),
+            np.concatenate([w for _, w in panels]))
+
+
+def _around(xp, L, n_panels, order):
+    """Graded panels over the period (xp - L/2, xp + L/2), left half first,
+    each half graded toward ``xp``."""
+    left = _graded_panels(xp - L / 2.0, xp, n_panels, order)
+    right = _graded_panels(xp + L / 2.0, xp, n_panels, order)
+    return (np.concatenate([left[0], right[0]]),
+            np.concatenate([left[1], right[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -102,28 +104,18 @@ def periodic_newton_kernel_du(v, u, L):
 _N_IMAGES = 3
 
 
-def _gauss_images(v, s, L):
-    """sum_m exp(-(v + m L)^2 / (4 s)) over 2*_N_IMAGES+1 periodic images."""
-    out = 0.0
-    for m in range(-_N_IMAGES, _N_IMAGES + 1):
-        out = out + np.exp(-((v + m * L) ** 2) / (4.0 * s))
-    return out
-
-
-def _gauss_images_d1(v, s, L):
+def _gauss_images(v, s, L, deriv):
+    """sum_m (d/dv)^deriv exp(-(v + m L)^2 / (4 s)) over 2*_N_IMAGES+1
+    periodic images, for ``deriv`` 0, 1 or 2."""
     out = 0.0
     for m in range(-_N_IMAGES, _N_IMAGES + 1):
         vv = v + m * L
-        out = out + (-vv / (2.0 * s)) * np.exp(-(vv ** 2) / (4.0 * s))
-    return out
-
-
-def _gauss_images_d2(v, s, L):
-    out = 0.0
-    for m in range(-_N_IMAGES, _N_IMAGES + 1):
-        vv = v + m * L
-        out = out + (vv ** 2 / (4.0 * s * s) - 1.0 / (2.0 * s)) \
-            * np.exp(-(vv ** 2) / (4.0 * s))
+        g = np.exp(-(vv ** 2) / (4.0 * s))
+        if deriv == 1:
+            g = (-vv / (2.0 * s)) * g
+        elif deriv == 2:
+            g = (vv ** 2 / (4.0 * s * s) - 1.0 / (2.0 * s)) * g
+        out = out + g
     return out
 
 
@@ -157,7 +149,8 @@ def oracle_single_layer(grid: HalfSpaceGrid, ramp: np.ndarray, width: float,
         tau = s_nodes ** 2
         acc = 0.0
         for sw, tv in zip(s_w, tau):
-            tanfac = np.sqrt(a / (a + tv)) * _gauss_images(x - center, a + tv, grid.L)
+            tanfac = np.sqrt(a / (a + tv)) \
+                * _gauss_images(x - center, a + tv, grid.L, 0)
             vert = np.exp(-(y ** 2) / (4.0 * tv)) / np.sqrt(np.pi)
             acc = acc + sw * tanfac * vert
         kernel_int.append(acc)
@@ -177,9 +170,10 @@ def oracle_heat_trace(grid: HalfSpaceGrid, amps, width_tan, width_vert,
     x = grid.tan_nodes[:, None]
     t = grid.time_nodes[None, :]
     a, b = width_tan, width_vert
-    tanfac = np.sqrt(a / (a + t)) * _gauss_images(x - center_tan, a + t, grid.L)
+    tanfac = np.sqrt(a / (a + t)) \
+        * _gauss_images(x - center_tan, a + t, grid.L, 0)
     vertfac = np.sqrt(b / (b + t)) * _gauss_images(0.0 - center_vert, b + t,
-                                                   2.0 * grid.X)
+                                                   2.0 * grid.X, 0)
     return np.stack([A * tanfac * vertfac for A in amps])
 
 
@@ -190,12 +184,7 @@ def oracle_poisson(f_profile, grid: HalfSpaceGrid, points_x, points_y):
     L = grid.L
     vals = np.zeros((len(points_x), len(points_y)))
     for i, xp in enumerate(points_x):
-        ln, lw = _graded_panels(xp - L / 2.0, xp, toward_b=True,
-                                n_panels=10, order=16)
-        rn, rw = _graded_panels(xp, xp + L / 2.0, toward_b=False,
-                                n_panels=10, order=16)
-        z = np.concatenate([ln, rn])
-        wz = np.concatenate([lw, rw])
+        z, wz = _around(xp, L, 10, 16)
         fz = f_profile(z)
         for j, yp in enumerate(points_y):
             al = 2.0 * np.pi * yp / L
@@ -239,7 +228,7 @@ def oracle_strip_newton(f: ScalarField, points):
             if hi <= lo:
                 break
             if hi >= yp - 1e-14:
-                x_, w_ = _graded_panels(lo, yp, toward_b=True, n_panels=10)
+                x_, w_ = _graded_panels(lo, yp, 10, 12)
             else:
                 x_, w_ = _gauss_panel(lo, hi, 12)
             zn_nodes.append(x_)
@@ -247,12 +236,7 @@ def oracle_strip_newton(f: ScalarField, points):
         zn_nodes = np.concatenate(zn_nodes)
         zn_w = np.concatenate(zn_w)
         # tangential panels graded toward z' = xp
-        left_n, left_w = _graded_panels(xp - grid.L / 2.0, xp, toward_b=True,
-                                        n_panels=10)
-        right_n, right_w = _graded_panels(xp, xp + grid.L / 2.0,
-                                          toward_b=False, n_panels=10)
-        zp = np.concatenate([left_n, right_n])
-        wzp = np.concatenate([left_w, right_w])
+        zp, wzp = _around(xp, grid.L, 10, 12)
         total = 0.0
         for zn, wn in zip(zn_nodes, zn_w):
             ker = periodic_newton_kernel(xp - zp, yp - zn, grid.L)
@@ -304,12 +288,7 @@ def _layer_derivative_sum(v, y, rbar, dt, a, L, deriv_order):
 
     def tanfac(tau):
         s = a + tau
-        base = np.sqrt(a / s)
-        if deriv_order == 0:
-            return base * _gauss_images(v, s, L)
-        if deriv_order == 1:
-            return base * _gauss_images_d1(v, s, L)
-        return base * _gauss_images_d2(v, s, L)
+        return np.sqrt(a / s) * _gauss_images(v, s, L, deriv_order)
 
     tan0 = tanfac(0.0)
     out = np.zeros((nt1 + 1,) + np.broadcast_shapes(v.shape, y.shape))
@@ -357,14 +336,8 @@ def oracle_boundary_potential(grid: HalfSpaceGrid, ramp: np.ndarray,
         first = -2.0 * float(beta_t)
 
         # correction: 4 int_0^yp int_L ker * (d/dz')^p beta dz
-        zn_nodes, zn_w = _graded_panels(0.0, yp, toward_b=True,
-                                        n_panels=n_panels, order=order)
-        left_n, left_w = _graded_panels(xp - L / 2.0, xp, toward_b=True,
-                                        n_panels=n_panels, order=order)
-        right_n, right_w = _graded_panels(xp, xp + L / 2.0, toward_b=False,
-                                          n_panels=n_panels, order=order)
-        zp = np.concatenate([left_n, right_n])
-        wzp = np.concatenate([left_w, right_w])
+        zn_nodes, zn_w = _graded_panels(0.0, yp, n_panels, order)
+        zp, wzp = _around(xp, L, n_panels, order)
         ZP, ZN = np.meshgrid(zp, zn_nodes, indexing="ij")
         beta1 = _layer_derivative_sum(ZP - center, ZN, rbar, dt, a, L, 1)[m_idx]
         beta2 = _layer_derivative_sum(ZP - center, ZN, rbar, dt, a, L, 2)[m_idx]
@@ -385,151 +358,126 @@ def _aniso_out(field, index):
     return besov.aniso_norm(field, index.alpha, index.q)
 
 
-def _target_heat_volume(index, adjoint=False):
-    def run(grid, rng):
-        f = datagen.random_whole_field(grid, rng, ncomp=1)
-        op = pot.heat_volume_potential_adjoint if adjoint \
-            else pot.heat_volume_potential
-        out = op(f)
-        in_norm = besov.aniso_lp_norm(f, index.alpha - 2.0, index.q)
-        return _aniso_out(out, index), in_norm
-    return run
+def _target_heat_volume(index, grid, rng, adjoint=False):
+    f = datagen.random_whole_field(grid, rng, ncomp=1)
+    op = pot.heat_volume_potential_adjoint if adjoint \
+        else pot.heat_volume_potential
+    out = op(f)
+    in_norm = besov.aniso_lp_norm(f, index.alpha - 2.0, index.q)
+    return _aniso_out(out, index), in_norm
 
 
-def _target_single_layer(index):
-    def run(grid, rng):
-        g = datagen.random_boundary_field(grid, rng, ncomp=1,
-                                          time_profile="taper_both")
-        out = pot.heat_single_layer(g)
-        s_in = index.alpha - 1.0 - 1.0 / index.q
-        in_norm = besov.aniso_lp_norm(g, s_in, index.q)
-        return _aniso_out(out, index), in_norm
-    return run
+def _target_single_layer(index, grid, rng):
+    g = datagen.random_boundary_field(grid, rng, ncomp=1,
+                                      time_profile="taper_both")
+    out = pot.heat_single_layer(g)
+    s_in = index.alpha - 1.0 - 1.0 / index.q
+    in_norm = besov.aniso_lp_norm(g, s_in, index.q)
+    return _aniso_out(out, index), in_norm
 
 
-def _target_semigroup(index, trace=False):
-    def run(grid, rng):
-        h = datagen.random_whole_steady(grid, rng)
-        if trace:
-            out = pot.heat_trace(h)
-            out_norm = besov.aniso_norm(out, index.alpha - 1.0 / index.q,
-                                        index.q)
-        else:
-            out_norm = _aniso_out(pot.heat_semigroup(h), index)
-        in_norm = besov.lp_norm(h, index.alpha - 2.0 / index.q, index.q)
-        return out_norm, in_norm
-    return run
+def _target_semigroup(index, grid, rng, trace=False):
+    h = datagen.random_whole_steady(grid, rng)
+    if trace:
+        out = pot.heat_trace(h)
+        out_norm = besov.aniso_norm(out, index.alpha - 1.0 / index.q, index.q)
+    else:
+        out_norm = _aniso_out(pot.heat_semigroup(h), index)
+    in_norm = besov.lp_norm(h, index.alpha - 2.0 / index.q, index.q)
+    return out_norm, in_norm
 
 
-def _target_gradient_duhamel(index):
-    def run(grid, rng):
-        # built here: a non-critical index may admit no default pair
-        idx = index.with_default_force_pair() if index.beta is None else index
-        f = datagen.random_whole_field(grid, rng, ncomp=1)
-        outs = [pot.gradient_heat_potential(f, axis) for axis in range(grid.n)]
-        out_norm = sum(_aniso_out(o, idx) ** idx.q for o in outs) ** (1.0 / idx.q)
-        in_norm = besov.lq_time_lp_space(f, idx.beta, idx.p)
-        return out_norm, in_norm
-    return run
+def _target_gradient_duhamel(index, grid, rng):
+    # built here: a non-critical index may admit no default pair
+    idx = index.with_default_force_pair() if index.beta is None else index
+    f = datagen.random_whole_field(grid, rng, ncomp=1)
+    outs = [pot.gradient_heat_potential(f, axis) for axis in range(grid.n)]
+    out_norm = sum(_aniso_out(o, idx) ** idx.q for o in outs) ** (1.0 / idx.q)
+    in_norm = besov.lq_time_lp_space(f, idx.beta, idx.p)
+    return out_norm, in_norm
 
 
-def _target_poisson_spatial(index):
-    def run(grid, rng):
-        f = datagen.random_boundary_steady(grid, rng)
-        out = pot.poisson_extension(f)
-        out_norm = besov.lp_norm(out, index.alpha, index.q)
-        in_norm = besov.lp_norm(f, index.alpha - 1.0 / index.q, index.q)
-        return out_norm, in_norm
-    return run
+def _target_poisson_spatial(index, grid, rng):
+    f = datagen.random_boundary_steady(grid, rng)
+    out = pot.poisson_extension(f)
+    out_norm = besov.lp_norm(out, index.alpha, index.q)
+    in_norm = besov.lp_norm(f, index.alpha - 1.0 / index.q, index.q)
+    return out_norm, in_norm
 
 
-def _target_normal_trace(index):
-    def run(grid, rng):
-        u = datagen.random_divfree_whole(grid, rng)
-        out_norm = tr.normal_trace_norm(u, index)
-        in_norm = besov.field_lq(tr.restrict_half(u), index.q)
-        return out_norm, in_norm
-    return run
+def _target_normal_trace(index, grid, rng):
+    u = datagen.random_divfree_whole(grid, rng)
+    out_norm = tr.normal_trace_norm(u, index)
+    in_norm = besov.field_lq(tr.restrict_half(u), index.q)
+    return out_norm, in_norm
 
 
-def _target_poisson_spacetime(index):
-    def run(grid, rng):
-        f = datagen.random_boundary_field(grid, rng, ncomp=1,
-                                          time_profile="smooth")
-        out = pot.poisson_extension(f)
-        out_norm = _aniso_out(out, index)
-        in_norm = (besov.lq_time_lp_space(f, index.alpha - 1.0 / index.q,
-                                          index.q)
-                   + besov.gagliardo_time_norm(
-                       f, index.alpha / 2.0, index.q,
-                       spatial_norm=("besov", -1.0 / index.q)))
-        return out_norm, in_norm
-    return run
+def _target_poisson_spacetime(index, grid, rng):
+    f = datagen.random_boundary_field(grid, rng, ncomp=1,
+                                      time_profile="smooth")
+    out = pot.poisson_extension(f)
+    out_norm = _aniso_out(out, index)
+    in_norm = (besov.lq_time_lp_space(f, index.alpha - 1.0 / index.q,
+                                      index.q)
+               + besov.gagliardo_time_norm(
+                   f, index.alpha / 2.0, index.q,
+                   spatial_norm=("besov", -1.0 / index.q)))
+    return out_norm, in_norm
 
 
-def _target_boundary_potential(index):
-    def run(grid, rng):
-        G = datagen.random_boundary_field(grid, rng, ncomp=grid.n,
-                                          time_profile="taper0",
-                                          zero_normal=True)
-        w = stk.build_w(G)
-        out_norm = _aniso_out(w, index)
-        Gp = BoundaryField(grid, G.data[: grid.n - 1])
-        in_norm = besov.aniso_norm(Gp, index.alpha - 1.0 / index.q, index.q)
-        return out_norm, in_norm
-    return run
+def _target_boundary_potential(index, grid, rng):
+    G = datagen.random_boundary_field(grid, rng, ncomp=grid.n,
+                                      time_profile="taper0",
+                                      zero_normal=True)
+    w = stk.build_w(G)
+    out_norm = _aniso_out(w, index)
+    Gp = BoundaryField(grid, G.data[: grid.n - 1])
+    in_norm = besov.aniso_norm(Gp, index.alpha - 1.0 / index.q, index.q)
+    return out_norm, in_norm
 
 
-def _target_riesz(index):
-    def run(grid, rng):
-        f = datagen.random_whole_field(grid, rng, ncomp=1,
-                                       time_profile="smooth")
-        out = tr.riesz_apply(f, 0)
-        return _aniso_out(out, index), _aniso_out(f, index)
-    return run
+def _target_riesz(index, grid, rng):
+    f = datagen.random_whole_field(grid, rng, ncomp=1, time_profile="smooth")
+    out = tr.riesz_apply(f, 0)
+    return _aniso_out(out, index), _aniso_out(f, index)
 
 
-def _target_wall_trace_spacetime(index):
-    def run(grid, rng):
-        f = datagen.random_whole_field(grid, rng, ncomp=1,
-                                       time_profile="smooth")
-        half = tr.restrict_half(f)
-        wall = tr.trace_boundary(half)
-        out_norm = besov.aniso_norm(wall, index.alpha - 1.0 / index.q,
-                                    index.q)
-        return out_norm, _aniso_out(half, index)
-    return run
+def _target_wall_trace_spacetime(index, grid, rng):
+    f = datagen.random_whole_field(grid, rng, ncomp=1, time_profile="smooth")
+    half = tr.restrict_half(f)
+    wall = tr.trace_boundary(half)
+    out_norm = besov.aniso_norm(wall, index.alpha - 1.0 / index.q, index.q)
+    return out_norm, _aniso_out(half, index)
 
 
-def _target_initial_trace(index):
-    def run(grid, rng):
-        f = datagen.random_whole_field(grid, rng, ncomp=1,
-                                       time_profile="smooth")
-        half = tr.restrict_half(f)
-        start = type(half)(grid, half.data[..., 0], domain="half",
-                           time_dependent=False)
-        out_norm = besov.lp_norm(start, index.alpha - 2.0 / index.q, index.q)
-        return out_norm, _aniso_out(half, index)
-    return run
+def _target_initial_trace(index, grid, rng):
+    f = datagen.random_whole_field(grid, rng, ncomp=1, time_profile="smooth")
+    half = tr.restrict_half(f)
+    start = type(half)(grid, half.data[..., 0], domain="half",
+                       time_dependent=False)
+    out_norm = besov.lp_norm(start, index.alpha - 2.0 / index.q, index.q)
+    return out_norm, _aniso_out(half, index)
 
 
 def ratio_targets(index: BesovIndex) -> dict:
-    """The operator battery: one entry per boundedness estimate probed."""
-    return {
-        "heat_volume": _target_heat_volume(index),
-        "heat_volume_adjoint": _target_heat_volume(index, adjoint=True),
-        "heat_single_layer": _target_single_layer(index),
-        "heat_semigroup": _target_semigroup(index),
-        "heat_semigroup_trace": _target_semigroup(index, trace=True),
-        "gradient_duhamel": _target_gradient_duhamel(index),
-        "poisson_spatial": _target_poisson_spatial(index),
-        "normal_trace": _target_normal_trace(index),
-        "poisson_spacetime": _target_poisson_spacetime(index),
-        "boundary_potential": _target_boundary_potential(index),
-        "riesz": _target_riesz(index),
-        "wall_trace_spacetime": _target_wall_trace_spacetime(index),
-        "initial_trace": _target_initial_trace(index),
+    """The operator battery: one ``callable(grid, rng)`` per boundedness
+    estimate probed, returning the output and input norms of one sample."""
+    targets = {
+        "heat_volume": _target_heat_volume,
+        "heat_volume_adjoint": partial(_target_heat_volume, adjoint=True),
+        "heat_single_layer": _target_single_layer,
+        "heat_semigroup": _target_semigroup,
+        "heat_semigroup_trace": partial(_target_semigroup, trace=True),
+        "gradient_duhamel": _target_gradient_duhamel,
+        "poisson_spatial": _target_poisson_spatial,
+        "normal_trace": _target_normal_trace,
+        "poisson_spacetime": _target_poisson_spacetime,
+        "boundary_potential": _target_boundary_potential,
+        "riesz": _target_riesz,
+        "wall_trace_spacetime": _target_wall_trace_spacetime,
+        "initial_trace": _target_initial_trace,
     }
+    return {name: partial(target, index) for name, target in targets.items()}
 
 
 def operator_ratio_study(target_names, index: BesovIndex,

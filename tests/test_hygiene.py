@@ -2,7 +2,8 @@
 used by the package, its CLI or its benchmark, or is a test oracle or
 fixture named in ``TEST_ONLY_ALLOWED``; every dataclass field is read in the
 package, its tests or its benchmark; every default is set by some caller;
-real data go through real transforms; the norm engine and the transforms
+real data go through real transforms, and each named exception still
+makes a complex call; the norm engine and the transforms
 write into buffers, and an inverse's complex passes run in place; the
 package imports no scipy; and it tunes no allocator."""
 
@@ -293,6 +294,26 @@ def test_real_data_use_real_transforms():
                   in _complex_transform_uses(ast.parse(path.read_text()),
                                              path.name)]
     assert not found, f"complex transforms of real data: {found}"
+
+
+def _complex_fft_callers():
+    """(module file, function) of each function whose body makes a complex
+    FFT call."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(isinstance(node, ast.Call)
+                            and _callee(node.func) in COMPLEX_FFTS
+                            for node in ast.walk(fn)):
+                found.add((path.name, fn.name))
+    return found
+
+
+def test_complex_allowed_names_live_callers():
+    # a deleted or renamed function must not leave its exception behind
+    stale = sorted(COMPLEX_ALLOWED - _complex_fft_callers())
+    assert not stale, f"allowed complex-FFT callers that make none: {stale}"
 
 
 # The Besov norm engine transforms into buffers it allocates once per call

@@ -69,24 +69,26 @@ def test_newton_kernel_harmonic_away_from_origin(n):
 def test_kernel_quadrature_weights_match_adaptive_quad():
     from scipy.integrate import quad
     g = grid2(N=8, Nv=9, Nt=9)
-    quad_table = pot.kernel_quadrature(g)
-    lam = quad_table.lam_unique[2]
+    weights = pot.kernel_quadrature(g)
+    k = 2
+    lam = tr.tan_modulus(g)[k]
+    assert lam > 0
     y = g.vert_nodes[3]
     j = 2
     ref = quad(lambda s: np.exp(-y ** 2 / (4 * s ** 2) - lam ** 2 * s ** 2)
                / np.sqrt(np.pi),
                np.sqrt(j * g.dt), np.sqrt((j + 1) * g.dt))[0]
-    assert np.isclose(quad_table.weights[2, 3, j], ref, rtol=1e-10)
-    assert np.all(np.isfinite(quad_table.weights))
+    assert np.isclose(weights[3, k, j], ref, rtol=1e-10)
+    assert np.all(np.isfinite(weights))
 
 
 def test_kernel_quadrature_weights_match_scipy_erfcx(monkeypatch):
     from scipy.special import erfcx
     from halfstokes import numerics
     g = grid2(N=32, Nv=33, Nt=32)
-    weights = pot.kernel_quadrature(g).weights
+    weights = pot.kernel_quadrature(g)
     monkeypatch.setattr(numerics, "erfcx", erfcx)
-    ref = pot._build_quadrature(g).weights
+    ref = pot._build_quadrature(g)
     # the weights are differences of cumulative masses or of their tails,
     # so the bound is on the largest weight
     assert np.max(np.abs(weights - ref)) < 1e-14 * np.max(np.abs(ref))
@@ -101,7 +103,27 @@ def test_kernel_quadrature_weights_are_non_negative(n, N, X, T, Nt):
     # every weight integrates a positive kernel; differencing the saturated
     # cumulative masses once left weights down to -1e-17 on these tables
     g = make_grid(n, L=2 * np.pi, N_tan=N, X=X, N_vert=N + 1, T=T, N_time=Nt)
-    assert np.min(pot.kernel_quadrature(g).weights) >= 0.0
+    assert np.min(pot.kernel_quadrature(g)) >= 0.0
+
+
+def test_kernel_quadrature_rows_are_shared_by_equal_moduli_and_read_only():
+    g = make_grid(3, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=17, T=0.5,
+                  N_time=17)
+    weights = pot.kernel_quadrature(g)
+    lam = tr.tan_modulus(g)
+    assert weights.shape == (g.N_vert, lam.size, g.N_time - 1)
+    _, group = np.unique(np.round(lam, 12), return_inverse=True)
+    shared = 0
+    for gidx in range(group.max() + 1):
+        rows = np.flatnonzero(group == gidx)
+        shared += len(rows) - 1
+        for k in rows[1:]:
+            assert np.array_equal(weights[:, k], weights[:, rows[0]])
+    assert shared > 0  # in 3-D many modes share one |xi|
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0, 0, 0] = 1.0
+    assert pot.kernel_quadrature(g) is weights
 
 
 # -- heat semigroup ---------------------------------------------------------
@@ -250,17 +272,20 @@ def test_single_layer_adjoint_is_time_reversal():
 
 # -- layer convolution against its per-group form ---------------------------
 
-def _ref_single_layer_modes(ghat_flat, quad, grid):
-    """The layer convolution one frequency group at a time, each by complex
-    FFTs: (n_modes, N_time) -> (n_modes, N_vert, N_time)."""
+def _ref_single_layer_modes(ghat_flat, weights, grid):
+    """The layer convolution one frequency group (modes of one |xi|) at a
+    time, with the group's first weight row, each by complex FFTs:
+    (n_modes, N_time) -> (n_modes, N_vert, N_time)."""
     intervals = 0.5 * (ghat_flat[:, 1:] + ghat_flat[:, :-1])
     K = grid.N_time - 1
     size = 1 << (2 * K - 1).bit_length()
     out = np.zeros(ghat_flat.shape[:1] + (grid.N_vert, grid.N_time),
                    dtype=complex)
-    for gidx in range(len(quad.lam_unique)):
-        rows = np.nonzero(quad.group_index == gidx)[0]
-        Fw = np.fft.fft(quad.weights[gidx], n=size)[None]      # (1, nv, size)
+    _, group = np.unique(np.round(tr.tan_modulus(grid), 12),
+                         return_inverse=True)
+    for gidx in range(group.max() + 1):
+        rows = np.flatnonzero(group == gidx)
+        Fw = np.fft.fft(weights[:, rows[0]], n=size)[None]     # (1, nv, size)
         Fv = np.fft.fft(intervals[rows], n=size)[:, None]      # (rows, 1, size)
         out[rows, :, 1:] = np.fft.ifft(Fw * Fv)[..., :K]
     return out
@@ -277,16 +302,17 @@ LAYER_GRIDS = {
 @pytest.mark.parametrize("name", sorted(LAYER_GRIDS))
 def test_single_layer_modes_batch_matches_per_group_reference(name):
     g = LAYER_GRIDS[name]()
-    quad = pot.kernel_quadrature(g)
+    weights = pot.kernel_quadrature(g)
     rng = np.random.default_rng(21)
     data = rng.standard_normal((2,) + g.tan_shape + (g.N_time,))
     ghat = tr.tan_fft(data, g, offset=1).reshape(2, -1, g.N_time)
     if g.n == 3:  # Nyquist modes, and several modes per frequency group
-        assert len(quad.lam_unique) < ghat.shape[1]
-    both = pot.single_layer_modes(ghat, quad)
+        lam = np.round(tr.tan_modulus(g), 12)
+        assert len(np.unique(lam)) < ghat.shape[1]
+    both = pot.single_layer_modes(ghat, weights)
     for c in range(2):
-        one = pot.single_layer_modes(ghat[c], quad)
-        ref = np.moveaxis(_ref_single_layer_modes(ghat[c], quad, g), 0, 1)
+        one = pot.single_layer_modes(ghat[c], weights)
+        ref = np.moveaxis(_ref_single_layer_modes(ghat[c], weights, g), 0, 1)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(both[c] - one)) <= 1e-15 * scale
         assert np.max(np.abs(both[c] - ref)) <= 1e-15 * scale

@@ -411,17 +411,23 @@ def _off_by_one_ulp(stress, k, i):
 
 
 @pytest.mark.parametrize("n, N", HALF_LATTICE_GRIDS)
-def test_symmetric_stress_modes_match_full_transform(n, N, monkeypatch):
+def test_symmetric_stress_modes_match_full_transform(n, N):
     g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
                   N_time=4)
     F = np.random.default_rng(40 * n + N).standard_normal(
         (n, n) + g.tan_shape + (g.N_vert, g.N_time))
     sym = F + F.swapaxes(0, 1)
-    # symmetric, and (3-D) equal in the (0, 1) pair only: shared modes are
-    # bitwise those of the n^2-component transform
+    # symmetric, (3-D) equal in the (0, 1) pair only, and one ulp off
+    # symmetric in every pair: the modes, shared or not, are bitwise those
+    # of the n^2-component transform
     stresses = [sym]
     if n == 3:
         stresses.append(_off_by_one_ulp(_off_by_one_ulp(sym, 2, 0), 2, 1))
+    off = sym
+    for k in range(1, n):
+        for i in range(k):
+            off = _off_by_one_ulp(off, k, i)
+    stresses.append(off)
     for stress in stresses:
         full = tr.zero_extension_fft(stress, g, 2)
         modes = pot._stress_modes(TensorField(g, stress, domain="half"),
@@ -430,24 +436,41 @@ def test_symmetric_stress_modes_match_full_transform(n, N, monkeypatch):
             for i in range(n):
                 assert np.array_equal(modes[k][i], full[k, i])
 
-    # one ulp off symmetric in every pair: the stress itself goes to the
-    # n^2-component transform, uncopied
-    off = sym
-    for k in range(1, n):
-        for i in range(k):
-            off = _off_by_one_ulp(off, k, i)
-    field = TensorField(g, off, domain="half")
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["flux", "general"])
+def test_stress_modes_transform_each_distinct_component_once(n, symmetric,
+                                                             monkeypatch):
+    g = make_grid(n, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=5, T=1.0,
+                  N_time=4)
+    rng = np.random.default_rng(n)
+    shape = g.tan_shape + (g.N_vert, g.N_time)
+    if symmetric:  # the flux -u (x) u
+        u = rng.standard_normal((n,) + shape)
+        stress = -u[:, None] * u[None, :]
+    else:
+        stress = rng.standard_normal((n, n) + shape)
+    field = TensorField(g, stress, domain="half")
     seen = []
     transform = tr.zero_extension_fft
 
     def spy(data, grid, offset, out=None):
-        seen.append(np.shares_memory(data, field.data) and offset == 2)
+        seen.append((data.__array_interface__["data"][0], data.shape, offset,
+                     out is not None))
         return transform(data, grid, offset, out=out)
 
     monkeypatch.setattr(tr, "zero_extension_fft", spy)
     modes = pot._stress_modes(field, pot.Workspace())
-    assert seen == [True]
-    assert np.array_equal(modes, transform(off, g, 2))
+    # each distinct component once, in place in the stress (uncopied),
+    # into a workspace row
+    distinct = [(k, i) for k in range(n) for i in range(n)
+                if not (symmetric and i < k)]
+    assert seen == [(field.data[p].__array_interface__["data"][0], shape, 0,
+                     True) for p in distinct]
+    if symmetric:  # a lower component reads its upper partner's row
+        for k in range(n):
+            for i in range(k):
+                assert np.shares_memory(modes[k][i], modes[i][k])
 
 
 # -- the whole-space heat kernels against references written here ---------
