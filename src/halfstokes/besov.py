@@ -32,24 +32,24 @@ increments (:func:`_row_distances`).
 
 Buffers: a norm transforms into arrays it allocates once per call and
 reuses for every component and block, and keeps none of them between
-calls.  :func:`_parseval_sq` owns one ``modes`` array, which ``rfftn``
-writes in place, and one real ``power`` array.  :func:`_lp_blocks` owns
-one ``modes``, one windowed-modes (inverted in place) and one block array,
-and yields that one block every time, valid until the next is drawn.
+calls; what outlives a call is the cached tables below.
+:func:`_parseval_sq` owns one ``modes`` array, which ``rfftn`` writes in
+place, and one real ``power`` array.  :func:`_lp_blocks` owns one
+``modes``, one windowed-modes (inverted in place) and one block array, and
+yields that one block every time, valid until the next is drawn.
 
 Caching, each in a :class:`~halfstokes.core.GridCache` of 8 entries:
 :func:`partition_for` keeps the spatial partition with its windows per
 ``(grid.key(), domain)``, and the q = 2 weight is rebuilt from them per
-call.  :func:`_spacetime_weight` keeps the space-time q = 2 weight per
-``(grid.key(), domain, s)`` in a cache of its own.  Space-time windows are
-never kept: on a refined whole-space lattice each holds MiB, so they are
-built one block at a time.
+call.  :func:`_spacetime_weight` keeps the space-time q = 2 weight, a
+read-only array, per ``(grid.key(), domain, s)`` in a cache of its own.
+Space-time windows are never kept: on a refined whole-space lattice each
+holds MiB, so they are built one block at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -527,23 +527,14 @@ _SPACETIME_WEIGHTS = GridCache()
 
 def _spacetime_weight(grid: HalfSpaceGrid, domain: str, s: float):
     """The q = 2 mode weight of the space-time lattice (see
-    :func:`_parseval_weight`), cached per ``(grid.key(), domain, s)``."""
-    return _SPACETIME_WEIGHTS.get((grid.key(), domain, s), lambda: _mapped(
-        _parseval_weight(_build_partition(grid, domain, True), s)))
+    :func:`_parseval_weight`), cached read-only per ``(grid.key(), domain,
+    s)``."""
+    def build():
+        weight = _parseval_weight(_build_partition(grid, domain, True), s)
+        weight.setflags(write=False)
+        return weight
 
-
-def _mapped(table: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``table`` in its own anonymous memory map.  The
-    weight is built in the middle of a norm, with the field buffers still
-    live; taken from the malloc heap, it would sit above them and keep the
-    heap from shrinking once they are freed (with glibc malloc, the
-    ``ratio-study`` benchmark workload's peak RSS read 86.8-86.9 MiB
-    without the map and 85.4-85.5 MiB with it, 2-core x86-64 host)."""
-    out = np.frombuffer(mmap.mmap(-1, table.nbytes),
-                        dtype=table.dtype).reshape(table.shape)
-    out[...] = table
-    out.setflags(write=False)
-    return out
+    return _SPACETIME_WEIGHTS.get((grid.key(), domain, s), build)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def _build_data(cfg: dict, grid, seed: int):
         if family == "stream_compatible":
             h0 = datagen.stream_mode_initial_data(
                 grid, k1=_number(cfg, "data", "k1", 1, int),
-                m=_number(cfg, "data", "m", 2, int), amplitude=1.0)
+                m=_number(cfg, "data", "m", 2, int))
         else:
             h0 = datagen.random_divfree_initial(grid,
                                                 np.random.default_rng(seed))
@@ -341,7 +341,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, NormOrderError) as exc:
+        # a NormOrderError here is an [index] the command cannot use
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PicardDivergenceError as exc:

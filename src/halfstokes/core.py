@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class HalfSpaceGrid:
             raise InvalidGridError("grading ratio must be positive")
 
         tan = np.arange(self.N_tan) * (self.L / self.N_tan)
-        if abs(self.grading - 1.0) < 1e-14:
+        if self.uniform_vertical:
             vert = np.linspace(0.0, self.X, self.N_vert)
         else:
             r = self.grading
@@ -120,10 +120,8 @@ class HalfSpaceGrid:
 
     def scaled(self, lam: float) -> "HalfSpaceGrid":
         """Grid carrying parabolically rescaled data: lengths /lam, time /lam^2."""
-        return HalfSpaceGrid(n=self.n, L=self.L / lam, N_tan=self.N_tan,
-                             X=self.X / lam, N_vert=self.N_vert,
-                             T=self.T / lam ** 2, N_time=self.N_time,
-                             grading=self.grading)
+        return replace(self, L=self.L / lam, X=self.X / lam,
+                       T=self.T / lam ** 2)
 
 
 class GridCache:
@@ -248,9 +246,6 @@ class VectorField(Field):
     def _component_shape(self, grid):
         return (grid.n,)
 
-    def component(self, i) -> np.ndarray:
-        return self.data[i]
-
 
 class TensorField(Field):
     """n-by-n tensor field; entry [k, i] multiplies the derivative D_k."""
@@ -279,9 +274,6 @@ class BoundaryField(Field):
     def _like(self, data):
         return BoundaryField(self.grid, data, ncomp=self.ncomp,
                              time_dependent=self.time_dependent)
-
-    def component(self, i) -> np.ndarray:
-        return self.data[i]
 
 
 # ---------------------------------------------------------------------------

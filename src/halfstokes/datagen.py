@@ -1,6 +1,5 @@
-"""Analytic data families: manufactured solutions, compatible data pairs,
-seeded band-limited random samplers, and divergence-free test functions for
-the weak formulation.
+"""Analytic data families: manufactured solutions, compatible data pairs
+and seeded band-limited random samplers.
 
 All generators draw their random coefficients before touching the grid, so
 the same seed describes the same continuum object across resolutions.
@@ -29,18 +28,18 @@ def _require_2d(grid: HalfSpaceGrid):
 # ---------------------------------------------------------------------------
 
 
-def stream_mode_initial_data(grid: HalfSpaceGrid, k1: int = 1, m: int = 1,
-                             amplitude: float = 1.0) -> VectorField:
+def stream_mode_initial_data(grid: HalfSpaceGrid, k1: int = 1,
+                             m: int = 1) -> VectorField:
     """Divergence-free initial data from the stream function
-    a cos(k1 x1) sin(kappa y): tangential component even in y, normal odd,
+    cos(k1 x1) sin(kappa y): tangential component even in y, normal odd,
     so the reflection extension is exact and band-limited."""
     _require_2d(grid)
     kx = 2.0 * np.pi * k1 / grid.L
     kap = np.pi * m / grid.X
     x = grid.tan_nodes[:, None]
     y = grid.vert_nodes[None, :]
-    u1 = amplitude * kap * np.cos(kx * x) * np.cos(kap * y)
-    u2 = amplitude * kx * np.sin(kx * x) * np.sin(kap * y)
+    u1 = kap * np.cos(kx * x) * np.cos(kap * y)
+    u2 = kx * np.sin(kx * x) * np.sin(kap * y)
     return VectorField(grid, np.stack([u1, u2]), domain="half",
                        time_dependent=False)
 
@@ -175,21 +174,6 @@ def harmonic_gradient_solution(grid: HalfSpaceGrid, k1: int = 2,
     h = VectorField(grid, u.data[..., 0], domain="half", time_dependent=False)
     g = BoundaryField(grid, u.data[:, :, 0, :])
     return u, h, g
-
-
-def gaussian_boundary_pulse(grid: HalfSpaceGrid, width: float = 0.35,
-                            center: float | None = None) -> BoundaryField:
-    """Scalar boundary pulse exp(-|x - x0|^2 / (4 a)) with a smooth ramp in
-    time; spatially well inside the resolvable band for desk-scale grids."""
-    _require_2d(grid)
-    if center is None:
-        center = grid.L / 2.0
-    x = grid.tan_nodes
-    t = grid.time_nodes
-    prof = sum(np.exp(-((x - center + m * grid.L) ** 2) / (4.0 * width))
-               for m in range(-3, 4))  # periodized profile
-    ramp = np.sin(np.pi * np.minimum(t / max(t[-1], 1e-300), 1.0)) ** 2
-    return BoundaryField(grid, (prof[:, None] * ramp[None, :])[None])
 
 
 # ---------------------------------------------------------------------------
@@ -339,126 +323,3 @@ def random_boundary_steady(grid: HalfSpaceGrid, rng) -> BoundaryField:
         acc += (rng.standard_normal() / k) \
             * np.cos(2 * np.pi * k * x / grid.L + rng.uniform(0, 2 * np.pi))
     return BoundaryField(grid, acc[None], time_dependent=False)
-
-
-def random_halfspace_field(grid: HalfSpaceGrid, rng, ncomp: int | None = None):
-    """Random band-limited field supported on the half space (modes k, m =
-    1, 2, time envelope ``"taper_both"``; vanishes at the wall and the top,
-    so the zero extension stays tame)."""
-    _require_2d(grid)
-    x = grid.tan_nodes[:, None, None]
-    y = grid.vert_nodes[None, :, None]
-    nc = grid.n if ncomp is None else ncomp
-    comps = []
-    for _ in range(nc):
-        acc = np.zeros((grid.N_tan, grid.N_vert, grid.N_time))
-        for k in (1, 2):
-            for m in (1, 2):
-                amp = rng.standard_normal() / (k + m)
-                phase = rng.uniform(0, 2 * np.pi)
-                prof = _time_profile(rng, grid.time_nodes, "taper_both")
-                acc += amp * np.cos(2 * np.pi * k * x / grid.L + phase) \
-                    * np.sin(np.pi * m * y / grid.X) ** 2 \
-                    * prof[None, None, :]
-        comps.append(acc)
-    if nc == 1:
-        return ScalarField(grid, comps[0], domain="half")
-    return VectorField(grid, np.stack(comps), domain="half")
-
-
-# ---------------------------------------------------------------------------
-# divergence-free test functions for the weak formulation
-# ---------------------------------------------------------------------------
-
-
-# (theta, theta') of s = t / T for each time factor of StreamTestFunction
-_TIME_FACTORS = {
-    "decay2": lambda s, T: ((1.0 - s) ** 2, -2.0 * (1.0 - s) / T),
-    "decay3": lambda s, T: ((1.0 - s) ** 3, -3.0 * (1.0 - s) ** 2 / T),
-    "bump": lambda s, T: (s * (1.0 - s) ** 2,
-                          ((1.0 - s) ** 2 - 2.0 * s * (1.0 - s)) / T),
-}
-
-
-@dataclass
-class StreamTestFunction:
-    """Φ = (d/dy chi, -d/dx chi) for chi = trig(k x) P(y) theta(t).
-
-    P and three derivatives vanish appropriately at the wall (P(0) = P'(0) =
-    0) and near the top; theta vanishes at the final time.  Divergence-free
-    and wall-zero hold identically.
-    """
-
-    k: int
-    trig: str          # "sin" or "cos"
-    theta: str         # "decay2", "decay3", "bump"
-
-    def _P(self, X):
-        # (y/X)^2 (1 - y/X)^3 expressed as a Polynomial in y
-        s = Polynomial([0.0, 1.0 / X])
-        return (s ** 2) * (1 - s) ** 3
-
-    def _time_factor(self, t, T):
-        """theta and its derivative at the times ``t``."""
-        if self.theta not in _TIME_FACTORS:
-            raise InvalidDataError(f"unknown time factor {self.theta!r}")
-        return _TIME_FACTORS[self.theta](t / T, T)
-
-    def _trigs(self, x, kx):
-        if self.trig == "sin":
-            return np.sin(kx * x), np.cos(kx * x)
-        return np.cos(kx * x), -np.sin(kx * x)
-
-    def evaluate(self, grid: HalfSpaceGrid):
-        """Samples of Φ, ∂_tΦ, ΔΦ, ∇Φ and ∂Φ/∂y at the wall.
-
-        Returns a dict of arrays: phi (2, nx, ny, nt), dt_phi, lap_phi,
-        grad_phi (2, 2, nx, ny, nt) indexed [deriv, comp], wall_dy (2, nx, nt),
-        phi0 (2, nx, ny).
-        """
-        _require_2d(grid)
-        kx = 2.0 * np.pi * self.k / grid.L
-        X, T = grid.X, grid.T
-        P = self._P(X)
-        P1, P2, P3 = P.deriv(1), P.deriv(2), P.deriv(3)
-        x = grid.tan_nodes[:, None, None]
-        y = grid.vert_nodes[None, :, None]
-        t = grid.time_nodes[None, None, :]
-        tg, tgp = self._trigs(x, kx)   # trig, trig'
-        th, thd = self._time_factor(t, T)
-        Py, P1y, P2y, P3y = P(y), P1(y), P2(y), P3(y)
-
-        phi1 = tg * P1y * th
-        phi2 = -kx * tgp * Py * th
-        phi = np.stack([np.broadcast_to(phi1, (grid.N_tan, grid.N_vert,
-                                               grid.N_time)).copy(),
-                        np.broadcast_to(phi2, (grid.N_tan, grid.N_vert,
-                                               grid.N_time)).copy()])
-        dt_phi = np.stack([tg * P1y * thd * np.ones_like(phi[0]),
-                           -kx * tgp * Py * thd * np.ones_like(phi[0])])
-        lap1 = tg * (P3y - kx ** 2 * P1y) * th
-        lap2 = -kx * tgp * (P2y - kx ** 2 * Py) * th
-        lap_phi = np.stack([np.broadcast_to(lap1, phi[0].shape).copy(),
-                            np.broadcast_to(lap2, phi[0].shape).copy()])
-        d1_phi1 = kx * tgp * P1y * th
-        d1_phi2 = kx ** 2 * tg * Py * th
-        dy_phi1 = tg * P2y * th
-        dy_phi2 = -kx * tgp * P1y * th
-        grad = np.stack([
-            np.stack([np.broadcast_to(d1_phi1, phi[0].shape).copy(),
-                      np.broadcast_to(d1_phi2, phi[0].shape).copy()]),
-            np.stack([np.broadcast_to(dy_phi1, phi[0].shape).copy(),
-                      np.broadcast_to(dy_phi2, phi[0].shape).copy()]),
-        ])
-        wall_dy = grad[1][:, :, 0, :]
-        phi0 = phi[:, :, :, 0]
-        return {"phi": phi, "dt_phi": dt_phi, "lap_phi": lap_phi,
-                "grad": grad, "wall_dy": wall_dy, "phi0": phi0}
-
-
-def default_test_family():
-    """Six-member divergence-free, wall-zero test family."""
-    specs = [(1, "sin", "decay2"), (1, "cos", "decay3"), (2, "sin", "bump"),
-             (2, "cos", "decay2"), (3, "sin", "decay3"), (1, "sin", "bump")]
-    return [StreamTestFunction(k=k, trig=tr_, theta=th)
-            for k, tr_, th in specs]

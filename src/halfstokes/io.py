@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,7 @@ _FIELD_KINDS = {
 
 
 def _grid_dict(grid: HalfSpaceGrid) -> dict:
-    return {"n": grid.n, "L": grid.L, "N_tan": grid.N_tan, "X": grid.X,
-            "N_vert": grid.N_vert, "T": grid.T, "N_time": grid.N_time,
-            "grading": grid.grading}
+    return {f.name: getattr(grid, f.name) for f in fields(grid) if f.init}
 
 
 def grid_from_dict(d: dict) -> HalfSpaceGrid:

@@ -16,13 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (BoundaryField, IterationTrace, TensorField, VectorField)
-from .errors import (ConfigError, InvalidDataError, NotDivergenceFreeError,
-                     PicardDivergenceError)
+from .errors import ConfigError, InvalidDataError, PicardDivergenceError
 from . import besov
 from . import potentials as pot
 from . import stokes as stk
 from . import transforms as tr
-from .numerics import trapezoid_weights
 
 
 def nonlinear_flux(u: VectorField) -> TensorField:
@@ -99,82 +97,3 @@ def picard_solve(h: VectorField, g: BoundaryField, index, max_iter: int = 50,
         trace.stop_reason = f"max_iter={max_iter} reached"
     trace.validate()
     return u, trace
-
-
-# ---------------------------------------------------------------------------
-# weak formulation
-# ---------------------------------------------------------------------------
-
-
-def _integral_weights(grid):
-    wt_x = grid.L / grid.N_tan
-    wv = trapezoid_weights(grid.vert_nodes)
-    tw = trapezoid_weights(grid.time_nodes)
-    return wt_x, wv, tw
-
-
-def _validate_test_function(fields, scale):
-    tol = 1e-10 * max(scale, 1e-300)
-    wall = np.max(np.abs(fields["phi"][:, :, 0, :]))
-    if wall > tol:
-        raise InvalidDataError("test function does not vanish on the wall")
-    div = fields["grad"][0][0] + fields["grad"][1][1]
-    if np.max(np.abs(div)) > tol:
-        raise NotDivergenceFreeError("test function is not divergence-free")
-
-
-def weak_form_gap(u: VectorField, h: VectorField, g: BoundaryField,
-                  test_function,
-                  F: TensorField | None = None) -> tuple[float, float]:
-    """Gap of the weak identity for one test function.
-
-    Left side: -int u . (lap(Phi) + dPhi/dt).  Right side: the flux term
-    -int F : grad Phi (absent without ``F``), plus int h . Phi(0) and the
-    wall term int g . dPhi/dx_n.  Returns (absolute gap, largest term
-    magnitude).
-    """
-    grid = u.grid
-    fields = test_function.evaluate(grid)
-    scale = np.max(np.abs(fields["phi"]))
-    _validate_test_function(fields, scale)
-    wt_x, wv, tw = _integral_weights(grid)
-
-    def volume(expr):
-        return float(np.sum(expr * wv[None, :, None] * tw[None, None, :]) * wt_x)
-
-    parabolic = fields["lap_phi"] + fields["dt_phi"]
-    lhs = -volume(np.sum(u.data * parabolic, axis=0))
-    ref = volume(np.sum(np.abs(u.data) * np.abs(parabolic), axis=0))
-
-    flux_term = 0.0
-    if F is not None:
-        terms = [F.data[k, i] * fields["grad"][k][i]
-                 for k in range(grid.n) for i in range(grid.n)]
-        flux_term = -volume(sum(terms))
-        ref += volume(sum(np.abs(t) for t in terms))
-
-    h_term = float(np.sum(h.data * fields["phi0"] * wv[None, None, :]) * wt_x)
-    ref += float(np.sum(np.abs(h.data) * np.abs(fields["phi0"])
-                        * wv[None, None, :]) * wt_x)
-    wall_term = float(np.sum(g.data * fields["wall_dy"] * tw[None, None, :]) * wt_x)
-    ref += float(np.sum(np.abs(g.data) * np.abs(fields["wall_dy"])
-                        * tw[None, None, :]) * wt_x)
-    rhs = flux_term + h_term + wall_term
-    return abs(lhs - rhs), max(ref, 1e-300)
-
-
-def weak_ns_residual(u: VectorField, h: VectorField, g: BoundaryField,
-                     test_family) -> float:
-    """Max normalized weak-form gap of the quadratic (self-advecting) system
-    over the family: the linear gap with the flux ``-u (x) u`` of ``u``."""
-    return weak_stokes_residual(u, h, g, nonlinear_flux(u), test_family)
-
-
-def weak_stokes_residual(u: VectorField, h: VectorField, g: BoundaryField,
-                         F: TensorField | None, test_family) -> float:
-    """Max normalized weak-form gap of the linear system over the family."""
-    worst = 0.0
-    for tf in test_family:
-        gap, scale = weak_form_gap(u, h, g, tf, F=F)
-        worst = max(worst, gap / scale)
-    return worst

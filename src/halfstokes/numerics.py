@@ -57,19 +57,21 @@ def fornberg_weights(x0, nodes: np.ndarray, order: int) -> np.ndarray:
 
 _DERIVATIVES = GridCache()
 
+# nodes per row of a derivative matrix: fourth order at the wall
+_STENCIL = 5
 
-def derivative_matrix(nodes: np.ndarray, stencil: int = 5) -> np.ndarray:
+
+def derivative_matrix(nodes: np.ndarray) -> np.ndarray:
     """Dense first-derivative matrix on arbitrary nodes.
 
-    Uses ``stencil`` nearest nodes per row (one-sided at the ends), which
-    gives fourth-order accuracy at the wall for the default width.  Built
-    once per node set and stencil and returned read-only.
+    Uses the ``_STENCIL`` nearest nodes per row (one-sided at the ends).
+    Built once per node set and returned read-only.
     """
     nodes = np.asarray(nodes, dtype=float)
 
     def build():
         n = len(nodes)
-        width = min(stencil, n)
+        width = min(_STENCIL, n)
         rows = np.arange(n)
         lo = np.clip(rows - width // 2, 0, n - width)
         cols = lo[:, None] + np.arange(width)
@@ -78,7 +80,7 @@ def derivative_matrix(nodes: np.ndarray, stencil: int = 5) -> np.ndarray:
         D.flags.writeable = False
         return D
 
-    return _DERIVATIVES.get((stencil, nodes.tobytes()), build)
+    return _DERIVATIVES.get(nodes.tobytes(), build)
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -285,29 +287,4 @@ def lag_convolve(weights, intervals):
     out.real[..., 1:] = conv[..., 0, :K]
     if split:
         out.imag[..., 1:] = conv[..., 1, :K]
-    return out
-
-
-def lag_correlate(weights, nodes_series):
-    """Adjoint of :func:`lag_convolve` along the last axis.
-
-    Given node values ``z[..., m]`` (K + 1 entries) returns the K interval
-    values ``R[..., k] = sum_j weights[..., j] * z[..., k + 1 + j]``.
-    """
-    weights = np.asarray(weights)
-    z = np.asarray(nodes_series)
-    K = z.shape[-1] - 1
-    if weights.shape[-1] != K:
-        raise ShapeMismatchError("weights must have length K = len(z) - 1")
-    size = 1
-    while size < 2 * K + 1:
-        size *= 2
-    # R[k] = sum_j W[j] z[k+1+j] = correlation; realize via convolution with
-    # the reversed weights: R[k] = (rev(W) * z)[K + k].
-    Fw = np.fft.fft(weights[..., ::-1], n=size, axis=-1)
-    Fz = np.fft.fft(z, n=size, axis=-1)
-    conv = np.fft.ifft(Fw * Fz, axis=-1)
-    out = conv[..., K : 2 * K]
-    if np.isrealobj(weights) and np.isrealobj(z):
-        out = out.real
     return out

@@ -1,4 +1,4 @@
-"""Kernel evaluations and potential-type integral operators.
+"""Potential-type integral operators of the heat and Laplace equations.
 
 All operators use the unit-mass heat kernel (4 pi t)^{-n/2} exp(-|x|^2/4t),
 so that the semigroup tends to the identity as t -> 0.  Boundary-layer time
@@ -19,44 +19,9 @@ import numpy as np
 
 from .core import (BoundaryField, Field, GridCache, HalfSpaceGrid,
                    ScalarField, TensorField, VectorField)
-from .errors import InvalidDataError, ShapeMismatchError
-from .numerics import (exp_linear_weights, heat_layer_cumulative,
-                       lag_convolve, lag_correlate, trapezoid_weights)
+from .errors import ShapeMismatchError
+from .numerics import exp_linear_weights, heat_layer_cumulative, lag_convolve
 from . import transforms as tr
-
-# ---------------------------------------------------------------------------
-# pointwise kernels
-# ---------------------------------------------------------------------------
-
-
-def heat_kernel(x, t, n: int):
-    """Fundamental solution of the heat equation; zero for t <= 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != n:
-        raise ShapeMismatchError(f"points must have {n} coordinates")
-    t = np.asarray(t, dtype=float)
-    r2 = np.sum(x * x, axis=-1)
-    out = np.zeros(np.broadcast_shapes(r2.shape, t.shape))
-    pos = np.broadcast_to(t > 0, out.shape)
-    tt = np.broadcast_to(t, out.shape)[pos]
-    rr = np.broadcast_to(r2, out.shape)[pos]
-    out[pos] = (4.0 * np.pi * tt) ** (-n / 2.0) * np.exp(-rr / (4.0 * tt))
-    return out if out.ndim else float(out)
-
-
-def newton_kernel(x, n: int):
-    """Fundamental solution of the Laplacian: log for n=2, -1/(4 pi r) for n=3."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != n:
-        raise ShapeMismatchError(f"points must have {n} coordinates")
-    r = np.sqrt(np.sum(x * x, axis=-1))
-    if np.any(r == 0):
-        raise InvalidDataError("Newtonian kernel is singular at the origin")
-    if n == 2:
-        out = np.log(r) / (2.0 * np.pi)
-    else:
-        out = -1.0 / (4.0 * np.pi * r)
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -132,37 +97,6 @@ def heat_single_layer(g: BoundaryField) -> Field:
     raise ShapeMismatchError("boundary data must have 1 or n components")
 
 
-def heat_single_layer_adjoint(g: BoundaryField) -> Field:
-    """Time-reversed (anticausal) single layer; the adjoint in time."""
-    flipped = BoundaryField(g.grid, g.data[..., ::-1], ncomp=g.ncomp)
-    out = heat_single_layer(flipped)
-    return type(out)(g.grid, out.data[..., ::-1], domain="half")
-
-
-def single_layer_wall_trace_adjoint(phi: Field) -> np.ndarray:
-    """Wall trace of the anticausal volume heat potential of ``phi``.
-
-    Direct kernel quadrature sharing the single layer's exact time weights
-    (vertical trapezoid, half-space support = zero extension), so the duality
-    with :func:`heat_single_layer` holds to roundoff.  Returns interval
-    values, shape (ncomp, *tan, N_time - 1), complex tangential modes
-    transformed back to physical space.
-    """
-    if phi.domain != "half":
-        raise ShapeMismatchError("expected a half-space field")
-    grid = phi.grid
-    wv = trapezoid_weights(grid.vert_nodes)
-    ncomp = int(np.prod(phi.data.shape[: phi.ncomp_axes], dtype=int))
-    flat = phi.data.reshape((ncomp,) + grid.tan_shape + (grid.N_vert, grid.N_time))
-    phat = tr.tan_fft(flat, grid, offset=1)
-    shape = phat.shape[:-2] + (grid.N_time - 1,)
-    phat = phat.reshape(ncomp, -1, grid.N_vert, grid.N_time)
-    # R_k = sum_i w_i sum_j W[i, j] phi-hat[i, k+1+j], per mode
-    W = np.moveaxis(kernel_quadrature(grid), 0, 1)   # (n_modes, nv, nt-1)
-    out = np.sum(lag_correlate(W, wv[:, None] * phat), axis=2)
-    return tr.tan_ifft(out.reshape(shape), grid, offset=1)
-
-
 # ---------------------------------------------------------------------------
 # whole-space heat operators
 # ---------------------------------------------------------------------------
@@ -210,12 +144,12 @@ def _time_major(modes: np.ndarray) -> np.ndarray:
 
 def heat_volume_potential(f: Field) -> Field:
     """Causal space-time heat convolution (zero-padded past the window)."""
-    return _heat_volume(f, adjoint=False)
+    return _heat_volume(f, adjoint=False, axis=None)
 
 
 def heat_volume_potential_adjoint(f: Field) -> Field:
     """Anticausal counterpart; exact discrete adjoint of the causal one."""
-    return _heat_volume(f, adjoint=True)
+    return _heat_volume(f, adjoint=True, axis=None)
 
 
 def _spatial_k2(grid: HalfSpaceGrid) -> np.ndarray:
@@ -224,13 +158,18 @@ def _spatial_k2(grid: HalfSpaceGrid) -> np.ndarray:
     return sum(k ** 2 for k in ks)
 
 
-def _heat_volume(f: Field, adjoint: bool) -> Field:
+def _heat_volume(f: Field, adjoint: bool, axis: int | None) -> Field:
+    """The causal or anticausal heat convolution of ``f``, differentiated
+    along spatial ``axis`` unless it is None."""
     if f.domain != "whole" or not f.time_dependent:
         raise ShapeMismatchError("expected a time-dependent whole-space field")
     grid = f.grid
     modes = _time_major(tr.whole_fft(f.data, grid, offset=f.ncomp_axes))
     apply = _duhamel_backward if adjoint else _duhamel_forward
     apply(modes, _spatial_k2(grid), grid.dt)
+    if axis is not None:
+        modes *= 1j * tr.k_vectors(grid, "whole", grid.n_tan_axes + 1,
+                                   deriv=True)[axis]
     data = tr.whole_ifft(np.moveaxis(modes, 0, -1), grid, offset=f.ncomp_axes)
     return type(f)(grid, data, domain="whole")
 
@@ -327,15 +266,7 @@ def stokes_volume_potential(F: TensorField,
 def gradient_heat_potential(f: Field, axis: int) -> Field:
     """Duhamel integral against the derivative of the heat kernel along one
     spatial axis (the smoothing gain of one derivative)."""
-    if f.domain != "whole" or not f.time_dependent:
-        raise ShapeMismatchError("expected a time-dependent whole-space field")
-    grid = f.grid
-    modes = _time_major(tr.whole_fft(f.data, grid, offset=f.ncomp_axes))
-    kax = tr.k_vectors(grid, "whole", grid.n_tan_axes + 1, deriv=True)[axis]
-    _duhamel_forward(modes, _spatial_k2(grid), grid.dt)
-    modes *= 1j * kax
-    data = tr.whole_ifft(np.moveaxis(modes, 0, -1), grid, offset=f.ncomp_axes)
-    return type(f)(grid, data, domain="whole")
+    return _heat_volume(f, adjoint=False, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +345,3 @@ def strip_newton_modes(f: np.ndarray, lam: np.ndarray, y: np.ndarray):
     dS[1:, zero] = A / 2.0
     dS[0, zero] = 0.0
     return S, dS
-
-
-def strip_newton_potential(f: ScalarField) -> ScalarField:
-    """Newtonian potential integrated over the slab 0 < z < x_n.
-
-    Per tangential mode the vertical kernel is -exp(-|xi| |x_n - z|)/(2 |xi|)
-    (zero mode: the renormalized kernel |x_n - z|/2); the result vanishes on
-    the wall for every input.
-    """
-    if f.domain != "half":
-        raise ShapeMismatchError("expected a half-space scalar field")
-    grid = f.grid
-    modes = tr.tan_fft(f.data, grid, offset=0)
-    flat = modes.reshape((-1, grid.N_vert)
-                         + ((grid.N_time,) if f.time_dependent else ()))
-    S, _ = strip_newton_modes(np.moveaxis(flat, 1, 0), tr.tan_modulus(grid),
-                              grid.vert_nodes)
-    S = np.moveaxis(S, 0, 1).reshape(modes.shape)
-    return ScalarField(grid, tr.tan_ifft(S, grid, 0),
-                       domain="half", time_dependent=f.time_dependent)

@@ -1,5 +1,5 @@
-"""Fourier analysis layer: transforms, Riesz multipliers, Helmholtz
-projection, reflections/extensions and boundary traces.
+"""Fourier analysis layer: transforms, Riesz multipliers, the Leray
+projection of modes, reflections/extensions and boundary traces.
 
 Tangential axes are periodic of period L.  Whole-space fields use the
 reflected vertical axis [-X, X], periodic of period 2X, stored as one period
@@ -8,8 +8,8 @@ y = 0, ..., X - dy, then -X, ..., -dy.  The wall is index 0, the half-space
 restriction is the slice ``[..., :N_vert, :]`` (-X stands for +X), and the
 zero extension is y = 0, ..., X - dy and N_vert - 1 zeros, which
 :func:`zero_extension_fft` transforms without building it.  Zero-mode
-conventions: Riesz transforms and the scalar potential map the zero mode to
-zero; the Helmholtz projection passes it through unchanged.
+conventions: Riesz transforms map the zero mode to zero; the Leray
+projection passes it through unchanged.
 
 Half lattice: all fields are real, so the transforms are ``rfftn`` and
 ``irfftn(..., s=...)``; the last transformed axis (the last tangential one,
@@ -211,34 +211,6 @@ def riesz_apply(field: Field, axis: int) -> Field:
         symbol = np.where(kabs > 0, -1j * ks[axis] / np.where(kabs > 0, kabs, 1.0), 0.0)
     modes = _field_fft(field) * symbol
     return field._like(_field_ifft(field, modes))
-
-
-def helmholtz_project(field: VectorField) -> VectorField:
-    """Leray/Helmholtz projection onto divergence-free fields.
-
-    Spectral symbol delta_ij - k_i k_j / |k|^2 on the whole space, with the
-    odd-symbol wavenumbers of :func:`spectral_divergence`; the zero mode (a
-    constant, already solenoidal) passes through unchanged.
-    """
-    _require_whole_vector(field)
-    ks = k_vectors(field.grid, "whole", field.data.ndim - 1, deriv=True)
-    return field._like(_field_ifft(field, leray(_field_fft(field), ks)))
-
-
-def q_potential(field: VectorField) -> ScalarField:
-    """Scalar potential of the curl-free part: f = Pf + grad(q_potential(f)).
-
-    Spectral symbol -i k_i / |k|^2 contracted with the components; zero mode
-    normalized to zero.
-    """
-    _require_whole_vector(field)
-    ks = k_vectors(field.grid, "whole", field.data.ndim - 1, deriv=True)
-    inv = inv_or_zero(sum(k ** 2 for k in ks))
-    modes = _field_fft(field)
-    qhat = -1j * sum(ks[i] * modes[i] for i in range(field.grid.n)) * inv
-    out = whole_ifft(qhat, field.grid, offset=0)
-    return ScalarField(field.grid, out, domain="whole",
-                       time_dependent=field.time_dependent)
 
 
 def spectral_gradient(field: ScalarField) -> VectorField:

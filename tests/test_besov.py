@@ -13,6 +13,8 @@ from halfstokes import besov, datagen
 from halfstokes import transforms as tr
 from halfstokes.numerics import trapezoid_weights
 
+import references
+
 
 def grid2(N=32, Nv=17, Nt=9, X=np.pi, T=1.0):
     return make_grid(2, L=2 * np.pi, N_tan=N, X=X, N_vert=Nv, T=T, N_time=Nt)
@@ -213,7 +215,7 @@ def test_embedding_into_lebesgue():
     rng = np.random.default_rng(3)
     ratios = []
     for _ in range(6):
-        f = datagen.random_halfspace_field(g, rng, ncomp=1)
+        f = references.random_halfspace_field(g, rng, ncomp=1)
         lq = besov.field_lq(f, float(g.n + 2))
         an = besov.aniso_norm(f, 1.0, 2.0)
         ratios.append(lq / an)

@@ -1,11 +1,11 @@
 """Source hygiene: every function, class and method defined in the package is
-used by the package, its CLI or its benchmark, or is a test oracle or
-fixture named in ``TEST_ONLY_ALLOWED``; every dataclass field is read in the
-package, its tests or its benchmark; every default is set by some caller;
-real data go through real transforms, and each named exception still
-makes a complex call; the norm engine and the transforms
-write into buffers, and an inverse's complex passes run in place; the
-package imports no scipy; and it tunes no allocator."""
+used by the package, its CLI or its benchmark (test oracles and fixtures
+live under ``tests/``); every dataclass field is read in the package, its
+tests or its benchmark; every default is set by some caller; real data go
+through real transforms, and the one named exception still makes a complex
+call; the norm engine and the transforms write into buffers, and an
+inverse's complex passes run in place; the package imports no scipy; and
+it tunes no allocator."""
 
 import ast
 import json
@@ -14,14 +14,14 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "halfstokes"
-SEARCHED = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+BENCHMARK = ROOT / "perfbench"
+SEARCHED = (ROOT / "src", ROOT / "tests", BENCHMARK)
 
 
 def _is_dunder(name):
@@ -29,24 +29,6 @@ def _is_dunder(name):
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-# Package definitions that only tests reach: the oracles and fixtures of the
-# acceptance criteria (``module.name``, ``*`` as a wildcard).  Any other
-# definition that no package, CLI or benchmark code calls is deleted.
-TEST_ONLY_ALLOWED = (
-    "verify.oracle_*",
-    "potentials.heat_kernel",
-    "potentials.newton_kernel",
-    "potentials.heat_single_layer_adjoint",
-    "potentials.single_layer_wall_trace_adjoint",
-    "potentials.strip_newton_potential",
-    "transforms.helmholtz_project",
-    "transforms.q_potential",
-    "navier_stokes.weak_ns_residual",
-    "datagen.default_test_family",
-    "datagen.gaussian_boundary_pulse",
-    "datagen.random_halfspace_field",
-)
 
 
 def _definitions(tree, prefix=""):
@@ -61,10 +43,11 @@ def _definitions(tree, prefix=""):
             yield from _definitions(node, prefix)
 
 
-def _references(tree):
-    """Count of each name loaded, attribute accessed and identifier inside a
-    string literal (the benchmark tracer looks functions up by name);
-    docstrings do not count."""
+def _references(tree, strings=False):
+    """Count of each name loaded and attribute accessed, and with
+    ``strings`` of each identifier inside a string literal other than a
+    docstring (the benchmark tracer looks functions up by name; elsewhere a
+    string such as an axis label names no definition)."""
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
                   and isinstance(node.value, ast.Constant)}
@@ -74,8 +57,8 @@ def _references(tree):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and id(node) not in docstrings:
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) and id(node) not in docstrings:
             refs.update(re.findall(r"[A-Za-z_]\w*", node.value))
     return refs
 
@@ -90,7 +73,7 @@ def _reach():
         for path in sorted(base.rglob("*.py")):
             tree = ast.parse(path.read_text())
             counts = inside_tests if base.name == "tests" else outside
-            counts.update(_references(tree))
+            counts.update(_references(tree, strings=base == BENCHMARK))
             if path.is_relative_to(PACKAGE):
                 trees[path] = tree
     out = []
@@ -109,15 +92,9 @@ def test_no_unreferenced_definitions():
 
 
 def test_no_definitions_only_tests_reach():
-    reach = _reach()
-    test_only = sorted({name for name, package, tests in reach
-                        if tests and not package
-                        and not any(fnmatch(name, pattern)
-                                    for pattern in TEST_ONLY_ALLOWED)})
+    test_only = sorted({name for name, package, tests in _reach()
+                        if tests and not package})
     assert not test_only, f"only tests reach: {test_only}"
-    stale = [pattern for pattern in TEST_ONLY_ALLOWED
-             if not any(fnmatch(name, pattern) for name, _, _ in reach)]
-    assert not stale, f"allowed test-only names not defined: {stale}"
 
 
 def _dataclass_fields(tree):
@@ -247,16 +224,11 @@ def test_every_default_is_set_by_a_caller():
 
 
 # Complex FFTs of real data waste half the work: the package transforms real
-# fields with rfftn/irfftn.  The exceptions are named: the lag correlation
-# behind the wall-trace adjoint, the independent side of the layer duality,
-# acts on complex tangential modes; the inverse real transform runs the
-# complex passes of irfftn on complex half-lattice modes, in place (see
-# test_inverse_half_passes_run_in_place); and the strip-potential oracle of
-# ``verify`` stays on the full lattice as an independent reference.
+# fields with rfftn/irfftn.  The one exception is named: the inverse real
+# transform runs the complex passes of irfftn on complex half-lattice modes,
+# in place (see test_inverse_half_passes_run_in_place).
 COMPLEX_FFTS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
-COMPLEX_ALLOWED = {("numerics.py", "lag_correlate"),
-                   ("transforms.py", "inverse_half"),
-                   ("verify.py", "_sample_field_2d")}
+COMPLEX_ALLOWED = {("transforms.py", "inverse_half")}
 
 
 def _inverse_call(node):

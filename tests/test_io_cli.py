@@ -13,12 +13,14 @@ from halfstokes.core import BoundaryField, make_grid
 from halfstokes import cli, datagen, io
 from halfstokes.errors import InvalidDataError
 
+import references
+
 
 def test_field_roundtrip(tmp_path):
     g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0,
                   N_time=5)
     rng = np.random.default_rng(0)
-    for f in (datagen.random_halfspace_field(g, rng),
+    for f in (references.random_halfspace_field(g, rng),
               datagen.random_whole_field(g, rng)):
         io.save_field(f, tmp_path / "snap")
         back = io.load_field(tmp_path / "snap")
@@ -34,7 +36,7 @@ def test_field_roundtrip(tmp_path):
 def test_boundary_field_roundtrip_and_csv(tmp_path):
     g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0,
                   N_time=5)
-    gb = datagen.gaussian_boundary_pulse(g)
+    gb = references.gaussian_boundary_pulse(g)
     io.save_field(gb, tmp_path / "bnd")
     back = io.load_field(tmp_path / "bnd")
     assert isinstance(back, BoundaryField)
@@ -199,7 +201,7 @@ def config_error(tmp_path, capsys, command, settings, steady=False,
         cp.write(fh)
     extra = []
     if command == "norms":
-        f = datagen.random_halfspace_field(
+        f = references.random_halfspace_field(
             make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0,
                       N_time=5), np.random.default_rng(0))
         if steady:
@@ -397,6 +399,18 @@ def test_cli_non_critical_index_is_config_error(tmp_path, capsys, command):
     err = config_error(tmp_path, capsys, command,
                        {("index", "critical"): "false", ("index", "q"): "2.5"})
     assert command in err and "critical index" in err
+
+
+# critical indices that solve-ns cannot use (no default force pair) and
+# that scaling cannot use (the M0 boundary order alpha - 1/q is not positive)
+@pytest.mark.parametrize("command, alpha",
+                         [("solve-ns", a) for a in ("0.2", "0.3", "0.4",
+                                                    "0.5", "1.5", "1.9")]
+                         + [("scaling", a) for a in ("0.2", "0.3")])
+def test_cli_index_the_command_cannot_use_is_config_error(tmp_path, capsys,
+                                                          command, alpha):
+    err = config_error(tmp_path, capsys, command, {("index", "alpha"): alpha})
+    assert err.startswith("config error: ")
 
 
 # q = 2.5 in 2-D admits no default force pair (beta, p); only the

@@ -6,6 +6,9 @@ from halfstokes.core import (BesovIndex, BoundaryField, ScalarField,
 from halfstokes.errors import HalfStokesError, ShapeMismatchError
 from halfstokes import besov, datagen, potentials as pot, verify
 
+import oracles
+import references
+
 IDX = BesovIndex.critical_index(1.0, 2)
 
 
@@ -13,12 +16,12 @@ def test_oracle_grid_guard():
     g = make_grid(2, L=2 * np.pi, N_tan=64, X=np.pi, N_vert=9, T=1.0,
                   N_time=9)
     with pytest.raises(ShapeMismatchError):
-        verify.oracle_single_layer(g, np.zeros(9), 0.3, np.pi)
+        oracles.oracle_single_layer(g, np.zeros(9), 0.3, np.pi)
 
 
 @pytest.mark.parametrize("sampler", [
     lambda g, rng: datagen.random_boundary_field(g, rng),
-    lambda g, rng: datagen.random_halfspace_field(g, rng),
+    lambda g, rng: references.random_halfspace_field(g, rng),
     lambda g, rng: datagen.random_whole_field(g, rng),
     lambda g, rng: datagen.random_whole_steady(g, rng),
     lambda g, rng: datagen.random_boundary_steady(g, rng),
@@ -70,7 +73,7 @@ def test_random_whole_field_matches_term_loop_bitwise(N, Nv, Nt, profile,
 def test_gauss_panel_matches_scipy_roots(order):
     from scipy.special import roots_legendre
     x, w = roots_legendre(order)
-    nodes, weights = verify._gauss_panel(0.5, 2.0, order)
+    nodes, weights = oracles._gauss_panel(0.5, 2.0, order)
     assert np.max(np.abs(nodes - (0.75 * x + 1.25))) < 1e-14
     assert np.max(np.abs(weights / (0.75 * w) - 1.0)) < 1e-12
 
@@ -79,10 +82,10 @@ def test_single_layer_oracle_agreement():
     g = make_grid(2, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=17, T=0.5,
                   N_time=17)
     width, center = 0.35, np.pi
-    pulse = datagen.gaussian_boundary_pulse(g, width=width, center=center)
+    pulse = references.gaussian_boundary_pulse(g, width=width, center=center)
     fast = pot.heat_single_layer(pulse)
     ramp = np.sin(np.pi * np.minimum(g.time_nodes / g.T, 1.0)) ** 2
-    oracle = verify.oracle_single_layer(g, ramp, width, center)
+    oracle = oracles.oracle_single_layer(g, ramp, width, center)
     rel = np.max(np.abs(fast.data - oracle)) / np.max(np.abs(oracle))
     assert rel < 1e-8
 
@@ -101,7 +104,7 @@ def test_heat_trace_oracle_agreement():
     h = VectorField(g, np.stack([a * prof for a in amps]), domain="whole",
                     time_dependent=False)
     fast = pot.heat_trace(h)
-    oracle = verify.oracle_heat_trace(g, amps, 0.35, 0.3, np.pi, g.X / 2)
+    oracle = oracles.oracle_heat_trace(g, amps, 0.35, 0.3, np.pi, g.X / 2)
     rel = np.max(np.abs(fast.data - oracle)) / np.max(np.abs(oracle))
     assert rel < 1e-8
 
@@ -118,7 +121,7 @@ def test_poisson_oracle_agreement():
     f = BoundaryField(g, prof(g.tan_nodes)[None], time_dependent=False)
     fast = pot.poisson_extension(f)
     ix, iy = [3, 10, 20], [1, 4, 7]
-    oracle = verify.oracle_poisson(prof, g, g.tan_nodes[ix], g.vert_nodes[iy])
+    oracle = oracles.oracle_poisson(prof, g, g.tan_nodes[ix], g.vert_nodes[iy])
     rel = np.max(np.abs(fast.data[np.ix_(ix, iy)] - oracle)) \
         / np.max(np.abs(oracle))
     assert rel < 1e-8
@@ -132,11 +135,11 @@ def test_strip_newton_oracle_agreement():
     fdata = (1 + 0.8 * np.cos(x) + 0.3 * np.sin(2 * x)) \
         * (y ** 2 * np.exp(-y))
     f = ScalarField(g, fdata, domain="half", time_dependent=False)
-    S = pot.strip_newton_potential(f)
+    S = references.strip_newton_potential(f)
     pts = [(g.tan_nodes[3], g.vert_nodes[10]),
            (g.tan_nodes[9], g.vert_nodes[20]),
            (g.tan_nodes[0], g.vert_nodes[29])]
-    oracle = verify.oracle_strip_newton(f, pts)
+    oracle = oracles.oracle_strip_newton(f, pts)
     fast = np.array([S.data[3, 10], S.data[9, 20], S.data[0, 29]])
     assert np.max(np.abs(fast - oracle)) / np.max(np.abs(oracle)) < 1e-6
 
