@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,7 +20,8 @@ import numpy as np
 from . import __version__, besov, datagen, io, verify
 from . import navier_stokes as nsmod
 from . import stokes as stk
-from .core import BesovIndex, BoundaryField, VectorField, make_grid
+from .core import (BesovIndex, BoundaryField, HalfSpaceGrid, VectorField,
+                   make_grid)
 from .errors import (ConfigError, HalfStokesError, NormOrderError,
                      PicardDivergenceError, ShapeMismatchError)
 
@@ -27,6 +29,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
+
+
+_GRID_KEYS = [f.name.lower() for f in dataclasses.fields(HalfSpaceGrid)
+              if f.init]
 
 
 def _parse_config(path: str) -> dict:
@@ -37,6 +43,11 @@ def _parse_config(path: str) -> dict:
     cfg = {section: dict(cp[section]) for section in cp.sections()}
     if "grid" not in cfg:
         raise ConfigError("config needs a [grid] section")
+    # a [DEFAULT] key shows in every section; only [grid]'s own lines count
+    unknown = sorted(set(cfg["grid"]) - set(cp.defaults()) - set(_GRID_KEYS))
+    if unknown:
+        raise ConfigError(f"[grid] unknown keys {unknown}: drop those lines; "
+                          f"the known keys are {_GRID_KEYS}")
     return cfg
 
 
@@ -61,7 +72,6 @@ def _build_grid(cfg: dict):
                          N_tan=_number(cfg, "grid", "n_tan", 32, int),
                          X=_number(cfg, "grid", "x", 2 * np.pi),
                          N_vert=_number(cfg, "grid", "n_vert", 33, int),
-                         grading=_number(cfg, "grid", "grading", 1.0),
                          T=_number(cfg, "grid", "t", 1.0),
                          N_time=_number(cfg, "grid", "n_time", 32, int))
     except HalfStokesError as exc:
@@ -147,10 +157,6 @@ def _common_setup(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = _build_grid(cfg)
-    # norms measures a snapshot on the grid it was saved with
-    if args.command != "norms" and not grid.uniform_vertical:
-        raise ConfigError(f"[grid] grading = {grid.grading:g}: {args.command}"
-                          " needs uniform vertical nodes (grading = 1)")
     index = _build_index(cfg, grid.n)
     report = io.base_report(cfg)
     report["seed"] = args.seed
@@ -344,6 +350,10 @@ def main(argv=None) -> int:
     except (ConfigError, NormOrderError) as exc:
         # a NormOrderError here is an [index] the command cannot use
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: out of memory ({type(exc).__name__}: {exc}); "
+              "reduce the [grid] sizes", file=sys.stderr)
         return EXIT_CONFIG
     except PicardDivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)

@@ -2,11 +2,10 @@
 
 The computational domain is a tangentially periodic truncation of the half
 space: the first ``n - 1`` axes are uniform periodic of period ``L``, the
-vertical axis runs from the wall ``x_n = 0`` up to ``X`` (uniform or
-geometrically graded toward the wall), and time is a uniform axis on
-``[0, T]``.  Whole-space fields live on the reflected vertical axis
-``[-X, X]``, periodic with period ``2X``, stored as one period in FFT
-order (:attr:`HalfSpaceGrid.whole_vert_nodes`).
+vertical axis has uniform nodes from the wall ``x_n = 0`` up to ``X``, and
+time is a uniform axis on ``[0, T]``.  Whole-space fields live on the
+reflected vertical axis ``[-X, X]``, periodic with period ``2X``, stored as
+one period in FFT order (:attr:`HalfSpaceGrid.whole_vert_nodes`).
 
 All containers are immutable value objects; operations elsewhere in the
 package are pure functions over them.  A field takes ownership of a
@@ -37,12 +36,7 @@ def _as_readonly(arr):
 
 @dataclass(frozen=True)
 class HalfSpaceGrid:
-    """Discretization of the half space times a finite time window.
-
-    ``grading`` is the ratio between consecutive vertical spacings; 1.0
-    gives uniform nodes, r > 1 clusters nodes at the wall (spacing grows
-    by a factor r away from it).
-    """
+    """Discretization of the half space times a finite time window."""
 
     n: int
     L: float
@@ -51,7 +45,6 @@ class HalfSpaceGrid:
     N_vert: int
     T: float
     N_time: int
-    grading: float = 1.0
     tan_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     vert_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     time_nodes: np.ndarray = field(init=False, repr=False, compare=False)
@@ -61,22 +54,13 @@ class HalfSpaceGrid:
             raise InvalidGridError(f"spatial dimension must be 2 or 3, got {self.n}")
         if min(self.N_tan, self.N_vert, self.N_time) < 2:
             raise InvalidGridError("N_tan, N_vert and N_time must all be >= 2")
-        if not all(map(math.isfinite, (self.L, self.X, self.T, self.grading))):
-            raise InvalidGridError("L, X, T and grading must be finite")
+        if not all(map(math.isfinite, (self.L, self.X, self.T))):
+            raise InvalidGridError("L, X and T must be finite")
         if min(self.L, self.X, self.T) <= 0:
             raise InvalidGridError("L, X and T must be positive")
-        if self.grading <= 0:
-            raise InvalidGridError("grading ratio must be positive")
 
         tan = np.arange(self.N_tan) * (self.L / self.N_tan)
-        if self.uniform_vertical:
-            vert = np.linspace(0.0, self.X, self.N_vert)
-        else:
-            r = self.grading
-            d0 = self.X * (r - 1.0) / (r ** (self.N_vert - 1) - 1.0)
-            steps = d0 * r ** np.arange(self.N_vert - 1)
-            vert = np.concatenate(([0.0], np.cumsum(steps)))
-            vert[-1] = self.X
+        vert = np.linspace(0.0, self.X, self.N_vert)
         times = np.linspace(0.0, self.T, self.N_time)
         object.__setattr__(self, "tan_nodes", _as_readonly(tan))
         object.__setattr__(self, "vert_nodes", _as_readonly(vert))
@@ -91,10 +75,6 @@ class HalfSpaceGrid:
     @property
     def tan_shape(self) -> tuple:
         return (self.N_tan,) * self.n_tan_axes
-
-    @property
-    def uniform_vertical(self) -> bool:
-        return abs(self.grading - 1.0) < 1e-14
 
     @property
     def n_vert_whole(self) -> int:
@@ -116,7 +96,7 @@ class HalfSpaceGrid:
     def key(self) -> tuple:
         """Hashable identity used for caching derived tables."""
         return (self.n, self.L, self.N_tan, self.X, self.N_vert,
-                self.T, self.N_time, self.grading)
+                self.T, self.N_time)
 
     def scaled(self, lam: float) -> "HalfSpaceGrid":
         """Grid carrying parabolically rescaled data: lengths /lam, time /lam^2."""
@@ -149,12 +129,10 @@ class GridCache:
         return len(self._entries)
 
 
-def make_grid(n, L, N_tan, X, N_vert, grading=1.0, T=1.0, N_time=2) -> HalfSpaceGrid:
-    """Build a grid, materializing node coordinates; ``grading`` is the
-    vertical spacing ratio (> 0)."""
+def make_grid(n, L, N_tan, X, N_vert, T=1.0, N_time=2) -> HalfSpaceGrid:
+    """Build a grid, materializing node coordinates."""
     return HalfSpaceGrid(n=n, L=float(L), N_tan=int(N_tan), X=float(X),
-                         N_vert=int(N_vert), T=float(T), N_time=int(N_time),
-                         grading=float(grading))
+                         N_vert=int(N_vert), T=float(T), N_time=int(N_time))
 
 
 # ---------------------------------------------------------------------------

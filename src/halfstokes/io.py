@@ -28,10 +28,16 @@ def _grid_dict(grid: HalfSpaceGrid) -> dict:
 
 
 def grid_from_dict(d: dict) -> HalfSpaceGrid:
+    """The grid of a sidecar.  Older versions record ``"grading": 1.0``,
+    which loads; any other grading is an :class:`InvalidDataError`, since
+    the vertical nodes are uniform."""
+    grading = float(d.get("grading", 1.0))
+    if grading != 1.0:
+        raise InvalidDataError(f"grid grading = {grading:g}: only uniform "
+                               "vertical nodes (grading = 1) are supported")
     return HalfSpaceGrid(n=int(d["n"]), L=float(d["L"]), N_tan=int(d["N_tan"]),
                          X=float(d["X"]), N_vert=int(d["N_vert"]),
-                         T=float(d["T"]), N_time=int(d["N_time"]),
-                         grading=float(d.get("grading", 1.0)))
+                         T=float(d["T"]), N_time=int(d["N_time"]))
 
 
 def save_field(field, prefix) -> None:
@@ -63,8 +69,9 @@ def save_field(field, prefix) -> None:
 
 def load_field(prefix):
     """Read a snapshot of :func:`save_field`.  A missing file raises OSError;
-    a sidecar that does not parse, lacks a key or names an unknown kind, or a
-    ``.bin`` that does not fill its recorded shape, raises InvalidDataError."""
+    a sidecar that does not parse, lacks a key, names an unknown kind or
+    records a grading other than 1, or a ``.bin`` that does not fill its
+    recorded shape, raises InvalidDataError."""
     prefix = Path(prefix)
     try:
         sidecar = json.loads(prefix.with_suffix(".json").read_text())

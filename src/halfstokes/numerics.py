@@ -84,7 +84,7 @@ def derivative_matrix(nodes: np.ndarray) -> np.ndarray:
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    """Composite trapezoid weights on (possibly graded) nodes."""
+    """Composite trapezoid weights on increasing ``nodes``."""
     nodes = np.asarray(nodes, dtype=float)
     w = np.zeros_like(nodes)
     d = np.diff(nodes)

@@ -50,8 +50,6 @@ def spectral_axes(grid: HalfSpaceGrid, domain: str) -> list:
         return axes
     if domain != "whole":
         raise ShapeMismatchError("half-space fields have no full spectral lattice")
-    if not grid.uniform_vertical:
-        raise ShapeMismatchError("whole-space transforms need uniform vertical nodes")
     return axes + [(grid.n_vert_whole, grid.X / (grid.N_vert - 1))]
 
 
@@ -238,10 +236,8 @@ def spectral_divergence(field: VectorField) -> ScalarField:
 
 
 def divergence(field: VectorField) -> ScalarField:
-    """Divergence usable on half-space fields: spectral tangentially,
+    """Divergence of a half-space field: spectral tangentially,
     finite differences (5-point stencils) vertically."""
-    if field.domain == "whole":
-        return spectral_divergence(field)
     grid = field.grid
     modes = tan_fft(field.data, grid, offset=1)
     ks = k_vectors(grid, "boundary", field.data.ndim - 1, deriv=True)
@@ -262,7 +258,7 @@ def _require_whole_vector(field):
 
 def vertical_derivative_array(data: np.ndarray, grid: HalfSpaceGrid,
                               vaxis: int) -> np.ndarray:
-    """First vertical derivative by 5-point stencils on the (graded) nodes;
+    """First vertical derivative by 5-point stencils on the vertical nodes;
     one-sided at the wall, where it evaluates the interior limit."""
     D = derivative_matrix(grid.vert_nodes)
     return np.moveaxis(np.matmul(D, np.moveaxis(data, vaxis, -2)), -2, vaxis)
@@ -346,13 +342,10 @@ def trace_boundary(field: Field) -> BoundaryField:
     """Restriction of samples at the wall node x_n = 0."""
     if field.domain == "boundary":
         raise ShapeMismatchError("field already lives on the boundary")
-    grid = field.grid
-    if grid.vert_nodes[0] != 0.0:
-        raise ShapeMismatchError("grid's first vertical node must be 0")
     wall = np.take(field.data, 0, axis=field.vert_axis)
     if isinstance(field, ScalarField):
         wall = wall[np.newaxis]
-    return BoundaryField(grid, wall, time_dependent=field.time_dependent)
+    return BoundaryField(field.grid, wall, time_dependent=field.time_dependent)
 
 
 def normal_trace_norm(u: VectorField, index) -> float:

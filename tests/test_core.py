@@ -21,19 +21,6 @@ def test_uniform_grid_nodes():
     assert g.time_nodes[-1] == 1.0
 
 
-def test_graded_grid_first_spacing_closed_form():
-    # geometric spacing: first gap X (r - 1) / (r^{Nv-1} - 1)
-    g = make_grid(3, L=2 * np.pi, N_tan=16, X=2.0, N_vert=5, grading=2.0,
-                  T=1.0, N_time=4)
-    expected = 2.0 * (2.0 - 1.0) / (2.0 ** 4 - 1.0)
-    assert np.isclose(g.vert_nodes[1], expected)
-    # direct summation of the geometric series reaches X
-    gaps = np.diff(g.vert_nodes)
-    assert np.allclose(gaps[1:] / gaps[:-1], 2.0)
-    assert np.isclose(g.vert_nodes[-1], 2.0)
-    assert np.all(np.diff(g.vert_nodes) > 0)
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(n=4, L=1, N_tan=8, X=1, N_vert=5, T=1, N_time=4),
     dict(n=2, L=1, N_tan=8, X=1, N_vert=1, T=1, N_time=4),
@@ -46,11 +33,10 @@ def test_grid_rejects_bad_parameters(kwargs):
         make_grid(**kwargs)
 
 
-@pytest.mark.parametrize("key", ["L", "X", "T", "grading"])
+@pytest.mark.parametrize("key", ["L", "X", "T"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_grid_rejects_non_finite_parameters(key, value):
-    kwargs = dict(n=2, L=1.0, N_tan=8, X=1.0, N_vert=5, T=1.0, N_time=4,
-                  grading=1.0)
+    kwargs = dict(n=2, L=1.0, N_tan=8, X=1.0, N_vert=5, T=1.0, N_time=4)
     kwargs[key] = value
     with pytest.raises(InvalidGridError, match="finite"):
         make_grid(**kwargs)

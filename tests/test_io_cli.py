@@ -338,6 +338,17 @@ def _edit_sidecar(**changes):
     return damage
 
 
+def _graded_sidecar(grading):
+    """A sidecar whose grid records ``grading``, as versions that had
+    graded vertical nodes wrote it."""
+    def damage(prefix):
+        path = prefix.with_suffix(".json")
+        sidecar = json.loads(path.read_text())
+        sidecar["grid"]["grading"] = grading
+        path.write_text(json.dumps(sidecar))
+    return damage
+
+
 def _nan_value(prefix):
     path = prefix.with_suffix(".bin")
     data = np.fromfile(path, dtype="<f8")
@@ -365,8 +376,9 @@ def _whole_with_top_slot(prefix):
     (_edit_sidecar(kind="MatrixField"), "InvalidDataError: KeyError"),
     (_nan_value, "non-finite"),
     (_whole_with_top_slot, "ShapeMismatchError"),
+    (_graded_sidecar(2.0), "InvalidDataError: grid grading = 2"),
 ], ids=["truncated_bin", "unparsable_sidecar", "missing_key", "unknown_kind",
-        "nan_value", "whole_with_top_slot"])
+        "nan_value", "whole_with_top_slot", "graded_sidecar"])
 def test_cli_norms_bad_snapshot_is_config_error(tmp_path, capsys, damage,
                                                 what):
     err = config_error(tmp_path, capsys, "norms", {}, damage=damage)
@@ -377,7 +389,9 @@ def test_cli_norms_bad_snapshot_is_config_error(tmp_path, capsys, damage,
     (_truncate_bin, "ValueError"), (_unparsable_sidecar, "JSONDecodeError"),
     (_edit_sidecar(kind=None), "KeyError"),
     (_edit_sidecar(kind="MatrixField"), "KeyError"),
-], ids=["truncated_bin", "unparsable_sidecar", "missing_key", "unknown_kind"])
+    (_graded_sidecar(2.0), "uniform vertical nodes"),
+], ids=["truncated_bin", "unparsable_sidecar", "missing_key", "unknown_kind",
+        "graded_sidecar"])
 def test_load_field_raises_invalid_data_error(tmp_path, damage, cause):
     g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0, N_time=5)
     io.save_field(datagen.random_boundary_field(g, np.random.default_rng(0)),
@@ -385,6 +399,15 @@ def test_load_field_raises_invalid_data_error(tmp_path, damage, cause):
     damage(tmp_path / "snap")
     with pytest.raises(InvalidDataError, match=cause):
         io.load_field(tmp_path / "snap")
+
+
+def test_load_field_reads_sidecar_with_unit_grading(tmp_path):
+    g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0, N_time=5)
+    f = datagen.random_boundary_field(g, np.random.default_rng(0))
+    io.save_field(f, tmp_path / "snap")
+    _graded_sidecar(1.0)(tmp_path / "snap")
+    back = io.load_field(tmp_path / "snap")
+    assert back.grid == g and np.array_equal(back.data, f.data)
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0", "2.5", "nan"])
@@ -447,13 +470,6 @@ def test_cli_two_dimensional_family_on_3d_grid_is_config_error(
     err = config_error(tmp_path, capsys, "solve-stokes",
                        {("grid", "n"): "3", ("data", "family"): family})
     assert f"[data] family = {family}" in err and "[grid] n = 3" in err
-
-
-@pytest.mark.parametrize("command", ["solve-stokes", "solve-ns",
-                                     "verify-ops", "scaling"])
-def test_cli_graded_grid_is_config_error(tmp_path, capsys, command):
-    err = config_error(tmp_path, capsys, command, {("grid", "grading"): "2.0"})
-    assert "[grid] grading = 2" in err and "uniform vertical" in err
 
 
 @pytest.mark.parametrize("k1", ["0", "-1"])
@@ -553,13 +569,42 @@ def test_cli_non_finite_grid_is_config_error(tmp_path, capsys, key, value):
     assert err.startswith("config error: bad grid:") and "finite" in err
 
 
+# grading = 1.0 and 2.0 name the removed graded-grid option; ntan misspells
+# n_tan
+@pytest.mark.parametrize("key, value", [("grading", "2.0"),
+                                        ("grading", "1.0"), ("ntan", "64")])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_unknown_grid_key_is_config_error(tmp_path, capsys, command, key,
+                                              value):
+    err = config_error(tmp_path, capsys, command, {("grid", key): value})
+    assert f"[grid] unknown keys ['{key}']" in err
+    assert all(f"'{known}'" in err for known in
+               ("n", "l", "n_tan", "x", "n_vert", "t", "n_time"))
+
+
+def test_default_section_keys_are_not_grid_keys(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[DEFAULT]\namplitude = 0.1\n\n[grid]\nn = 2\n\n"
+                    "[data]\nfamily = zero\n")
+    assert cli._parse_config(str(path))["data"]["amplitude"] == "0.1"
+
+
+def test_cli_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    def build_grid(cfg):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "_build_grid", build_grid)
+    err = config_error(tmp_path, capsys, "solve-stokes", {})
+    assert err.startswith("config error: out of memory") and "[grid]" in err
+
+
 def test_readme_config_example_loads(tmp_path):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
     path = tmp_path / "readme.ini"
     path.write_text(block)
     cfg = cli._parse_config(str(path))
-    assert cfg["grid"]["grading"] == "1.0"
+    assert sorted(cfg["grid"]) == sorted(cli._GRID_KEYS)
     assert cfg["data"]["family"] == "stream_compatible"
     assert cfg["index"]["critical"] == "true"
     assert cli._build_grid(cfg).N_tan == 32

@@ -256,26 +256,6 @@ def test_estimate_chain_stability_under_refinement():
     assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.25
 
 
-def test_build_w_on_graded_grid_attains_boundary():
-    # graded vertical nodes cluster at the wall; the kernel-quadrature ops
-    # accept them even though whole-space spectral ops do not
-    rels = []
-    for Nt in (17, 33):
-        g = make_grid(2, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=33,
-                      grading=1.15, T=0.5, N_time=Nt)
-        rng = np.random.default_rng(9)
-        G = datagen.random_boundary_field(g, rng, ncomp=2,
-                                          time_profile="taper0",
-                                          zero_normal=True)
-        w = stk.build_w(G)
-        wall = tr.trace_boundary(w)
-        rels.append(besov.field_lq(BoundaryField(g, wall.data - G.data), 2.0)
-                    / besov.field_lq(G, 2.0))
-        assert np.max(np.abs(w.data[1][:, 0, :])) \
-            < 1e-12 * max(w.max_abs(), 1e-30)
-    assert rels[1] < 0.6 * rels[0]
-
-
 def test_three_dimensional_solve_end_to_end():
     idx3 = BesovIndex.critical_index(1.0, 3)
     bnds = []

@@ -533,10 +533,6 @@ def test_zero_extension_fft_matches_built_extension(n, N):
     ext = _extend_zero(F, g, 2)
     assert np.array_equal(tr.zero_extension_fft(F, g, offset=2),
                           tr.whole_fft(ext, g, offset=2))
-    graded = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=6,
-                       grading=1.2, T=1.0, N_time=3)
-    with pytest.raises(ShapeMismatchError, match="uniform vertical"):
-        tr.zero_extension_fft(F, graded, offset=2)
 
 
 def _transform_cases():
