@@ -86,11 +86,9 @@ def _build_index(cfg: dict, n: int) -> BesovIndex:
             idx = BesovIndex.critical_index(alpha, n)
         else:
             idx = BesovIndex(alpha=alpha, q=_number(cfg, "index", "q"), n=n)
-        if "beta" in sec and "p" in sec:
-            idx = BesovIndex(alpha=idx.alpha, q=idx.q, n=n,
-                             beta=_number(cfg, "index", "beta"),
-                             p=_number(cfg, "index", "p"))
-        return idx
+        # either key alone fails BesovIndex's pair rule
+        pair = {k: _number(cfg, "index", k) for k in ("beta", "p") if k in sec}
+        return dataclasses.replace(idx, **pair)
     except NormOrderError as exc:
         raise ConfigError(f"bad index: {exc}") from exc
 

@@ -276,19 +276,16 @@ def gradient_heat_potential(f: Field, axis: int) -> Field:
 
 def poisson_extension(f: BoundaryField) -> Field:
     """Harmonic extension into the half space: multiplier exp(-|xi| x_n),
-    constants extend to constants."""
+    constants extend to constants; steady data runs as one time slice."""
     grid = f.grid
-    ks = tr.k_vectors(grid, "boundary", f.data.ndim, offset=1)
+    wall = f.data if f.time_dependent else f.data[..., np.newaxis]
+    ks = tr.k_vectors(grid, "boundary", wall.ndim, offset=1)
     lam = np.sqrt(sum(k ** 2 for k in ks))
-    modes = tr.tan_fft(f.data, grid, offset=1)
-    y = grid.vert_nodes
-    if f.time_dependent:
-        prof = np.exp(-lam[..., np.newaxis, :] * y[:, None])
-        ext = modes[..., np.newaxis, :] * prof
-    else:
-        prof = np.exp(-lam[..., np.newaxis] * y)
-        ext = modes[..., np.newaxis] * prof
+    prof = np.exp(-lam[..., np.newaxis, :] * grid.vert_nodes[:, None])
+    ext = tr.tan_fft(wall, grid, offset=1)[..., np.newaxis, :] * prof
     data = tr.tan_ifft(ext, grid, offset=1)
+    if not f.time_dependent:
+        data = data[..., 0]
     if f.ncomp == 1:
         return ScalarField(grid, data[0], domain="half",
                            time_dependent=f.time_dependent)

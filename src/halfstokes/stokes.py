@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BoundaryField, HalfSpaceGrid, TensorField,
+from .core import (BoundaryField, HalfSpaceGrid, ScalarField, TensorField,
                    VectorField)
 from .errors import InvalidDataError, ShapeMismatchError
 from . import besov
@@ -65,17 +65,16 @@ def build_v(h: VectorField) -> VectorField:
 def build_grad_phi(psi: BoundaryField, rpsi: list) -> VectorField:
     """Gradient of the harmonic correction with wall values (R' psi, psi).
 
-    The vertical component is the harmonic extension of psi, the tangential
-    components are extensions of its boundary Riesz transforms ``rpsi``
-    (one per tangential axis); the field is curl-free and divergence-free
-    by construction.
+    One harmonic extension of the n-component wall field: the tangential
+    components extend the boundary Riesz transforms ``rpsi`` of psi (one per
+    tangential axis), the vertical one extends psi; the field is curl-free
+    and divergence-free by construction.
     """
     if psi.ncomp != 1:
         raise ShapeMismatchError("psi must be a scalar boundary field")
-    comps = [pot.poisson_extension(rj).data for rj in rpsi]
-    comps.append(pot.poisson_extension(psi).data)
-    return VectorField(psi.grid, np.stack(comps), domain="half",
-                       time_dependent=psi.time_dependent)
+    wall = np.concatenate([rj.data for rj in rpsi] + [psi.data])
+    return pot.poisson_extension(
+        BoundaryField(psi.grid, wall, time_dependent=psi.time_dependent))
 
 
 def build_G(g: BoundaryField, v_wall: BoundaryField, V_wall: BoundaryField,
@@ -184,20 +183,34 @@ def _relative(num: float, den: float) -> float:
     return num / max(den, 1e-300) if den > 0 else num
 
 
-def gradient_scale(u: VectorField) -> float:
-    """L2 magnitude of all first spatial derivatives (normalizes residuals);
-    the tangential ones by Parseval on the half lattice."""
+def gradient_scale(u: VectorField) -> tuple[float, ScalarField]:
+    """``(scale, div)``: the L2 magnitude of all first spatial derivatives
+    of ``u`` (normalizes residuals), the tangential ones by Parseval on the
+    half lattice, and the divergence of ``u``, spectral tangentially and by
+    5-point stencils vertically; one transform and one vertical derivative
+    of ``u`` serve both."""
     grid = u.grid
     modes = tr.tan_fft(u.data, grid, offset=1)
     ks = tr.k_vectors(grid, "boundary", grid.n_tan_axes, deriv=True)
     weight = sum(k ** 2 for k in ks) * tr.half_multiplicity(grid.N_tan)
     power = np.sum(modes.real ** 2 + modes.imag ** 2, axis=(0, -2, -1))
+    tan_div = np.zeros_like(modes[0])
+    for a in range(grid.n_tan_axes):
+        tan_div += 1j * ks[a][..., None, None] * modes[a]
+    # freed before the transform allocates, so that the heap does not grow;
+    # the loop binds no view of modes that would keep it alive
+    del modes
+    div = tr.tan_ifft(tan_div, grid, offset=0)
+    del tan_div
     # C order: the sum runs in one order whatever the layout of dv
     dv = np.ascontiguousarray(
         tr.vertical_derivative_array(u.data, grid, grid.n_tan_axes + 1))
+    div += dv[grid.n - 1]
     total = (np.sum(weight * power) / grid.N_tan ** grid.n_tan_axes
              + np.sum(dv * dv))
-    return float(np.sqrt(total / u.data[0].size))
+    return (float(np.sqrt(total / u.data[0].size)),
+            ScalarField(grid, div, domain="half",
+                        time_dependent=u.time_dependent))
 
 
 def assemble(g: BoundaryField, F: TensorField | None, v: VectorField,
@@ -256,9 +269,8 @@ def solve_stokes(h: VectorField, g: BoundaryField,
     u = sol.u
 
     diags = sol.diagnostics
-    div = tr.divergence(u)
-    gscale = max(gradient_scale(u), 1e-300)
-    diags["div_residual"] = besov.field_lq(div, 2.0) / gscale
+    gscale, div = gradient_scale(u)
+    diags["div_residual"] = besov.field_lq(div, 2.0) / max(gscale, 1e-300)
     bnd = BoundaryField(grid, tr.trace_boundary(u).data - g.data)
     diags["boundary_residual"] = _relative(besov.field_lq(bnd, 2.0),
                                            besov.field_lq(g, 2.0))

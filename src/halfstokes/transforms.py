@@ -235,22 +235,6 @@ def spectral_divergence(field: VectorField) -> ScalarField:
                        time_dependent=field.time_dependent)
 
 
-def divergence(field: VectorField) -> ScalarField:
-    """Divergence of a half-space field: spectral tangentially,
-    finite differences (5-point stencils) vertically."""
-    grid = field.grid
-    modes = tan_fft(field.data, grid, offset=1)
-    ks = k_vectors(grid, "boundary", field.data.ndim - 1, deriv=True)
-    acc = np.zeros_like(modes[0])
-    for a in range(grid.n_tan_axes):
-        acc = acc + 1j * ks[a] * modes[a]
-    out = tan_ifft(acc, grid, offset=0)
-    dvert = vertical_derivative_array(field.data[grid.n - 1], grid,
-                                      grid.n_tan_axes)
-    return ScalarField(grid, out + dvert, domain="half",
-                       time_dependent=field.time_dependent)
-
-
 def _require_whole_vector(field):
     if not isinstance(field, VectorField) or field.domain != "whole":
         raise ShapeMismatchError("operation requires a whole-space vector field")
@@ -349,26 +333,22 @@ def trace_boundary(field: Field) -> BoundaryField:
 
 
 def normal_trace_norm(u: VectorField, index) -> float:
-    """Negative-order boundary norm of the wall trace of the normal component.
+    """Negative-order boundary norm of the wall trace of the normal component
+    of a steady whole-space field.
 
     For divergence-free u the wall trace of u_n controls in the
-    order -1/q boundary norm; returns the time-aggregated (L^q) value, or the
-    single-slice value for steady fields.
+    order -1/q boundary norm.
     """
     from . import besov
 
-    if u.domain == "half":
-        extend_solenoidal(u)  # raises if not solenoidal
-    else:
-        div = spectral_divergence(u)
-        scale = max(u.max_abs() / u.grid.X, 1e-300)
-        if div.max_abs() / scale > _SOLENOIDAL_TOL:
-            raise NotDivergenceFreeError(
-                "normal trace norm requires a solenoidal field")
+    div = spectral_divergence(u)
+    scale = max(u.max_abs() / u.grid.X, 1e-300)
+    if div.max_abs() / scale > _SOLENOIDAL_TOL:
+        raise NotDivergenceFreeError(
+            "normal trace norm requires a solenoidal field")
     wall = trace_boundary(u)
     un = BoundaryField(u.grid, wall.data[u.grid.n - 1 : u.grid.n],
                        time_dependent=u.time_dependent)
     # LP realization directly: the order -1/q sits on the boundary
     # -1 + 1/q of the duality window at q = 2
-    norm = besov.lq_time_lp_space if u.time_dependent else besov.lp_norm
-    return norm(un, -1.0 / index.q, index.q)
+    return besov.lp_norm(un, -1.0 / index.q, index.q)

@@ -417,6 +417,15 @@ def test_cli_bad_alpha_is_config_error(tmp_path, capsys, alpha):
     assert err.startswith("config error: bad index: alpha must lie in (0, 2)")
 
 
+@pytest.mark.parametrize("key, value", [("beta", "0.3"), ("p", "1.5")],
+                         ids=["beta_only", "p_only"])
+def test_cli_lone_force_pair_key_is_config_error(tmp_path, capsys, key,
+                                                 value):
+    err = config_error(tmp_path, capsys, "solve-ns", {("index", key): value})
+    assert err == ("config error: bad index: beta and p must be given "
+                   "together")
+
+
 @pytest.mark.parametrize("command", ["solve-ns", "scaling"])
 def test_cli_non_critical_index_is_config_error(tmp_path, capsys, command):
     err = config_error(tmp_path, capsys, command,

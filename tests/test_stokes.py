@@ -294,6 +294,17 @@ def _gradient_scale_ref(u):
     return float(np.sqrt(total))
 
 
+def _divergence_ref(u):
+    """Tangential derivatives of the tangential components plus the vertical
+    derivative of the normal one, each formed on its own."""
+    grid = u.grid
+    div = tr.vertical_derivative_array(u.data[grid.n - 1], grid,
+                                       grid.n_tan_axes)
+    for a in range(grid.n_tan_axes):
+        div = div + tan_derivative(u.data[a], grid, a)
+    return div
+
+
 @pytest.mark.parametrize("n, N", [(2, 16), (2, 15), (3, 8), (3, 7)])
 def test_gradient_scale_matches_derivative_loop(n, N):
     g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=7, T=1.0,
@@ -303,7 +314,12 @@ def test_gradient_scale_matches_derivative_loop(n, N):
                                            + (g.N_vert, g.N_time)),
                     domain="half")
     ref = _gradient_scale_ref(u)
-    assert abs(stk.gradient_scale(u) - ref) <= 1e-13 * ref
+    scale, div = stk.gradient_scale(u)
+    assert abs(scale - ref) <= 1e-13 * ref
+    div_ref = _divergence_ref(u)
+    assert div.domain == "half" and div.data.shape == div_ref.shape
+    assert np.max(np.abs(div.data - div_ref)) \
+        <= 1e-13 * np.max(np.abs(div_ref))
 
 
 @pytest.mark.parametrize("n, N", [(2, 64), (3, 8)])
@@ -316,8 +332,55 @@ def test_gradient_scale_does_not_depend_on_derivative_layout(n, N,
     shape = (n,) + g.tan_shape + (g.N_vert, g.N_time)
     fields = [VectorField(g, np.random.default_rng(seed).standard_normal(
         shape), domain="half") for seed in range(8)]
-    values = [stk.gradient_scale(u) for u in fields]
+    before = [stk.gradient_scale(u) for u in fields]
     derivative = tr.vertical_derivative_array
     monkeypatch.setattr(tr, "vertical_derivative_array",
                         lambda *args: np.asfortranarray(derivative(*args)))
-    assert [stk.gradient_scale(u) for u in fields] == values
+    after = [stk.gradient_scale(u) for u in fields]
+    assert [s for s, _ in after] == [s for s, _ in before]
+    for (_, div), (_, div_before) in zip(after, before):
+        assert div.data.tobytes() == div_before.data.tobytes()
+
+
+# numpy.fft calls of one linear solve at toy size (a forced 2-D one, an
+# unforced 3-D one) and of one harmonic correction: the diagnostics
+# transform u once, and grad(phi) is one extension of its n-component wall
+# field, one tan_fft and one tan_ifft
+FFT_BUDGET = {2: (25, 2), 3: (53, 3)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_linear_solve_transform_budget(n, monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn",
+                 "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    if n == 2:
+        g = grid2(Nt=16, X=2 * np.pi)
+        mms = datagen.ForcedManufactured()
+        data = (mms.initial_data(g), mms.boundary_data(g), mms.stress(g))
+        index = IDX
+    else:
+        g = make_grid(3, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=0.5,
+                      N_time=9)
+        data = (VectorField(g, np.zeros((3,) + g.tan_shape + (g.N_vert,)),
+                            domain="half", time_dependent=False),
+                BoundaryField(g, np.random.default_rng(3).standard_normal(
+                    (3,) + g.tan_shape + (g.N_time,))),
+                None)
+        index = BesovIndex.critical_index(1.0, 3)
+    psi = BoundaryField(g, data[1].data[n - 1:])
+    rpsi = [tr.riesz_apply(psi, j) for j in range(n - 1)]
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    solve, grad_phi = FFT_BUDGET[n]
+    assert count(lambda: stk.solve_stokes(*data, index=index,
+                                          with_norms=False)) <= solve
+    assert count(lambda: stk.build_grad_phi(psi, rpsi)) <= grad_phi

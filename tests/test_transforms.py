@@ -197,6 +197,13 @@ def test_normal_trace_norm_single_mode_closed_form():
                       domain="whole", time_dependent=False)
     with pytest.raises(NotDivergenceFreeError):
         tr.normal_trace_norm(bad, idx)
+    # only a steady whole-space field is accepted
+    with pytest.raises(ShapeMismatchError, match="whole-space"):
+        tr.normal_trace_norm(tr.restrict_half(u), idx)
+    moving = VectorField(g, np.repeat(u.data[..., None], g.N_time, axis=-1),
+                         domain="whole")
+    with pytest.raises(ShapeMismatchError, match="single time slice"):
+        tr.normal_trace_norm(moving, idx)
 
 
 def test_three_dimensional_projection_identities():
