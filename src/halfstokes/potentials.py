@@ -8,9 +8,9 @@ volume Duhamel integrals integrate the exponential factor exactly against
 piecewise-linear data, which keeps stiff modes accurate; their sweeps
 run in place on time-major modes, one contiguous slice per time node, and
 the operators return fields in C order, time last.  The volume potential
-keeps its spectral intermediates in a :class:`Workspace`: one Picard solve
-owns one and reuses its buffers at every step, and a buffer never becomes
-a field's data.
+works in n + 2 buffers of a :class:`Workspace`, one stress component at a
+time in one of them; one Picard solve owns a workspace and reuses its
+buffers at every step, and a buffer never becomes a field's data.
 """
 
 from __future__ import annotations
@@ -88,12 +88,14 @@ def heat_single_layer(g: BoundaryField) -> Field:
     ghat = tr.tan_fft(g.data, grid, offset=1)
     modes = single_layer_modes(ghat.reshape(g.ncomp, -1, grid.N_time),
                                kernel_quadrature(grid))
-    modes = modes.reshape((g.ncomp, grid.N_vert) + ghat.shape[1:])
-    data = tr.tan_ifft(np.moveaxis(modes, 1, -2), grid, offset=1)
+    modes = np.moveaxis(modes.reshape((g.ncomp, grid.N_vert)
+                                      + ghat.shape[1:]), 1, -2)
     if g.ncomp == grid.n:
-        return VectorField(grid, data, domain="half")
-    if g.ncomp == 1:
-        return ScalarField(grid, data[0], domain="half")
+        return VectorField(grid, tr.tan_ifft(modes, grid, offset=1),
+                           domain="half")
+    if g.ncomp == 1:  # without its component axis, the result owns its data
+        return ScalarField(grid, tr.tan_ifft(modes[0], grid, offset=0),
+                           domain="half")
     raise ShapeMismatchError("boundary data must have 1 or n components")
 
 
@@ -198,8 +200,9 @@ def heat_trace(h: VectorField) -> BoundaryField:
 
 class Workspace:
     """Named scratch buffers that :func:`stokes_volume_potential` reuses
-    across the calls of one owner, such as one Picard solve.  A buffer
-    lives as long as its workspace, and never becomes a field's data."""
+    across the calls of one owner, such as one Picard solve: n + 2 of one
+    stress component's spectral size.  A buffer lives as long as its
+    workspace, and never becomes a field's data."""
 
     def buffer(self, name: str, shape: tuple) -> np.ndarray:
         """Complex buffer ``name`` seen with ``shape``, whose last (time)
@@ -213,22 +216,27 @@ class Workspace:
         return np.moveaxis(buf, 0, -1)
 
 
-def _stress_modes(F: TensorField, work: Workspace):
-    """:func:`tr.zero_extension_fft` of each stress component, indexed
-    ``[k][i]``, one row of the workspace buffer ``stress`` per distinct
-    component: a component equal to its transposed partner (the flux
-    -u (x) u is symmetric) shares that partner's modes."""
-    grid, data = F.grid, F.data
-    n = grid.n
-    distinct = [(k, i) for k in range(n) for i in range(n)
-                if not (i < k and np.array_equal(data[k, i], data[i, k]))]
+def _divergence_modes(F: TensorField, ks, work: Workspace):
+    """``fhat``, the modes of f_i = D_k F_{ki} (``ks``: the derivative
+    wavenumbers) summed in ascending k, and the buffers ``stress`` and
+    ``term`` of ``work``: each distinct stress component is transformed
+    into ``stress`` and its terms added at once.  Only a symmetric stress
+    (the flux -u (x) u) shares pairs, which keeps each sum in ascending k:
+    it transforms its upper triangle, a row there serving its partner too."""
+    grid, data, n = F.grid, F.data, F.grid.n
+    symmetric = all(np.array_equal(data[k, i], data[i, k])
+                    for k in range(n) for i in range(k))
     shape = _spatial_k2(grid).shape + (grid.N_time,)
-    out = work.buffer("stress", (len(distinct),) + shape)
-    for r, p in enumerate(distinct):
-        tr.zero_extension_fft(data[p], grid, 0, out=out[r])
-    row = {p: r for r, p in enumerate(distinct)}
-    return [[out[row[(k, i) if (k, i) in row else (i, k)]]
-             for i in range(n)] for k in range(n)]
+    fhat = work.buffer("fhat", (n,) + shape)
+    stress, term = work.buffer("stress", shape), work.buffer("term", shape)
+    fhat[...] = 0.0
+    for k in range(n):
+        for i in range(k if symmetric else 0, n):
+            tr.zero_extension_fft(data[k, i], grid, 0, out=stress)
+            fhat[i] += np.multiply(1j * ks[k], stress, out=term)
+            if symmetric and i != k:  # F_{ik} = F_{ki}
+                fhat[k] += np.multiply(1j * ks[i], stress, out=term)
+    return fhat, stress, term
 
 
 def stokes_volume_potential(F: TensorField,
@@ -237,27 +245,19 @@ def stokes_volume_potential(F: TensorField,
     divergence of the (zero-extended) stress tensor as right-hand side.
 
     Vanishes identically at t = 0 and is divergence-free for all times.
-    The stress modes, the divergence modes and the projection's scratch
-    live in the buffers of ``work`` (a throwaway workspace without it),
-    time-major, so that the Leray projection and the Duhamel sweep run in
-    place; the result is a fresh array.
+    Its spectral work lives in n + 2 component buffers of ``work`` (a
+    throwaway workspace without it), time-major, so that the Leray
+    projection and the Duhamel sweep run in place: the divergence modes,
+    one stress component at a time, and a product; the result is fresh.
     """
     if F.domain != "half" or not F.time_dependent:
         raise ShapeMismatchError("expected a time-dependent half-space tensor")
-    grid, n = F.grid, F.grid.n
+    grid = F.grid
     work = Workspace() if work is None else work
-    modes = _stress_modes(F, work)
     ks = [k[..., np.newaxis] for k in tr.k_vectors(
         grid, "whole", grid.n_tan_axes + 1, deriv=True)]
-    shape = modes[0][0].shape
-    fhat = work.buffer("fhat", (n,) + shape)
-    kdotu, term = work.buffer("kdotu", shape), work.buffer("term", shape)
-    # f_i = D_k F_{ki}
-    for i, f in enumerate(fhat):
-        f[...] = 0.0
-        for k in range(n):
-            f += np.multiply(1j * ks[k], modes[k][i], out=term)
-    tr.leray(fhat, ks, kdotu, term)
+    fhat, stress, term = _divergence_modes(F, ks, work)
+    tr.leray(fhat, ks, stress, term)  # stress is spent: the k.f scratch
     _duhamel_forward(np.moveaxis(fhat, -1, 0), _spatial_k2(grid), grid.dt)
     data = tr.whole_ifft(fhat, grid, offset=1)
     return VectorField(grid, data, domain="whole")
@@ -283,15 +283,15 @@ def poisson_extension(f: BoundaryField) -> Field:
     lam = np.sqrt(sum(k ** 2 for k in ks))
     prof = np.exp(-lam[..., np.newaxis, :] * grid.vert_nodes[:, None])
     ext = tr.tan_fft(wall, grid, offset=1)[..., np.newaxis, :] * prof
-    data = tr.tan_ifft(ext, grid, offset=1)
     if not f.time_dependent:
-        data = data[..., 0]
+        ext = ext[..., 0]
+    # the result owns its data, so the field keeps it uncopied
     if f.ncomp == 1:
-        return ScalarField(grid, data[0], domain="half",
-                           time_dependent=f.time_dependent)
+        return ScalarField(grid, tr.tan_ifft(ext[0], grid, offset=0),
+                           domain="half", time_dependent=f.time_dependent)
     if f.ncomp == grid.n:
-        return VectorField(grid, data, domain="half",
-                           time_dependent=f.time_dependent)
+        return VectorField(grid, tr.tan_ifft(ext, grid, offset=1),
+                           domain="half", time_dependent=f.time_dependent)
     raise ShapeMismatchError("boundary data must have 1 or n components")
 
 

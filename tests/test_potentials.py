@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -432,13 +434,23 @@ def test_volume_potential_workspace_is_bitwise_transparent(kind):
                               pot.stokes_volume_potential(F).data)
 
 
+def _component_bytes(F):
+    """Bytes of the spectrum of one stress component."""
+    return tr.zero_extension_fft(F.data[0, 0], F.grid, 0).nbytes
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_volume_potential_reuses_its_buffers(kind):
     first, second = _stresses(kind, 2)
     work = pot.Workspace()
     pot.stokes_volume_potential(first, work)
     buffers = {name: id(buf) for name, buf in vars(work).items()}
-    assert {"stress", "fhat"} <= set(buffers)
+    # n + 2 component buffers: the divergence modes, one stress component
+    # at a time (then the projection's scratch) and one product
+    n, component = first.grid.n, _component_bytes(first)
+    assert set(buffers) == {"fhat", "stress", "term"}
+    assert sum(buf.nbytes for buf in vars(work).values()) \
+        == (n + 2) * component
     V = pot.stokes_volume_potential(second, work)
     assert {name: id(buf) for name, buf in vars(work).items()} == buffers
     # the result owns fresh memory: read-only, while the buffers stay
@@ -447,6 +459,26 @@ def test_volume_potential_reuses_its_buffers(kind):
     for buf in vars(work).values():
         assert buf.flags.writeable
         assert not np.shares_memory(V.data, buf)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_volume_potential_working_set(n):
+    # a general stress passes through one component buffer, so the call
+    # holds at most n + 2 component spectra and its output, plus one of
+    # slack
+    g = make_grid(n, L=2 * np.pi, N_tan=16 if n == 2 else 8, X=np.pi,
+                  N_vert=9, T=1.0, N_time=16)
+    F = TensorField(g, np.random.default_rng(n).standard_normal(
+        (n, n) + g.tan_shape + (g.N_vert, g.N_time)), domain="half")
+    pot.stokes_volume_potential(F)  # fill the per-grid caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        V = pot.stokes_volume_potential(F)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n + 3) * _component_bytes(F) + V.data.nbytes
 
 
 def test_stokes_volume_pde_residual_converges():
@@ -524,6 +556,36 @@ def test_poisson_extension_discrete_harmonic():
     d2x = tr.tan_ifft(-k ** 2 * tr.tan_fft(ext.data, g, 0), g, 0)[:, 1:-1]
     resid = np.max(np.abs(d2x + d2y)) / np.max(np.abs(ext.data))
     assert resid < 5e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("time_dependent", [True, False],
+                         ids=["time", "steady"])
+def test_one_component_outputs_own_their_data(n, time_dependent,
+                                              monkeypatch):
+    # the scalar is transformed without its component axis, so the field
+    # keeps the inverse transform's output uncopied, bitwise the first row
+    # of the n-component path
+    g = make_grid(n, L=2 * np.pi, N_tan=16 if n == 2 else 8, X=np.pi,
+                  N_vert=9, T=1.0, N_time=5)
+    data = np.random.default_rng(n).standard_normal(
+        (n,) + g.tan_shape + ((g.N_time,) if time_dependent else ()))
+    outs, inverse = [], tr.tan_ifft
+
+    def spy(modes, grid, offset):
+        outs.append(inverse(modes, grid, offset))
+        return outs[-1]
+
+    monkeypatch.setattr(tr, "tan_ifft", spy)
+    ops = [pot.poisson_extension]
+    if time_dependent:
+        ops.append(pot.heat_single_layer)
+    for op in ops:
+        one = op(BoundaryField(g, data[:1], time_dependent=time_dependent))
+        assert one.data is outs[-1] and one.data.base is None
+        full = op(BoundaryField(g, data, time_dependent=time_dependent))
+        assert full.data is outs[-1]
+        assert np.array_equal(one.data, full.data[0])
 
 
 # -- slab Newtonian potential -------------------------------------------------

@@ -419,6 +419,11 @@ def _off_by_one_ulp(stress, k, i):
     return out
 
 
+def _derivative_ks(g):
+    """The derivative wavenumbers the volume potential uses, time last."""
+    return [k[..., None] for k in tr.k_vectors(g, "whole", g.n, deriv=True)]
+
+
 @pytest.mark.parametrize("n, N", HALF_LATTICE_GRIDS)
 def test_symmetric_stress_modes_match_full_transform(n, N):
     g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
@@ -426,24 +431,29 @@ def test_symmetric_stress_modes_match_full_transform(n, N):
     F = np.random.default_rng(40 * n + N).standard_normal(
         (n, n) + g.tan_shape + (g.N_vert, g.N_time))
     sym = F + F.swapaxes(0, 1)
-    # symmetric, (3-D) equal in the (0, 1) pair only, and one ulp off
-    # symmetric in every pair: the modes, shared or not, are bitwise those
-    # of the n^2-component transform
+    # symmetric, (3-D) equal in the (0, 1) or the (0, 2) pair only, and one
+    # ulp off symmetric in every pair: the divergence modes, shared or not,
+    # are bitwise sum_k i k_k F_ki summed in ascending k over the
+    # n^2-component transform
     stresses = [sym]
     if n == 3:
         stresses.append(_off_by_one_ulp(_off_by_one_ulp(sym, 2, 0), 2, 1))
+        stresses.append(_off_by_one_ulp(_off_by_one_ulp(sym, 1, 0), 2, 1))
     off = sym
     for k in range(1, n):
         for i in range(k):
             off = _off_by_one_ulp(off, k, i)
     stresses.append(off)
+    ks = _derivative_ks(g)
     for stress in stresses:
         full = tr.zero_extension_fft(stress, g, 2)
-        modes = pot._stress_modes(TensorField(g, stress, domain="half"),
-                                  pot.Workspace())
-        for k in range(n):
-            for i in range(n):
-                assert np.array_equal(modes[k][i], full[k, i])
+        fhat, _, _ = pot._divergence_modes(
+            TensorField(g, stress, domain="half"), ks, pot.Workspace())
+        for i in range(n):
+            ref = np.zeros_like(full[0, i])
+            for k in range(n):
+                ref += 1j * ks[k] * full[k, i]
+            assert np.array_equal(fhat[i], ref)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -460,26 +470,24 @@ def test_stress_modes_transform_each_distinct_component_once(n, symmetric,
     else:
         stress = rng.standard_normal((n, n) + shape)
     field = TensorField(g, stress, domain="half")
-    seen = []
+    seen, outs = [], []
     transform = tr.zero_extension_fft
 
     def spy(data, grid, offset, out=None):
-        seen.append((data.__array_interface__["data"][0], data.shape, offset,
-                     out is not None))
+        seen.append((data.__array_interface__["data"][0], data.shape, offset))
+        outs.append(out)
         return transform(data, grid, offset, out=out)
 
     monkeypatch.setattr(tr, "zero_extension_fft", spy)
-    modes = pot._stress_modes(field, pot.Workspace())
+    work = pot.Workspace()
+    pot._divergence_modes(field, _derivative_ks(g), work)
     # each distinct component once, in place in the stress (uncopied),
-    # into a workspace row
+    # into the one workspace buffer ``stress``
     distinct = [(k, i) for k in range(n) for i in range(n)
                 if not (symmetric and i < k)]
-    assert seen == [(field.data[p].__array_interface__["data"][0], shape, 0,
-                     True) for p in distinct]
-    if symmetric:  # a lower component reads its upper partner's row
-        for k in range(n):
-            for i in range(k):
-                assert np.shares_memory(modes[k][i], modes[i][k])
+    assert seen == [(field.data[p].__array_interface__["data"][0], shape, 0)
+                    for p in distinct]
+    assert all(np.shares_memory(out, work.stress) for out in outs)
 
 
 # -- the whole-space heat kernels against references written here ---------
