@@ -203,8 +203,8 @@ def _time_profile(rng, t, kind: str):
 
 
 def random_boundary_field(grid: HalfSpaceGrid, rng, ncomp: int = 1,
-                          kmax: int = 3, time_profile: str = "taper0",
-                          zero_normal: bool = False) -> BoundaryField:
+                          kmax: int = 3,
+                          time_profile: str = "taper0") -> BoundaryField:
     """Band-limited random boundary data with the requested time envelope."""
     _require_2d(grid)
     x = grid.tan_nodes
@@ -219,8 +219,6 @@ def random_boundary_field(grid: HalfSpaceGrid, rng, ncomp: int = 1,
             acc += amp * np.cos(2 * np.pi * k * x / grid.L + phase)[:, None] \
                 * prof[None, :]
         comps.append(acc)
-    if zero_normal and ncomp == grid.n:
-        comps[-1] = np.zeros_like(comps[-1])
     return BoundaryField(grid, np.stack(comps))
 
 

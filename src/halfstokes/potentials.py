@@ -79,24 +79,21 @@ def single_layer_modes(ghat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return lag_convolve(weights, intervals)
 
 
-def heat_single_layer(g: BoundaryField) -> Field:
-    """Single-layer heat potential of boundary data, per tangential mode the
-    causal time convolution with the vertical Gaussian factor."""
+def heat_single_layer(g: BoundaryField) -> ScalarField:
+    """Single-layer heat potential of scalar boundary data, per tangential
+    mode the causal time convolution with the vertical Gaussian factor."""
     grid = g.grid
     if not g.time_dependent:
         raise ShapeMismatchError("boundary data must carry a time axis")
-    ghat = tr.tan_fft(g.data, grid, offset=1)
-    modes = single_layer_modes(ghat.reshape(g.ncomp, -1, grid.N_time),
+    if g.ncomp != 1:
+        raise ShapeMismatchError("boundary data must have 1 component")
+    # without a component axis, the result owns its data
+    ghat = tr.tan_fft(g.data[0], grid, offset=0)
+    modes = single_layer_modes(ghat.reshape(-1, grid.N_time),
                                kernel_quadrature(grid))
-    modes = np.moveaxis(modes.reshape((g.ncomp, grid.N_vert)
-                                      + ghat.shape[1:]), 1, -2)
-    if g.ncomp == grid.n:
-        return VectorField(grid, tr.tan_ifft(modes, grid, offset=1),
-                           domain="half")
-    if g.ncomp == 1:  # without its component axis, the result owns its data
-        return ScalarField(grid, tr.tan_ifft(modes[0], grid, offset=0),
-                           domain="half")
-    raise ShapeMismatchError("boundary data must have 1 or n components")
+    modes = np.moveaxis(modes.reshape((grid.N_vert,) + ghat.shape), 0, -2)
+    return ScalarField(grid, tr.tan_ifft(modes, grid, offset=0),
+                       domain="half")
 
 
 # ---------------------------------------------------------------------------
@@ -274,25 +271,29 @@ def gradient_heat_potential(f: Field, axis: int) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def poisson_extension(f: BoundaryField) -> Field:
-    """Harmonic extension into the half space: multiplier exp(-|xi| x_n),
-    constants extend to constants; steady data runs as one time slice."""
-    grid = f.grid
-    wall = f.data if f.time_dependent else f.data[..., np.newaxis]
-    ks = tr.k_vectors(grid, "boundary", wall.ndim, offset=1)
+def harmonic_profile(grid: HalfSpaceGrid) -> np.ndarray:
+    """exp(-|xi| x_n) on the tangential half lattice, shaped (*tan, N_vert,
+    1) for modes whose vertical axis stands before the time axis."""
+    ks = tr.k_vectors(grid, "boundary", grid.n_tan_axes + 1)
     lam = np.sqrt(sum(k ** 2 for k in ks))
-    prof = np.exp(-lam[..., np.newaxis, :] * grid.vert_nodes[:, None])
-    ext = tr.tan_fft(wall, grid, offset=1)[..., np.newaxis, :] * prof
+    return np.exp(-lam[..., np.newaxis, :] * grid.vert_nodes[:, None])
+
+
+def poisson_extension(f: BoundaryField) -> ScalarField:
+    """Harmonic extension of scalar wall data into the half space:
+    multiplier exp(-|xi| x_n), constants extend to constants; steady data
+    runs as one time slice."""
+    grid = f.grid
+    if f.ncomp != 1:
+        raise ShapeMismatchError("boundary data must have 1 component")
+    # without a component axis, the result owns its data
+    wall = f.data[0] if f.time_dependent else f.data[0, ..., np.newaxis]
+    ext = tr.tan_fft(wall, grid, offset=0)[..., np.newaxis, :] \
+        * harmonic_profile(grid)
     if not f.time_dependent:
         ext = ext[..., 0]
-    # the result owns its data, so the field keeps it uncopied
-    if f.ncomp == 1:
-        return ScalarField(grid, tr.tan_ifft(ext[0], grid, offset=0),
-                           domain="half", time_dependent=f.time_dependent)
-    if f.ncomp == grid.n:
-        return VectorField(grid, tr.tan_ifft(ext, grid, offset=1),
-                           domain="half", time_dependent=f.time_dependent)
-    raise ShapeMismatchError("boundary data must have 1 or n components")
+    return ScalarField(grid, tr.tan_ifft(ext, grid, offset=0),
+                       domain="half", time_dependent=f.time_dependent)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ Assembles u = w + grad(phi) + v + V from the data (h, g, F):
           via the single-layer heat potential, boundary Riesz transforms and
           the slab Newtonian potential.
 
+phi and w close one wall residual, g minus the wall traces of v and V:
+grad(phi) takes its normal component psi, with wall values (R' psi, psi) for
+the boundary Riesz transforms R', and w the tangential data G' left after
+R' psi.
+
 In tangential frequency, with beta_j the vertical derivative of the single
 layer of the data component G_j and sigma the tangential divergence of the
 beta's, the boundary layer reads
@@ -30,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BoundaryField, HalfSpaceGrid, ScalarField, TensorField,
-                   VectorField)
+from .core import (BoundaryField, ScalarField, TensorField, VectorField)
 from .errors import InvalidDataError, ShapeMismatchError
 from . import besov
 from . import potentials as pot
@@ -62,41 +66,41 @@ def build_v(h: VectorField) -> VectorField:
     return tr.restrict_half(pot.heat_semigroup(tr.extend_solenoidal(h)))
 
 
-def build_grad_phi(psi: BoundaryField, rpsi: list) -> VectorField:
+def build_grad_phi(psi: BoundaryField) -> VectorField:
     """Gradient of the harmonic correction with wall values (R' psi, psi).
 
-    One harmonic extension of the n-component wall field: the tangential
-    components extend the boundary Riesz transforms ``rpsi`` of psi (one per
-    tangential axis), the vertical one extends psi; the field is curl-free
-    and divergence-free by construction.
+    One transform of psi: its modes times the boundary Riesz symbols give
+    the tangential components, and psi's own modes the vertical one, each
+    extended by the harmonic profile; one inverse transform of all n.  The
+    field is curl-free and divergence-free by construction.
     """
     if psi.ncomp != 1:
         raise ShapeMismatchError("psi must be a scalar boundary field")
-    wall = np.concatenate([rj.data for rj in rpsi] + [psi.data])
-    return pot.poisson_extension(
-        BoundaryField(psi.grid, wall, time_dependent=psi.time_dependent))
+    grid = psi.grid
+    modes = tr.tan_fft(psi.data, grid, offset=1)
+    ks = tr.k_vectors(grid, "boundary", modes.ndim, offset=1, deriv=True)
+    wall_modes = np.concatenate([modes * tr.riesz_symbol(ks, j)
+                                 for j in range(grid.n - 1)] + [modes])
+    ext = wall_modes[..., np.newaxis, :] * pot.harmonic_profile(grid)
+    return VectorField(grid, tr.tan_ifft(ext, grid, offset=1), domain="half")
 
 
-def build_G(g: BoundaryField, v_wall: BoundaryField, V_wall: BoundaryField,
-            rpsi: list) -> BoundaryField:
-    """Residual tangential boundary data after the v, V and phi corrections,
-    ``rpsi`` being the boundary Riesz transforms of the normal residual psi;
-    the normal component is identically zero."""
-    comps = [g.data[j] - v_wall.data[j] - V_wall.data[j] - rj.data[0]
-             for j, rj in enumerate(rpsi)]
-    comps.append(np.zeros_like(comps[0]))
-    return BoundaryField(g.grid, np.stack(comps))
+def build_G(residual: BoundaryField, grad_phi: VectorField) -> BoundaryField:
+    """The n - 1 tangential components of the wall ``residual`` left after
+    the harmonic correction: the residual minus the wall trace of
+    ``grad_phi``, which is R' psi."""
+    n = residual.grid.n
+    return BoundaryField(residual.grid, residual.data[:n - 1]
+                         - grad_phi.data[:n - 1, ..., 0, :])
 
 
 def build_w(G: BoundaryField) -> VectorField:
-    """Boundary layer with prescribed tangential wall data (G', 0)."""
+    """Boundary layer with wall values (G', 0) from the n - 1 tangential
+    components G'."""
     grid = G.grid
     n = grid.n
-    if G.ncomp != n:
-        raise ShapeMismatchError("G must carry n components")
-    scale = max(G.max_abs(), 1e-300)
-    if np.max(np.abs(G.data[n - 1])) > 1e-10 * scale:
-        raise ShapeMismatchError("boundary layer requires zero normal data")
+    if G.ncomp != n - 1:
+        raise ShapeMismatchError("G must carry the n - 1 tangential components")
 
     nt, nv = grid.N_time, grid.N_vert
     mesh = np.broadcast_arrays(
@@ -105,7 +109,7 @@ def build_w(G: BoundaryField) -> VectorField:
     lam = tr.tan_modulus(grid, deriv=True)
 
     # (node, mode, time) arrays; the vertical derivative acts on real pairs
-    ghat = tr.tan_fft(G.data[:n - 1], grid, offset=1).reshape(n - 1, -1, nt)
+    ghat = tr.tan_fft(G.data, grid, offset=1).reshape(n - 1, -1, nt)
     theta = pot.single_layer_modes(ghat, pot.kernel_quadrature(grid))
     D = derivative_matrix(grid.vert_nodes)
     betas = np.matmul(D, theta.reshape(n - 1, nv, -1).view(float))
@@ -132,20 +136,14 @@ def build_w(G: BoundaryField) -> VectorField:
     return VectorField(grid, data, domain="half")
 
 
-def compat_defect(h: VectorField, g: BoundaryField, index):
-    """Defect between the boundary data and the wall trace of the heat
-    evolution of (the solenoidal extension of) the initial data.
+def compat_defect(g: BoundaryField, v_wall: BoundaryField, index):
+    """Defect between the boundary data and the wall trace ``v_wall`` of the
+    heat evolution of (the solenoidal extension of) the initial data.
 
     Returns (defect field, anisotropic norm of the defect, magnitude of the
     defect at t = 0).  The t = 0 magnitude is the strong-compatibility
     diagnostic.
     """
-    return _compat(g, pot.heat_trace(tr.extend_solenoidal(h)), index)
-
-
-def _compat(g: BoundaryField, v_wall: BoundaryField, index):
-    """:func:`compat_defect` from the wall trace ``v_wall`` of the heat
-    evolution of the initial data."""
     d = BoundaryField(g.grid, g.data - v_wall.data)
     s_b = index.alpha - 1.0 / index.q
     norm = besov.aniso_norm(d, s_b, index.q) if s_b > 0 else float("nan")
@@ -156,14 +154,6 @@ def _compat(g: BoundaryField, v_wall: BoundaryField, index):
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
-
-
-def _zero_like_parts(grid: HalfSpaceGrid):
-    shape = (grid.n,) + grid.tan_shape + (grid.N_vert, grid.N_time)
-    zero = VectorField(grid, np.zeros(shape), domain="half")
-    wall = BoundaryField(grid, np.zeros((grid.n,) + grid.tan_shape
-                                        + (grid.N_time,)))
-    return zero, wall
 
 
 @contextmanager
@@ -219,23 +209,24 @@ def assemble(g: BoundaryField, F: TensorField | None, v: VectorField,
     """``u = v + V + grad(phi) + w`` from the boundary data ``g``, the force
     ``F``, the heat part ``v`` of the initial data and its wall trace
     ``v_wall``; no checks and no diagnostics.  ``work`` holds the scratch
-    buffers of the volume potential."""
+    buffers of the volume potential.  One wall residual, ``g - v_wall``
+    minus the wall trace of V when there is a force, feeds grad(phi) and w.
+    """
     grid = g.grid
+    n = grid.n
+    wall = g.data - v_wall.data
     if F is not None:
         with _part("V"):
             V = tr.restrict_half(pot.stokes_volume_potential(F, work))
-            V_wall = tr.trace_boundary(V)
+            wall -= tr.trace_boundary(V).data
     else:
-        V, V_wall = _zero_like_parts(grid)
+        V = VectorField(grid, np.zeros_like(v.data), domain="half")
+    residual = BoundaryField(grid, wall)
 
-    n = grid.n
-    psi = BoundaryField(grid, (g.data[n - 1] - v_wall.data[n - 1]
-                               - V_wall.data[n - 1])[None])
     with _part("grad_phi"):
-        rpsi = [tr.riesz_apply(psi, j) for j in range(n - 1)]
-        grad_phi = build_grad_phi(psi, rpsi)
+        grad_phi = build_grad_phi(BoundaryField(grid, wall[n - 1:]))
     with _part("w"):
-        w = build_w(build_G(g, v_wall, V_wall, rpsi))
+        w = build_w(build_G(residual, grad_phi))
 
     # one new array; the order ((v + V) + grad_phi) + w fixes u's rounding
     data = v.data + V.data
@@ -279,7 +270,7 @@ def solve_stokes(h: VectorField, g: BoundaryField,
     diags["initial_residual"] = _relative(besov.field_lq(init, 2.0),
                                           besov.field_lq(h, 2.0))
     if index is not None:
-        _, compat_norm, compat_t0 = _compat(g, v_wall, index)
+        _, compat_norm, compat_t0 = compat_defect(g, v_wall, index)
         diags["compat_norm"] = compat_norm
         diags["compat_t0"] = compat_t0
         if with_norms:

@@ -204,11 +204,16 @@ def riesz_apply(field: Field, axis: int) -> Field:
     if not 0 <= axis < len(ks):
         raise ShapeMismatchError(
             f"axis {axis} invalid for a {field.domain} field with {len(ks)} spatial axes")
+    modes = _field_fft(field) * riesz_symbol(ks, axis)
+    return field._like(_field_ifft(field, modes))
+
+
+def riesz_symbol(ks, axis: int) -> np.ndarray:
+    """-i k_axis / |k| on the lattice of the derivative wavenumbers ``ks``,
+    0 on the zero mode."""
     kabs = np.sqrt(sum(k ** 2 for k in ks))
     with np.errstate(divide="ignore", invalid="ignore"):
-        symbol = np.where(kabs > 0, -1j * ks[axis] / np.where(kabs > 0, kabs, 1.0), 0.0)
-    modes = _field_fft(field) * symbol
-    return field._like(_field_ifft(field, modes))
+        return np.where(kabs > 0, -1j * ks[axis] / np.where(kabs > 0, kabs, 1.0), 0.0)
 
 
 def spectral_gradient(field: ScalarField) -> VectorField:

@@ -219,9 +219,7 @@ def test_criterion_5_oracle_equivalence():
     g4 = make_grid(2, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=513, T=0.5,
                    N_time=17)
     pulse4 = references.gaussian_boundary_pulse(g4, width=width, center=center)
-    G = BoundaryField(g4, np.stack([pulse4.data[0],
-                                     np.zeros_like(pulse4.data[0])]))
-    w = stk.build_w(G)
+    w = stk.build_w(pulse4)
     m_idx = 12
     pts4 = [(g4.tan_nodes[5], g4.vert_nodes[85]),
             (g4.tan_nodes[9], g4.vert_nodes[256])]
@@ -360,13 +358,13 @@ def test_criterion_10_compatibility_machinery():
     h = datagen.stream_mode_initial_data(g, k1=1, m=2)
     manufactured = pot.heat_trace(tr.extend_solenoidal(h))
     gb = BoundaryField(g, manufactured.data.copy())
-    d, _, d0 = stk.compat_defect(h, gb, IDX)
+    d, _, d0 = stk.compat_defect(gb, manufactured, IDX)
     vanishes = d.max_abs() == 0.0 and d0 == 0.0
 
     rng = np.random.default_rng(10)
     gb2 = datagen.random_boundary_field(g, rng, ncomp=2,
                                         time_profile="smooth")
-    d2, _, d0_2 = stk.compat_defect(h, gb2, IDX)
+    d2, _, d0_2 = stk.compat_defect(gb2, manufactured, IDX)
     wall = tr.trace_boundary(h)
     mismatch = gb2.data[..., 0] - wall.data
     exact = np.max(np.abs(d2.data[..., 0] - mismatch)) <= 1e-10 \

@@ -43,23 +43,15 @@ def _definitions(tree, prefix=""):
             yield from _definitions(node, prefix)
 
 
-def _references(tree, strings=False):
-    """Count of each name loaded and attribute accessed, and with
-    ``strings`` of each identifier inside a string literal other than a
-    docstring (the benchmark tracer looks functions up by name; elsewhere a
-    string such as an axis label names no definition)."""
-    docstrings = {id(node.value) for node in ast.walk(tree)
-                  if isinstance(node, ast.Expr)
-                  and isinstance(node.value, ast.Constant)}
+def _references(tree):
+    """Count of each name loaded and attribute accessed; a name inside a
+    string, such as one the benchmark tracer looks up, does not count."""
     refs = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
-        elif strings and isinstance(node, ast.Constant) \
-                and isinstance(node.value, str) and id(node) not in docstrings:
-            refs.update(re.findall(r"[A-Za-z_]\w*", node.value))
     return refs
 
 
@@ -73,7 +65,7 @@ def _reach():
         for path in sorted(base.rglob("*.py")):
             tree = ast.parse(path.read_text())
             counts = inside_tests if base.name == "tests" else outside
-            counts.update(_references(tree, strings=base == BENCHMARK))
+            counts.update(_references(tree))
             if path.is_relative_to(PACKAGE):
                 trees[path] = tree
     out = []

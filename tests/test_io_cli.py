@@ -677,3 +677,29 @@ def test_cli_verification_failure_exit_code(tmp_path):
     assert code == cli.EXIT_VERIFY
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["code"] == cli.EXIT_VERIFY
+
+
+@pytest.mark.parametrize("target", ["riesz", "normal_trace"])
+@pytest.mark.parametrize("refinements, code, drift",
+                         [(1, cli.EXIT_VERIFY, None), (0, cli.EXIT_OK, 0.0)])
+def test_cli_verify_ops_zero_level_ratio_has_defined_drift(
+        tmp_path, capsys, target, refinements, code, drift):
+    # two tangential nodes carry only the zero and the Nyquist mode, where
+    # both symbols vanish: the level-0 maximum ratio is 0
+    cp = configparser.ConfigParser()
+    cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
+    for key, value in (("n_tan", "2"), ("n_vert", "3"), ("n_time", "3")):
+        cp["grid"][key] = value
+    cp["verify"]["targets"] = target
+    cp["verify"]["refinements"] = str(refinements)
+    cfg = tmp_path / "cfg.ini"
+    with cfg.open("w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert cli.main(["verify-ops", "--config", str(cfg),
+                     "--out", str(out)]) == code
+    row, = json.loads((out / "report.json").read_text())["ratio_studies"]
+    assert row["max_ratios"][0] == 0.0 and row["drift"] == drift
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].endswith(
+        "drift=inf" if drift is None else "drift=0.000")

@@ -6,7 +6,7 @@ import pytest
 from halfstokes.core import (BoundaryField, ScalarField, TensorField,
                              VectorField, make_grid)
 from halfstokes import datagen, potentials as pot, transforms as tr
-from halfstokes.errors import InvalidDataError
+from halfstokes.errors import InvalidDataError, ShapeMismatchError
 from halfstokes.numerics import (derivative_matrix, exp_linear_weights,
                                  trapezoid_weights)
 
@@ -565,27 +565,35 @@ def test_one_component_outputs_own_their_data(n, time_dependent,
                                               monkeypatch):
     # the scalar is transformed without its component axis, so the field
     # keeps the inverse transform's output uncopied, bitwise the first row
-    # of the n-component path
+    # of the same spectral path run with the component axis kept
     g = make_grid(n, L=2 * np.pi, N_tan=16 if n == 2 else 8, X=np.pi,
                   N_vert=9, T=1.0, N_time=5)
     data = np.random.default_rng(n).standard_normal(
         (n,) + g.tan_shape + ((g.N_time,) if time_dependent else ()))
     outs, inverse = [], tr.tan_ifft
+    wall = data if time_dependent else data[..., None]
+    ext = tr.tan_fft(wall, g, 1)[..., None, :] * pot.harmonic_profile(g)
+    refs = {pot.poisson_extension: inverse(
+        ext if time_dependent else ext[..., 0], g, 1)[0]}
+    if time_dependent:
+        ghat = tr.tan_fft(data, g, 1)
+        modes = pot.single_layer_modes(ghat.reshape(n, -1, g.N_time),
+                                       pot.kernel_quadrature(g))
+        modes = np.moveaxis(modes.reshape((n, g.N_vert) + ghat.shape[1:]),
+                            1, -2)
+        refs[pot.heat_single_layer] = inverse(modes, g, 1)[0]
 
     def spy(modes, grid, offset):
         outs.append(inverse(modes, grid, offset))
         return outs[-1]
 
     monkeypatch.setattr(tr, "tan_ifft", spy)
-    ops = [pot.poisson_extension]
-    if time_dependent:
-        ops.append(pot.heat_single_layer)
-    for op in ops:
+    for op, ref in refs.items():
         one = op(BoundaryField(g, data[:1], time_dependent=time_dependent))
         assert one.data is outs[-1] and one.data.base is None
-        full = op(BoundaryField(g, data, time_dependent=time_dependent))
-        assert full.data is outs[-1]
-        assert np.array_equal(one.data, full.data[0])
+        assert np.array_equal(one.data, ref)
+        with pytest.raises(ShapeMismatchError, match="1 component"):
+            op(BoundaryField(g, data, time_dependent=time_dependent))
 
 
 # -- slab Newtonian potential -------------------------------------------------

@@ -371,7 +371,7 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
 
     # Poisson extension, time-dependent and steady
     y = g.vert_nodes
-    for f in (bnd, BoundaryField(g, rng.standard_normal((n,) + tan),
+    for f in (bnd, BoundaryField(g, rng.standard_normal((1,) + tan),
                                  time_dependent=False)):
         lam = np.sqrt(sum(k ** 2 for k in _full_k(g, "boundary",
                                                   f.data.ndim, 1)))
@@ -383,7 +383,7 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
             data = f.data[..., None]
         ref = _ref_apply(data, g, "boundary", 1, lambda m: m * prof)
         got = pot.poisson_extension(f).data
-        _close(got, ref[0] if f.ncomp == 1 else ref)
+        _close(got, ref[0])
 
     # heat semigroup
     k2 = sum(k ** 2 for k in _full_k(g, "whole", wvec.data.ndim - 1))
