@@ -9,7 +9,11 @@ space-time Littlewood-Paley realization is provided for negative orders
 
 Conventions: homogeneous norms ignore the spatial mean (the zero mode);
 half-space fields are measured through their even vertical reflection, and
-vector components aggregate in l^q.
+vector components aggregate in l^q.  At q = 2 the spatial norms do not
+form the reflection: its vertical transform is real and even, the DCT-I of
+the N_vert samples (:func:`halfstokes.transforms.dct1_matrix`), so the
+last tangential axis is the halved one, and the whole-space weight is
+restricted to it.
 
 Lattices: one type, :class:`GridPartition`, with one block loop
 (:func:`_lp_blocks`) and one norm (:func:`_lp_norm_q`), serves the spatial
@@ -34,9 +38,12 @@ Buffers: a norm transforms into arrays it allocates once per call and
 reuses for every component and block, and keeps none of them between
 calls; what outlives a call is the cached tables below.
 :func:`_parseval_sq` owns one ``modes`` array, which ``rfftn`` writes in
-place, and one real ``power`` array.  :func:`_lp_blocks` owns one
-``modes``, one windowed-modes (inverted in place) and one block array, and
-yields that one block every time, valid until the next is drawn.
+place, and one real ``power`` array; on a half field it also holds the
+DCT-I product of all components, half the size of their reflection, and
+the DCT-I matrix, built per call.
+:func:`_lp_blocks` owns one ``modes``, one windowed-modes (inverted in
+place) and one block array, and yields that one block every time, valid
+until the next is drawn.
 
 Caching, each in a :class:`~halfstokes.core.GridCache` of 8 entries:
 :func:`partition_for` keeps the spatial partition with its windows per
@@ -220,12 +227,15 @@ def _check_exponent(q):
         raise NormOrderError(f"q must lie in (1, inf), got {q}")
 
 
-def _components(field: Field, extension: str = "even"):
+def _components(field: Field, extension: str = "even",
+                q: float | None = None):
     """``(comps, domain)``: the components of ``field``, or of its
     whole-space reflection (``extension``: "even", or "solenoidal" for
     vector fields), flattened onto the first axis in the periodic layout
-    of the transforms, ``(component, *tan[, vert][, time])``."""
-    if field.domain != "half":
+    of the transforms, ``(component, *tan[, vert][, time])``.  At ``q`` = 2
+    the even reflection is not formed: a half-space field keeps its
+    samples and domain "half" (see :func:`_lp_norm_q`)."""
+    if field.domain != "half" or (q == 2.0 and extension == "even"):
         work = field
     elif extension == "solenoidal" and isinstance(field, VectorField):
         work = tr.extend_solenoidal(field)
@@ -268,17 +278,27 @@ def _parseval_weight(part: GridPartition, s: float) -> np.ndarray:
                    * (part.cell / np.prod(part.lengths)))
 
 
-def _parseval_sq(comps: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _parseval_sq(comps: np.ndarray, weight: np.ndarray,
+                 dct: np.ndarray | None = None) -> np.ndarray:
     """``sum_k W(k) |F(k)|^2`` per trailing slice, summed over the
     components; F is the real transform of each component over its leading
-    ``weight.ndim`` axes."""
+    ``weight.ndim`` axes.  With ``dct``, the last of those axes is a half
+    space's vertical axis, which ``dct`` transforms (the transform of the
+    even reflection, see :func:`halfstokes.transforms.dct1_matrix`), and
+    the real transform runs over the axes before it."""
     axes = list(range(weight.ndim))
+    fft_axes = axes
+    if dct is not None:
+        # one product for all components, half the size of their reflection
+        fft_axes = axes[:-1]
+        comps = np.moveaxis(np.matmul(dct, np.moveaxis(comps, weight.ndim, -2)),
+                            -2, weight.ndim)
     modes = np.empty(weight.shape + comps.shape[weight.ndim + 1:], complex)
     power = np.empty(modes.shape)
     parts = modes.view(float).reshape(modes.shape + (2,))  # re, im (C order)
     acc = 0.0
     for comp in comps:
-        np.fft.rfftn(comp, axes=axes, out=modes)
+        np.fft.rfftn(comp, axes=fft_axes, out=modes)
         # squares of the real and imaginary parts, in place; an overflow
         # reads as a non-finite norm, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -295,12 +315,22 @@ def _lp_norm_q(comps: np.ndarray, grid: HalfSpaceGrid, domain: str,
                s: float, q: float, time: bool = False) -> np.ndarray:
     """q-th power of the Littlewood-Paley norm of ``comps`` (see
     :func:`_components`), summed over the components: per trailing slice
-    on the spatial lattice of ``domain``, or with ``time`` on its
+    on the spatial lattice of ``domain`` (of the whole space for the
+    samples of a half field, q = 2 only), or with ``time`` on its
     space-time lattice."""
     if time:
         if q == 2.0:
             return _parseval_sq(comps, _spacetime_weight(grid, domain, s))
         part = _build_partition(grid, domain, True)
+    elif domain == "half":  # q = 2 only (:func:`_components`)
+        # the vertical transform is real, so the modes are Hermitian in the
+        # tangential wavenumbers alone: the last tangential axis is halved,
+        # and the vertical one keeps its multiplicity in the weight
+        weight = _parseval_weight(partition_for(grid, "whole"), s)
+        halved = (slice(None),) * (grid.n_tan_axes - 1) \
+            + (slice(0, grid.N_tan // 2 + 1),)
+        weight = weight[halved] * tr.half_multiplicity(grid.N_tan)[:, None]
+        return _parseval_sq(comps, weight, tr.dct1_matrix(grid.N_vert))
     else:
         part = partition_for(grid, domain)
         if q == 2.0:
@@ -322,7 +352,8 @@ def lp_norm(field: Field, s: float, q: float,
     Time-dependent fields are not accepted here (use
     :func:`lq_time_lp_space` or :func:`aniso_norm`).  Half-space fields are
     measured through a vertical reflection (``extension``: "even" or
-    "solenoidal").
+    "solenoidal"); at q = 2 the even one is not formed, its vertical
+    transform is the DCT-I of the samples.
     """
     _check_order(s)
     _check_exponent(q)
@@ -330,18 +361,19 @@ def lp_norm(field: Field, s: float, q: float,
         raise ShapeMismatchError("lp_norm expects a single time slice")
     if field.data.size == 0:
         raise ShapeMismatchError("empty field")
-    comps, domain = _components(field, extension)
+    comps, domain = _components(field, extension, q)
     return float(_lp_norm_q(comps, field.grid, domain, s, q)) ** (1.0 / q)
 
 
 def lq_time_lp_space(field: Field, s: float, q: float) -> float:
     """``L^q`` in time of the order-``s`` spatial Besov norm; half-space
-    fields are measured through their even vertical reflection."""
+    fields are measured through their even vertical reflection, which at
+    q = 2 is not formed (the DCT-I of the samples, see :func:`lp_norm`)."""
     _check_order(s)
     _check_exponent(q)
     if not field.time_dependent:
         raise ShapeMismatchError("field has no time axis")
-    comps, domain = _components(field)
+    comps, domain = _components(field, q=q)
     per_slice_q = _lp_norm_q(comps, field.grid, domain, s, q)
     tw = trapezoid_weights(field.grid.time_nodes)
     return float(np.sum(tw * per_slice_q)) ** (1.0 / q)
@@ -497,7 +529,9 @@ def gagliardo_time_norm(field: Field, s2: float, q: float,
 def aniso_norm(field: Field, alpha: float, q: float) -> float:
     """Space-time norm of positive order ``(alpha, alpha/2)`` as the max of
     the two mixed norms (intersection convention); half-space fields are
-    measured through their even vertical reflection."""
+    measured through their even vertical reflection in space, by
+    :func:`lq_time_lp_space` (at q = 2 without forming it), and by their
+    samples in the L^q Gagliardo seminorm."""
     if not 0.0 < alpha < 2.0:
         raise NormOrderError(f"alpha must lie in (0, 2), got {alpha}")
     _check_exponent(q)

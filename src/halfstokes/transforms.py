@@ -253,6 +253,21 @@ def vertical_derivative_array(data: np.ndarray, grid: HalfSpaceGrid,
     return np.moveaxis(np.matmul(D, np.moveaxis(data, vaxis, -2)), -2, vaxis)
 
 
+def dct1_matrix(n_vert: int) -> np.ndarray:
+    """The (n_vert x n_vert) DCT-I matrix A: ``A @ f`` is the ``rfft`` of
+    the even reflection of the vertical samples f (:func:`_reflect`), which
+    is real.  With M = n_vert - 1, ``A[k, m] = 2 cos(pi k m / M)``, the
+    angle reduced exactly modulo 2 pi; the wall column is 1 and the column
+    at X is (-1)^k, since the reflection holds those samples once."""
+    M = n_vert - 1
+    k = np.arange(n_vert)
+    cosines = 2.0 * np.cos(np.pi * np.arange(2 * M) / M)  # one period
+    A = cosines[np.multiply.outer(k, k) % (2 * M)]
+    A[:, 0] = 1.0
+    A[:, M] = np.where(k % 2 == 0, 1.0, -1.0)
+    return A
+
+
 # ---------------------------------------------------------------------------
 # extensions and traces
 # ---------------------------------------------------------------------------

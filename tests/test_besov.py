@@ -367,16 +367,26 @@ def _random_fields(grid, rng, time_dependent):
     }
 
 
-# (n, N_tan, N_time): even and odd lengths on the real axes (the last
-# tangential axis and time); the refined ratio-study grid has N_time = 63
-AGREEMENT_GRIDS = [(2, 16, 9), (2, 15, 8), (3, 8, 7), (3, 7, 6)]
+def _agreement_grid(n, N, Nt, Nv=5):
+    """One grid case; its id names N_vert when it is not 5."""
+    return pytest.param(n, N, Nt, Nv, id="-".join(
+        map(str, (n, N, Nt) + ((Nv,) if Nv != 5 else ()))))
+
+
+# (n, N_tan, N_time, N_vert): even and odd lengths on the real axes (the
+# last tangential axis and time); the refined ratio-study grid has
+# N_time = 63.  N_vert 33 (2-D) and 17 (3-D) are the desk sizes, where the
+# q = 2 half-field path applies a DCT-I matrix of that order.
+AGREEMENT_GRIDS = [_agreement_grid(2, 16, 9), _agreement_grid(2, 15, 8),
+                   _agreement_grid(3, 8, 7), _agreement_grid(3, 7, 6),
+                   _agreement_grid(2, 16, 9, 33), _agreement_grid(3, 8, 7, 17)]
 
 
 @pytest.mark.parametrize("q", [2.0, 2.5, 3.0])
-@pytest.mark.parametrize("n, N, Nt", AGREEMENT_GRIDS)
-def test_engine_agrees_with_complex_transform_reference(n, N, Nt, q,
+@pytest.mark.parametrize("n, N, Nt, Nv", AGREEMENT_GRIDS)
+def test_engine_agrees_with_complex_transform_reference(n, N, Nt, Nv, q,
                                                         monkeypatch):
-    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=Nv, T=1.0,
                   N_time=Nt)
     rng = np.random.default_rng(100 * n + N + Nt)
     s, s_neg, s2 = 0.7, -0.4, 0.45
@@ -423,6 +433,32 @@ def test_q2_norms_need_no_inverse_transform(monkeypatch):
         assert besov.aniso_norm(f, 1.0, 2.0) > 0, domain
     with pytest.raises(AssertionError, match="inverse transform"):
         besov.lp_norm(steady["whole"], 0.5, 2.5)
+
+
+def test_q2_half_field_norms_form_no_reflection(monkeypatch):
+    # at q = 2 a half field's vertical transform is one DCT-I product of its
+    # samples; the block path of any other q still reflects it
+    g = grid2(N=16, Nv=9, Nt=8)
+    rng = np.random.default_rng(6)
+    f = _random_fields(g, rng, time_dependent=True)["half"]
+    steady = _random_fields(g, rng, time_dependent=False)["half"]
+
+    def no_reflection(*args, **kwargs):
+        raise AssertionError("reflection on the q = 2 path")
+
+    monkeypatch.setattr(tr, "extend_even", no_reflection)
+    monkeypatch.setattr(tr, "_reflect", no_reflection)
+    assert besov.lp_norm(steady, 0.5, 2.0) > 0
+    scalar = ScalarField(g, steady.data[0], domain="half",
+                         time_dependent=False)
+    assert besov.lp_norm(scalar, -0.5, 2.0) > 0
+    assert besov.lq_time_lp_space(f, 0.5, 2.0) > 0
+    assert besov.aniso_norm(f, 1.0, 2.0) > 0
+    for norm, field in ((besov.lp_norm, steady),
+                        (besov.lq_time_lp_space, f),
+                        (besov.aniso_norm, f)):
+        with pytest.raises(AssertionError, match="reflection"):
+            norm(field, 0.5, 2.5)
 
 
 
@@ -632,17 +668,29 @@ def test_buffered_transforms_match_fresh_transforms_bitwise(field,
 def test_q2_norm_holds_one_modes_and_one_power_array():
     # _parseval_sq transforms every component into the same modes array, in
     # place; a fresh transform per component holds the last component's
-    # modes and power next to two arrays of each axis pass
+    # modes and power next to two arrays of each axis pass.  A half field
+    # adds the DCT-I product of its components; its even reflection, which
+    # is not formed, holds them at twice the vertical length.
     g = make_grid(3, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=17, T=1.0,
                   N_time=8)
-    f = VectorField(g, np.random.default_rng(9).standard_normal(
+    rng = np.random.default_rng(9)
+    whole = VectorField(g, rng.standard_normal(
         (3, 16, 16, g.n_vert_whole, 8)), domain="whole")
-    besov.lq_time_lp_space(f, 0.5, 2.0)  # the partition is cached
-    modes_bytes = (16 * 16 * 17) * 8 * 16  # half lattice x time, complex
-    tracemalloc.start()
-    try:
-        besov.lq_time_lp_space(f, 0.5, 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < modes_bytes + modes_bytes // 2 + modes_bytes // 4
+    half = VectorField(g, rng.standard_normal((3, 16, 16, g.N_vert, 8)),
+                       domain="half")
+    whole_modes = (16 * 16 * 17) * 8 * 16  # half lattice x time, complex
+    half_modes = (16 * 9 * 17) * 8 * 16   # tangential axis halved
+    dct_bytes = 3 * (16 * 16 * 17) * 8 * 8  # every component, real
+    reflection_bytes = 3 * (16 * 16 * 32) * 8 * 8
+    bounds = {"whole": whole_modes + whole_modes // 2 + whole_modes // 4,
+              "half": 2 * half_modes + dct_bytes}
+    assert bounds["half"] < reflection_bytes
+    for f in (whole, half):
+        besov.lq_time_lp_space(f, 0.5, 2.0)  # the partition is cached
+        tracemalloc.start()
+        try:
+            besov.lq_time_lp_space(f, 0.5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bounds[f.domain], f.domain

@@ -284,15 +284,17 @@ def test_cli_verify_ops_time_seminorm_report_is_deterministic(tmp_path):
 def test_cli_report_does_not_depend_on_blas_threads(tmp_path, command):
     # heat_volume measures its input with the q = 2 space-time norm, whose
     # mode sum once ran through a BLAS product; on the README grid its
-    # summation order followed the BLAS thread count.  The solves reach the
-    # BLAS products of the boundary layer's vertical derivative and of
-    # vertical_derivative_array.  On a one-core host the two-thread run may
-    # not split a product, so it can pass there without showing anything.
+    # summation order followed the BLAS thread count.  heat_single_layer
+    # measures a half field, whose q = 2 norm applies the DCT-I matrix by a
+    # BLAS product.  The solves reach the BLAS products of the boundary
+    # layer's vertical derivative, of vertical_derivative_array and of the
+    # DCT-I.  On a one-core host the two-thread run may not split a
+    # product, so it can pass there without showing anything.
     cp = configparser.ConfigParser()
     cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
     cp["grid"].update({"n_tan": "32", "n_vert": "33", "n_time": "32"})
-    cp["verify"].update({"targets": "heat_volume", "samples": "1",
-                         "refinements": "1"})
+    cp["verify"].update({"targets": "heat_volume, heat_single_layer",
+                         "samples": "1", "refinements": "1"})
     cfg = tmp_path / "cfg.ini"
     with cfg.open("w") as fh:
         cp.write(fh)

@@ -550,6 +550,20 @@ def test_zero_extension_fft_matches_built_extension(n, N):
                           tr.whole_fft(ext, g, offset=2))
 
 
+@pytest.mark.parametrize("n_vert", [2, 3, 5, 33, 65, 257])
+def test_dct1_matrix_is_the_transform_of_the_even_reflection(n_vert):
+    samples = np.random.default_rng(n_vert).standard_normal((4, n_vert))
+    ref = np.fft.rfft(tr._reflect(samples, 1, +1), axis=1)
+    A = tr.dct1_matrix(n_vert)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(ref.imag)) <= 1e-15 * scale
+    assert np.max(np.abs(samples @ A.T - ref.real)) <= 2e-15 * scale
+    # the wall and top columns are exact, and the interior is symmetric
+    assert np.array_equal(A[:, 0], np.ones(n_vert))
+    assert np.array_equal(np.abs(A[:, -1]), np.ones(n_vert))
+    assert np.array_equal(A[1:-1, 1:-1], A[1:-1, 1:-1].T)
+
+
 def _transform_cases():
     """(grid, data, domain, offset): scalar and vector, boundary and
     whole-space arrays on a 2-D and a 3-D grid, steady and time-dependent."""
