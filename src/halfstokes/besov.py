@@ -36,22 +36,21 @@ increments (:func:`_row_distances`).
 
 Buffers: a norm transforms into arrays it allocates once per call and
 reuses for every component and block, and keeps none of them between
-calls; what outlives a call is the cached tables below.
+calls; what outlives a call is the tables below.
 :func:`_parseval_sq` owns one ``modes`` array, which ``rfftn`` writes in
 place, and one real ``power`` array; on a half field it also holds the
-DCT-I product of all components, half the size of their reflection, and
-the DCT-I matrix, built per call.
+DCT-I product of all components, half the size of their reflection.
 :func:`_lp_blocks` owns one ``modes``, one windowed-modes (inverted in
 place) and one block array, and yields that one block every time, valid
 until the next is drawn.
 
-Caching, each in a :class:`~halfstokes.core.GridCache` of 8 entries:
+Tables, each memoized read-only by :func:`~halfstokes.core.grid_table`:
 :func:`partition_for` keeps the spatial partition with its windows per
-``(grid.key(), domain)``, and the q = 2 weight is rebuilt from them per
-call.  :func:`_spacetime_weight` keeps the space-time q = 2 weight, a
-read-only array, per ``(grid.key(), domain, s)`` in a cache of its own.
-Space-time windows are never kept: on a refined whole-space lattice each
-holds MiB, so they are built one block at a time.
+``(grid, domain)``, :func:`_half_weight` the q = 2 weight of a half
+field's samples per ``(grid, s)``, and :func:`_spacetime_weight` the
+space-time q = 2 weight per ``(grid, domain, s)``; other q = 2 weights
+are rebuilt from the windows per call.  Space-time windows are never
+kept: on a refined whole-space lattice each holds MiB.
 """
 
 from __future__ import annotations
@@ -61,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryField, Field, GridCache, HalfSpaceGrid, VectorField
+from .core import (BoundaryField, Field, HalfSpaceGrid, VectorField,
+                   grid_table)
 from .errors import InvalidDataError, NormOrderError, ShapeMismatchError
 from .numerics import smooth_step, trapezoid_weights
 from . import transforms as tr
@@ -136,13 +136,10 @@ class GridPartition(DyadicPartition):
                 if np.any(chi := self.window(j, self.modulus)))
 
 
-_PARTITIONS = GridCache()
-
-
+@grid_table
 def partition_for(grid: HalfSpaceGrid, domain: str) -> GridPartition:
     """The spatial partition of ``domain``, with its windows."""
-    return _PARTITIONS.get((grid.key(), domain),
-                           lambda: _build_partition(grid, domain, False))
+    return _build_partition(grid, domain, False)
 
 
 def _build_partition(grid: HalfSpaceGrid, domain: str,
@@ -161,11 +158,15 @@ def _build_partition(grid: HalfSpaceGrid, domain: str,
     modulus = np.sqrt(sum(k ** 2 for k in ks) + (last if time else last ** 2))
     band = DyadicPartition.for_band(float(np.min(modulus[modulus > 0])),
                                     float(np.max(modulus)))
+    modulus.setflags(write=False)
     part = GridPartition(band.j_min, band.j_max, modulus,
                          tuple(n for n, _ in axes), cell, None)
     if time:
         return part
-    return dataclasses.replace(part, windows=tuple(part.block_windows()))
+    windows = tuple(part.block_windows())
+    for _, chi in windows:
+        chi.setflags(write=False)
+    return dataclasses.replace(part, windows=windows)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +279,18 @@ def _parseval_weight(part: GridPartition, s: float) -> np.ndarray:
                    * (part.cell / np.prod(part.lengths)))
 
 
+@grid_table
+def _half_weight(grid: HalfSpaceGrid, s: float) -> np.ndarray:
+    """The q = 2 mode weight of a half field's samples.  Their vertical
+    transform is real, so the modes are Hermitian in the tangential
+    wavenumbers alone: the whole-space weight keeps the halved last
+    tangential axis, which takes its multiplicity."""
+    weight = _parseval_weight(partition_for(grid, "whole"), s)
+    halved = (slice(None),) * (grid.n_tan_axes - 1) \
+        + (slice(0, grid.N_tan // 2 + 1),)
+    return weight[halved] * tr.half_multiplicity(grid.N_tan)[:, None]
+
+
 def _parseval_sq(comps: np.ndarray, weight: np.ndarray,
                  dct: np.ndarray | None = None) -> np.ndarray:
     """``sum_k W(k) |F(k)|^2`` per trailing slice, summed over the
@@ -323,14 +336,8 @@ def _lp_norm_q(comps: np.ndarray, grid: HalfSpaceGrid, domain: str,
             return _parseval_sq(comps, _spacetime_weight(grid, domain, s))
         part = _build_partition(grid, domain, True)
     elif domain == "half":  # q = 2 only (:func:`_components`)
-        # the vertical transform is real, so the modes are Hermitian in the
-        # tangential wavenumbers alone: the last tangential axis is halved,
-        # and the vertical one keeps its multiplicity in the weight
-        weight = _parseval_weight(partition_for(grid, "whole"), s)
-        halved = (slice(None),) * (grid.n_tan_axes - 1) \
-            + (slice(0, grid.N_tan // 2 + 1),)
-        weight = weight[halved] * tr.half_multiplicity(grid.N_tan)[:, None]
-        return _parseval_sq(comps, weight, tr.dct1_matrix(grid.N_vert))
+        return _parseval_sq(comps, _half_weight(grid, s),
+                            tr.dct1_matrix(grid.N_vert))
     else:
         part = partition_for(grid, domain)
         if q == 2.0:
@@ -556,19 +563,11 @@ def aniso_lp_norm(field: Field, s: float, q: float) -> float:
                             time=True)) ** (1.0 / q)
 
 
-_SPACETIME_WEIGHTS = GridCache()
-
-
+@grid_table
 def _spacetime_weight(grid: HalfSpaceGrid, domain: str, s: float):
     """The q = 2 mode weight of the space-time lattice (see
-    :func:`_parseval_weight`), cached read-only per ``(grid.key(), domain,
-    s)``."""
-    def build():
-        weight = _parseval_weight(_build_partition(grid, domain, True), s)
-        weight.setflags(write=False)
-        return weight
-
-    return _SPACETIME_WEIGHTS.get((grid.key(), domain, s), build)
+    :func:`_parseval_weight`)."""
+    return _parseval_weight(_build_partition(grid, domain, True), s)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,20 @@ EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
 
 
-_GRID_KEYS = [f.name.lower() for f in dataclasses.fields(HalfSpaceGrid)
-              if f.init]
+# the words configparser reads as booleans
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+
+# the keys each section reads; [grid]'s are the grid's constructor fields
+_SECTION_KEYS = {
+    "grid": [f.name.lower() for f in dataclasses.fields(HalfSpaceGrid)
+             if f.init],
+    "index": ["alpha", "critical", "q", "beta", "p"],
+    "data": ["family", "amplitude", "k1", "m"],
+    "picard": ["max_iter", "tol"],
+    "verify": ["samples", "refinements", "targets"],
+    "scaling": ["lambdas"],
+    "norms": ["kind", "s", "q"],
+}
 
 
 def _parse_config(path: str) -> dict:
@@ -43,11 +55,21 @@ def _parse_config(path: str) -> dict:
     cfg = {section: dict(cp[section]) for section in cp.sections()}
     if "grid" not in cfg:
         raise ConfigError("config needs a [grid] section")
-    # a [DEFAULT] key shows in every section; only [grid]'s own lines count
-    unknown = sorted(set(cfg["grid"]) - set(cp.defaults()) - set(_GRID_KEYS))
-    if unknown:
-        raise ConfigError(f"[grid] unknown keys {unknown}: drop those lines; "
-                          f"the known keys are {_GRID_KEYS}")
+    # a [DEFAULT] key shows in every section: some section has to read it,
+    # and a section's check counts only its own lines
+    defaults = set(cp.defaults())
+    tables = [("DEFAULT", defaults,
+               sorted(set().union(*_SECTION_KEYS.values())))]
+    for section, keys in cfg.items():
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]: the known "
+                              f"sections are {list(_SECTION_KEYS)}")
+        tables.append((section, set(keys) - defaults, _SECTION_KEYS[section]))
+    for section, keys, known in tables:
+        unknown = sorted(keys - set(known))
+        if unknown:
+            raise ConfigError(f"[{section}] unknown keys {unknown}: drop "
+                              f"those lines; the known keys are {known}")
     return cfg
 
 
@@ -82,7 +104,11 @@ def _build_index(cfg: dict, n: int) -> BesovIndex:
     sec = cfg.get("index", {})
     try:
         alpha = _number(cfg, "index", "alpha", 1.0)
-        if sec.get("critical", "true").lower() in ("1", "true", "yes"):
+        critical = sec.get("critical", "true")
+        if critical.lower() not in _BOOLEANS:
+            raise ConfigError(f"[index] critical = {critical!r} is not a "
+                              f"boolean word, one of {list(_BOOLEANS)}")
+        if _BOOLEANS[critical.lower()]:
             idx = BesovIndex.critical_index(alpha, n)
         else:
             idx = BesovIndex(alpha=alpha, q=_number(cfg, "index", "q"), n=n)

@@ -16,6 +16,7 @@ Any other input (a view, a non-contiguous array, a list) is copied.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -104,29 +105,35 @@ class HalfSpaceGrid:
                        T=self.T / lam ** 2)
 
 
-class GridCache:
-    """Least-recently-used map for tables derived from a grid or its node
-    sets, holding at most ``SIZE`` entries: a study works on at most three
-    grids at once (the scaling check's base grid and its two rescalings),
-    each under at most two keys (boundary and whole-space lattices)."""
+TABLE_SIZE = 8
 
-    SIZE = 8
 
-    def __init__(self):
-        self._entries = OrderedDict()
+def grid_table(build):
+    """Memoize ``build``, a pure function of grids, node arrays and other
+    hashable arguments, keyed by ``grid.key()``, ``array.tobytes()`` and the
+    argument itself, in a least-recently-used map of its own (``entries``)
+    of ``TABLE_SIZE`` tables: a study works on at most three grids at once,
+    each under a few domains or orders.  Array results are made read-only."""
+    entries = OrderedDict()
 
-    def get(self, key, build):
-        """The entry under ``key``, built by ``build()`` on a miss."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
+    @functools.wraps(build)
+    def table(*args):
+        key = tuple(a.key() if isinstance(a, HalfSpaceGrid)
+                    else a.tobytes() if isinstance(a, np.ndarray) else a
+                    for a in args)
+        if key in entries:
+            entries.move_to_end(key)
         else:
-            self._entries[key] = build()
-            if len(self._entries) > self.SIZE:
-                self._entries.popitem(last=False)
-        return self._entries[key]
+            value = build(*args)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            entries[key] = value
+            if len(entries) > TABLE_SIZE:
+                entries.popitem(last=False)
+        return entries[key]
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    table.entries = entries
+    return table
 
 
 def make_grid(n, L, N_tan, X, N_vert, T=1.0, N_time=2) -> HalfSpaceGrid:
@@ -313,9 +320,29 @@ class BesovIndex:
             raise NormOrderError("trace condition (n+1)/p > (n+2)/q - alpha violated")
 
     def with_default_force_pair(self) -> "BesovIndex":
-        """Attach the default admissible (beta, p) for the quadratic force."""
+        """Attach the default admissible (beta, p) for the quadratic force:
+        p = (1 + min(q, (n + 2)/2))/2 where that pair is admissible, and
+        otherwise the midpoint of the admissible 1/p, an interval, since
+        the balance fixes beta and every constraint is then linear in 1/p."""
         n, alpha, q = self.n, self.alpha, self.q
-        p = (1.0 + min(q, (n + 2) / 2.0)) / 2.0
+        try:
+            return self._with_force_exponent(
+                (1.0 + min(q, (n + 2) / 2.0)) / 2.0)
+        except NormOrderError:
+            pass
+        # 1/p: above p <= q, beta > 0 and the trace condition; below p > 1,
+        # beta < alpha and beta < 1
+        lo = max(1.0 / q + max(0.0, 1.0 - alpha) / (n + 2),
+                 ((n + 2) / q - alpha) / (n + 1))
+        hi = min(1.0, 1.0 / q + min(1.0, 2.0 - alpha) / (n + 2))
+        if not lo < hi:
+            raise NormOrderError(f"no force pair (beta, p) is admissible at "
+                                 f"alpha={alpha}, q={q}, n={n}")
+        return self._with_force_exponent(2.0 / (lo + hi))
+
+    def _with_force_exponent(self, p) -> "BesovIndex":
+        """This index with the force pair (beta, p) that balances ``p``."""
+        n, alpha, q = self.n, self.alpha, self.q
         beta = alpha - 1.0 + (n + 2) * (1.0 / p - 1.0 / q)
         return BesovIndex(alpha=alpha, q=q, n=n, beta=beta, p=p)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GridCache
+from .core import grid_table
 from .errors import ShapeMismatchError
 
 
@@ -55,32 +55,25 @@ def fornberg_weights(x0, nodes: np.ndarray, order: int) -> np.ndarray:
     return c[..., order]
 
 
-_DERIVATIVES = GridCache()
-
 # nodes per row of a derivative matrix: fourth order at the wall
 _STENCIL = 5
 
 
+@grid_table
 def derivative_matrix(nodes: np.ndarray) -> np.ndarray:
     """Dense first-derivative matrix on arbitrary nodes.
 
     Uses the ``_STENCIL`` nearest nodes per row (one-sided at the ends).
     Built once per node set and returned read-only.
     """
-    nodes = np.asarray(nodes, dtype=float)
-
-    def build():
-        n = len(nodes)
-        width = min(_STENCIL, n)
-        rows = np.arange(n)
-        lo = np.clip(rows - width // 2, 0, n - width)
-        cols = lo[:, None] + np.arange(width)
-        D = np.zeros((n, n))
-        D[rows[:, None], cols] = fornberg_weights(nodes, nodes[cols], 1)
-        D.flags.writeable = False
-        return D
-
-    return _DERIVATIVES.get(nodes.tobytes(), build)
+    n = len(nodes)
+    width = min(_STENCIL, n)
+    rows = np.arange(n)
+    lo = np.clip(rows - width // 2, 0, n - width)
+    cols = lo[:, None] + np.arange(width)
+    D = np.zeros((n, n))
+    D[rows[:, None], cols] = fornberg_weights(nodes, nodes[cols], 1)
+    return D
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (BoundaryField, Field, GridCache, HalfSpaceGrid,
-                   ScalarField, TensorField, VectorField)
+from .core import (BoundaryField, Field, HalfSpaceGrid, ScalarField,
+                   TensorField, VectorField, grid_table)
 from .errors import ShapeMismatchError
 from .numerics import exp_linear_weights, heat_layer_cumulative, lag_convolve
 from . import transforms as tr
@@ -29,21 +29,15 @@ from . import transforms as tr
 # ---------------------------------------------------------------------------
 
 
-_QUAD_CACHE = GridCache()
-
-
+@grid_table
 def kernel_quadrature(grid: HalfSpaceGrid) -> np.ndarray:
-    """Exact per-interval time weights of the boundary heat layer, cached
-    per grid and read-only.
+    """Exact per-interval time weights of the boundary heat layer, a read-only
+    table per grid.
 
     ``weights[i, k, j]`` is the integral of the layer kernel at vertical
     node i and flat tangential half-lattice mode k over the lag interval
     [j dt, (j+1) dt]; data is taken piecewise constant on each interval.
     """
-    return _QUAD_CACHE.get(grid.key(), lambda: _build_quadrature(grid))
-
-
-def _build_quadrature(grid: HalfSpaceGrid) -> np.ndarray:
     # the kernel once per distinct |xi|, then its rows spread to every mode
     lam_unique, group = np.unique(np.round(tr.tan_modulus(grid), 12),
                                   return_inverse=True)
@@ -56,9 +50,7 @@ def _build_quadrature(grid: HalfSpaceGrid) -> np.ndarray:
     # it there, where the masses only cancel
     weights = np.where(np.isnan(rest[..., :-1]), np.diff(C, axis=-1),
                        -np.diff(rest, axis=-1))
-    weights = np.moveaxis(weights, 0, 1)[:, group]
-    weights.setflags(write=False)
-    return weights
+    return np.moveaxis(weights, 0, 1)[:, group]
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +143,7 @@ def heat_volume_potential_adjoint(f: Field) -> Field:
     return _heat_volume(f, adjoint=True, axis=None)
 
 
+@grid_table
 def _spatial_k2(grid: HalfSpaceGrid) -> np.ndarray:
     """|k|^2 on the whole-space spatial lattice, shape (*tan, M)."""
     ks = tr.k_vectors(grid, "whole", grid.n_tan_axes + 1)
@@ -271,6 +264,7 @@ def gradient_heat_potential(f: Field, axis: int) -> Field:
 # ---------------------------------------------------------------------------
 
 
+@grid_table
 def harmonic_profile(grid: HalfSpaceGrid) -> np.ndarray:
     """exp(-|xi| x_n) on the tangential half lattice, shaped (*tan, N_vert,
     1) for modes whose vertical axis stands before the time axis."""

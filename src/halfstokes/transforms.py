@@ -30,7 +30,8 @@ import warnings
 
 import numpy as np
 
-from .core import BoundaryField, Field, HalfSpaceGrid, ScalarField, VectorField
+from .core import (BoundaryField, Field, HalfSpaceGrid, ScalarField,
+                   VectorField, grid_table)
 from .errors import NotDivergenceFreeError, ShapeMismatchError
 from .numerics import derivative_matrix
 
@@ -253,6 +254,7 @@ def vertical_derivative_array(data: np.ndarray, grid: HalfSpaceGrid,
     return np.moveaxis(np.matmul(D, np.moveaxis(data, vaxis, -2)), -2, vaxis)
 
 
+@grid_table
 def dct1_matrix(n_vert: int) -> np.ndarray:
     """The (n_vert x n_vert) DCT-I matrix A: ``A @ f`` is the ``rfft`` of
     the even reflection of the vertical samples f (:func:`_reflect`), which

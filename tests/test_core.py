@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import halfstokes
-from halfstokes import besov, numerics, potentials
-from halfstokes.core import (BesovIndex, BoundaryField, GridCache,
+from halfstokes import besov, numerics, potentials, transforms
+from halfstokes.core import (TABLE_SIZE, BesovIndex, BoundaryField,
                              IterationTrace, ScalarField, VectorField,
                              make_grid, parabolic_scale)
 from halfstokes.errors import (InvalidDataError, InvalidGridError,
@@ -118,6 +118,36 @@ def test_besov_index_force_pair():
         BesovIndex(alpha=1.0, q=2.0, n=2, beta=1.5, p=1.2)
 
 
+# alpha = 0.05, 0.10, ..., 1.95: the old default pair p = (1 + min(q,
+# (n + 2)/2))/2 is admissible at 15 of them in 2-D and at 5 in 3-D
+SAMPLED_ALPHAS = [0.05 * k for k in range(1, 40)]
+
+
+@pytest.mark.parametrize("n, kept", [(2, 15), (3, 5)])
+def test_default_force_pair_is_admissible_at_every_critical_alpha(n, kept):
+    same = 0
+    for alpha in SAMPLED_ALPHAS:
+        idx = BesovIndex.critical_index(alpha, n)
+        paired = idx.with_default_force_pair()  # the constructor validates
+        idx.validate_force_pair(paired.beta, paired.p)
+        old_p = (1.0 + min(idx.q, (n + 2) / 2.0)) / 2.0
+        try:
+            idx.validate_force_pair(
+                alpha - 1.0 + (n + 2) * (1.0 / old_p - 1.0 / idx.q), old_p)
+        except NormOrderError:
+            continue
+        assert paired.p == old_p  # today's pair where it is admissible
+        same += 1
+    assert same == kept
+
+
+def test_missing_force_pair_names_no_beta():
+    # the trace condition wants 1/p > (4/q - alpha)/3 > 1 here
+    with pytest.raises(NormOrderError, match="no force pair") as exc:
+        BesovIndex(alpha=0.2, q=1.2, n=2).with_default_force_pair()
+    assert "beta=" not in str(exc.value)
+
+
 def test_parabolic_scale_identity_and_values():
     g = make_grid(2, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=9, T=1.0,
                   N_time=5)
@@ -193,49 +223,68 @@ def test_iteration_trace_rejects_bad_increment_and_missing_ratio():
         gap.validate()
 
 
-# (lookup, cache) for every module-level GridCache of the package
-GRID_CACHES = [
-    (lambda g: besov.partition_for(g, "whole"), besov._PARTITIONS),
-    (potentials.kernel_quadrature, potentials._QUAD_CACHE),
-    (lambda g: numerics.derivative_matrix(g.vert_nodes),
-     numerics._DERIVATIVES),
-    (lambda g: besov._spacetime_weight(g, "whole", -1.0),
-     besov._SPACETIME_WEIGHTS),
-]
+# (lookup of one entry, table) for every memoized table of the package: a
+# function that core.grid_table decorates, found by its ``entries``
+GRID_TABLES = {
+    "partition_for": (lambda g: besov.partition_for(g, "whole"),
+                      besov.partition_for),
+    "kernel_quadrature": (potentials.kernel_quadrature,
+                          potentials.kernel_quadrature),
+    "derivative_matrix": (lambda g: numerics.derivative_matrix(g.vert_nodes),
+                          numerics.derivative_matrix),
+    "spacetime_weight": (lambda g: besov._spacetime_weight(g, "whole", -1.0),
+                         besov._spacetime_weight),
+    "half_weight": (lambda g: besov._half_weight(g, 0.5), besov._half_weight),
+    "dct1_matrix": (lambda g: transforms.dct1_matrix(g.N_vert),
+                    transforms.dct1_matrix),
+    "spatial_k2": (potentials._spatial_k2, potentials._spatial_k2),
+    "harmonic_profile": (potentials.harmonic_profile,
+                         potentials.harmonic_profile),
+}
 
 
 def test_every_module_cache_is_checked_for_bounds():
-    # a new module-level cache has to join the cases of the bound test
-    caches = {f"{info.name}.{attr}": value
+    # a new memoized table has to join the cases of the bound test
+    tables = {f"{info.name}.{attr}": value.entries
               for info in pkgutil.iter_modules(halfstokes.__path__)
               for attr, value in vars(importlib.import_module(
                   f"halfstokes.{info.name}")).items()
-              if isinstance(value, GridCache)}
-    checked = {id(cache) for _, cache in GRID_CACHES}
-    unchecked = sorted(name for name, cache in caches.items()
-                       if id(cache) not in checked)
-    assert caches and not unchecked, \
-        f"module caches without a bound test: {unchecked}"
+              if callable(value) and hasattr(value, "entries")}
+    checked = {id(table.entries) for _, table in GRID_TABLES.values()}
+    unchecked = sorted(name for name, entries in tables.items()
+                       if id(entries) not in checked)
+    assert tables and not unchecked, \
+        f"memoized tables without a bound test: {unchecked}"
 
 
-@pytest.mark.parametrize("lookup, cache", GRID_CACHES,
-                         ids=["partition_for", "kernel_quadrature",
-                              "derivative_matrix", "spacetime_weight"])
-def test_grid_caches_stay_bounded(lookup, cache):
+def _table_grids(count):
+    return [make_grid(2, L=1.0 + 0.1 * i, N_tan=4, X=1.0 + 0.1 * i,
+                      N_vert=3 + i, T=1.0, N_time=3) for i in range(count)]
+
+
+@pytest.mark.parametrize("lookup, table", GRID_TABLES.values(),
+                         ids=GRID_TABLES.keys())
+def test_grid_caches_stay_bounded(lookup, table):
     # a scaling study adds grids without end; the per-grid tables must not
-    grids = [make_grid(2, L=1.0 + 0.1 * i, N_tan=4, X=1.0 + 0.1 * i,
-                       N_vert=3, T=1.0, N_time=3)
-             for i in range(GridCache.SIZE + 3)]
+    grids = _table_grids(TABLE_SIZE + 3)
     first = lookup(grids[0])
     for g in grids:
         lookup(g)
-    assert len(cache) == GridCache.SIZE
+    assert len(table.entries) == TABLE_SIZE
     assert lookup(grids[-1]) is lookup(grids[-1])
     assert lookup(grids[0]) is not first  # least recently used, evicted
 
 
-def test_cached_derivative_matrix_is_read_only():
-    D = numerics.derivative_matrix(np.linspace(0.0, 1.0, 7))
-    with pytest.raises(ValueError):
-        D[0, 0] = 1.0
-    assert numerics.derivative_matrix(np.linspace(0.0, 1.0, 7))[0, 0] != 1.0
+@pytest.mark.parametrize("lookup", [lookup for lookup, _ in
+                                    GRID_TABLES.values()],
+                         ids=GRID_TABLES.keys())
+def test_memoized_tables_are_read_only(lookup):
+    # a write into a shared table would change every later solve
+    g = _table_grids(2)[1]
+    value = lookup(g)
+    arrays = [value] if isinstance(value, np.ndarray) else \
+        [value.modulus] + [chi for _, chi in value.windows]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    assert lookup(g) is value

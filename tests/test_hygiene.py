@@ -4,8 +4,8 @@ live under ``tests/``); every dataclass field is read in the package, its
 tests or its benchmark; every default is set by some caller; real data go
 through real transforms, and the one named exception still makes a complex
 call; the norm engine and the transforms write into buffers, and an
-inverse's complex passes run in place; the package imports no scipy; and
-it tunes no allocator."""
+inverse's complex passes run in place; the package imports no scipy; it
+tunes no allocator; and it memoizes only through ``core.grid_table``."""
 
 import ast
 import json
@@ -394,3 +394,33 @@ def test_package_tunes_no_allocator():
         found += [f"{path.name}:{line} ctypes"
                   for line in _ctypes_imports(ast.parse(text))]
     assert not found, f"allocator tuning in the package: {found}"
+
+
+_MEMO_NAMES = ("OrderedDict", "lru_cache", "cache")
+
+
+def _memo_uses(tree):
+    """Lines that import or reach ``collections.OrderedDict``,
+    ``functools.lru_cache`` or ``functools.cache``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and node.module in ("collections", "functools"):
+            found += [node.lineno for alias in node.names
+                      if alias.name in _MEMO_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in _MEMO_NAMES \
+                and getattr(node.value, "id", None) in ("collections",
+                                                        "functools"):
+            found.append(node.lineno)
+    return found
+
+
+def test_package_memoizes_only_through_grid_table():
+    # one cache mechanism: a map outside core.grid_table would escape the
+    # bound test and the read-only rule of every memoized table
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "core.py":
+            found += [f"{path.name}:{line}"
+                      for line in _memo_uses(ast.parse(path.read_text()))]
+    assert not found, f"a cache outside core.grid_table: {found}"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfstokes.core import BoundaryField, make_grid
+from halfstokes.core import BesovIndex, BoundaryField, make_grid
 from halfstokes import cli, datagen, io
 from halfstokes.errors import InvalidDataError
 
@@ -435,20 +435,35 @@ def test_cli_non_critical_index_is_config_error(tmp_path, capsys, command):
     assert command in err and "critical index" in err
 
 
-# critical indices that solve-ns cannot use (no default force pair) and
-# that scaling cannot use (the M0 boundary order alpha - 1/q is not positive)
+# critical indices that solve-ns and scaling cannot use: the M0 boundary
+# order alpha - 1/q is not positive
 @pytest.mark.parametrize("command, alpha",
-                         [("solve-ns", a) for a in ("0.2", "0.3", "0.4",
-                                                    "0.5", "1.5", "1.9")]
-                         + [("scaling", a) for a in ("0.2", "0.3")])
+                         [(c, a) for c in ("solve-ns", "scaling")
+                          for a in ("0.2", "0.3")])
 def test_cli_index_the_command_cannot_use_is_config_error(tmp_path, capsys,
                                                           command, alpha):
     err = config_error(tmp_path, capsys, command, {("index", "alpha"): alpha})
     assert err.startswith("config error: ")
 
 
-# q = 2.5 in 2-D admits no default force pair (beta, p); only the
-# gradient_duhamel target needs one
+# critical indices where the old default force pair was inadmissible, so
+# that solve-ns exited 2 naming a beta the config never set
+@pytest.mark.parametrize("alpha", ["0.4", "0.5", "1.5", "1.9"])
+def test_cli_solve_ns_runs_where_the_old_default_force_pair_failed(
+        tmp_path, alpha):
+    cfg = Path(write_config(tmp_path))
+    cfg.write_text(cfg.read_text().replace("alpha = 1.0",
+                                           f"alpha = {alpha}"))
+    out = tmp_path / "out"
+    assert cli.main(["solve-ns", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+    trace = json.loads((out / "report.json").read_text())["trace"]
+    index = BesovIndex.critical_index(float(alpha), 2)
+    index.validate_force_pair(trace["beta"], trace["p"])
+    assert trace["converged"]
+
+
+# a non-critical index: only the gradient_duhamel target needs a force pair
 NON_CRITICAL = {("index", "critical"): "false", ("index", "q"): "2.5"}
 
 
@@ -468,10 +483,13 @@ def test_cli_verify_ops_non_critical_index_runs_other_targets(tmp_path):
 
 
 def test_cli_verify_ops_without_force_pair_is_config_error(tmp_path, capsys):
+    # at alpha = 0.2, q = 1.2 in 2-D no force pair (beta, p) is admissible
     err = config_error(tmp_path, capsys, "verify-ops",
-                       {**NON_CRITICAL,
+                       {("index", "critical"): "false", ("index", "q"): "1.2",
+                        ("index", "alpha"): "0.2",
                         ("verify", "targets"): "gradient_duhamel"})
     assert "gradient_duhamel" in err and "force pair" in err
+    assert "beta=" not in err
 
 
 @pytest.mark.parametrize("family", ["stream_compatible", "random_band",
@@ -593,6 +611,47 @@ def test_cli_unknown_grid_key_is_config_error(tmp_path, capsys, command, key,
                ("n", "l", "n_tan", "x", "n_vert", "t", "n_time"))
 
 
+# one misspelled key per section that has no grid key: each was read as
+# absent, so that, say, [index] alpah = 0.5 ran at alpha = 1 and exited 0
+@pytest.mark.parametrize("section, key", [
+    ("index", "alpah"), ("data", "amplitde"), ("picard", "maxiter"),
+    ("verify", "sample"), ("scaling", "lambda"), ("norms", "knd")])
+def test_cli_unknown_key_is_config_error(tmp_path, capsys, section, key):
+    err = config_error(tmp_path, capsys, "solve-ns", {(section, key): "0.5"})
+    assert f"[{section}] unknown keys ['{key}']" in err
+    assert all(f"'{known}'" in err for known in cli._SECTION_KEYS[section])
+
+
+def test_cli_unknown_section_is_config_error(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, "solve-ns", {("pircard", "tol"): "1"})
+    assert "unknown section [pircard]" in err and "'picard'" in err
+
+
+def test_cli_unknown_default_key_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[DEFAULT]\nampltude = 0.1\n\n[grid]\nn = 2\n")
+    assert cli.main(["solve-stokes", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "[DEFAULT] unknown keys ['ampltude']" in err[0]
+
+
+@pytest.mark.parametrize("value", ["maybe", "", "2"])
+def test_cli_critical_that_is_no_boolean_word_is_config_error(
+        tmp_path, capsys, value):
+    # any word but 1, true and yes used to read as false
+    err = config_error(tmp_path, capsys, "solve-ns",
+                       {("index", "critical"): value})
+    assert f"[index] critical = '{value}' is not a boolean word" in err
+
+
+@pytest.mark.parametrize("value, critical", [("On", True), ("no", False),
+                                             ("0", False), ("YES", True)])
+def test_critical_reads_every_boolean_word(value, critical):
+    cfg = {"index": {"critical": value, "q": "2.5"}}
+    assert cli._build_index(cfg, 2).critical == critical
+
+
 def test_default_section_keys_are_not_grid_keys(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[DEFAULT]\namplitude = 0.1\n\n[grid]\nn = 2\n\n"
@@ -615,7 +674,7 @@ def test_readme_config_example_loads(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(block)
     cfg = cli._parse_config(str(path))
-    assert sorted(cfg["grid"]) == sorted(cli._GRID_KEYS)
+    assert sorted(cfg["grid"]) == sorted(cli._SECTION_KEYS["grid"])
     assert cfg["data"]["family"] == "stream_compatible"
     assert cfg["index"]["critical"] == "true"
     assert cli._build_grid(cfg).N_tan == 32
