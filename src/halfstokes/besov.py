@@ -42,15 +42,20 @@ place, and one real ``power`` array; on a half field it also holds the
 DCT-I product of all components, half the size of their reflection.
 :func:`_lp_blocks` owns one ``modes``, one windowed-modes (inverted in
 place) and one block array, and yields that one block every time, valid
-until the next is drawn.
+until the next is drawn.  A window vanishes past a column of the halved
+axis, its support: the windowed modes are written, and their complex
+passes run (:func:`halfstokes.transforms.inverse_half`), over the columns
+before it only; the columns past it are zero, cleared only where the
+block before reached further.
 
 Tables, each memoized read-only by :func:`~halfstokes.core.grid_table`:
-:func:`partition_for` keeps the spatial partition with its windows per
-``(grid, domain)``, :func:`_half_weight` the q = 2 weight of a half
-field's samples per ``(grid, s)``, and :func:`_spacetime_weight` the
-space-time q = 2 weight per ``(grid, domain, s)``; other q = 2 weights
-are rebuilt from the windows per call.  Space-time windows are never
-kept: on a refined whole-space lattice each holds MiB.
+:func:`partition_for` keeps the spatial partition with its windows, each
+cut to its support, per ``(grid, domain)``; :func:`_spatial_weight` the
+q = 2 weight of its lattice per ``(grid, domain, s)``,
+:func:`_half_weight` the q = 2 weight of a half field's samples per
+``(grid, s)``, and :func:`_spacetime_weight` the space-time q = 2 weight
+per ``(grid, domain, s)``.  Space-time windows are never kept: on a
+refined whole-space lattice each holds MiB.
 """
 
 from __future__ import annotations
@@ -121,7 +126,8 @@ class GridPartition(DyadicPartition):
     each mode and the volume ``cell`` of one cell of the periodic layout
     (its quadrature weights are uniform).  ``windows`` lists ``(j, chi_j)``
     for every block whose window is not identically zero, or is None where
-    they are built per block (the space-time lattice)."""
+    they are built per block (the space-time lattice); each chi_j is cut
+    to its support along the halved (last) axis, and vanishes past it."""
 
     modulus: np.ndarray = dataclasses.field(compare=False, repr=False)
     lengths: tuple
@@ -129,11 +135,18 @@ class GridPartition(DyadicPartition):
     windows: tuple | None = dataclasses.field(compare=False, repr=False)
 
     def block_windows(self):
-        """``(j, chi_j)`` for every window that is not identically zero."""
+        """``(j, chi_j)`` for every window that is not identically zero,
+        cut to its support along the halved axis."""
         if self.windows is not None:
             return self.windows
-        return ((j, chi) for j in self.blocks
+        return ((j, _cut_to_support(chi)) for j in self.blocks
                 if np.any(chi := self.window(j, self.modulus)))
+
+
+def _cut_to_support(chi: np.ndarray) -> np.ndarray:
+    """``chi`` without the columns of its last axis past its support."""
+    cols = np.flatnonzero(np.any(chi.reshape(-1, chi.shape[-1]), axis=0))
+    return chi[..., :cols[-1] + 1]
 
 
 @grid_table
@@ -163,7 +176,7 @@ def _build_partition(grid: HalfSpaceGrid, domain: str,
                          tuple(n for n, _ in axes), cell, None)
     if time:
         return part
-    windows = tuple(part.block_windows())
+    windows = tuple((j, chi.copy()) for j, chi in part.block_windows())
     for _, chi in windows:
         chi.setflags(write=False)
     return dataclasses.replace(part, windows=windows)
@@ -253,18 +266,29 @@ def _lp_blocks(comps: np.ndarray, part: GridPartition):
     time.  Each block keeps the component axis: with held windows it spans
     one component at a time, which bounds the memory; windows built per
     block are built once for all components.  Every block is the same
-    array: reduce it before taking the next."""
+    array: reduce it before taking the next.  The windowed modes are
+    formed, and their complex passes run, over the support of the window
+    along the halved axis only; past it they stay zero."""
     axes = tuple(range(1, len(part.lengths) + 1))
     groups = [comps] if part.windows is None else [c[None] for c in comps]
     extra = comps.shape[len(axes) + 1:]
     modes = np.empty((len(groups[0]),) + part.modulus.shape + extra, complex)
-    scaled, block = np.empty_like(modes), np.empty(groups[0].shape)
+    scaled, block = np.zeros_like(modes), np.empty(groups[0].shape)
+    head = (slice(None),) * len(axes)  # up to the halved axis
+    live = 0  # scaled vanishes from this column of the halved axis on
     for group in groups:
         np.fft.rfftn(group, axes=axes, out=modes)
         for j, chi in part.block_windows():
-            np.multiply(modes, chi.reshape(chi.shape + (1,) * len(extra)),
-                        out=scaled)
-            yield j, tr.inverse_half(scaled, part.lengths, axes, out=block)
+            width = chi.shape[-1]
+            # a window narrower than the last one (the first of the next
+            # group, or any on a torus much narrower than X) clears the rest
+            scaled[head + (slice(width, live),)] = 0.0
+            cols = head + (slice(0, width),)
+            window = chi.reshape(chi.shape + (1,) * len(extra))
+            np.multiply(modes[cols], window, out=scaled[cols])
+            live = width
+            yield j, tr.inverse_half(scaled, part.lengths, axes, out=block,
+                                     width=width)
 
 
 def _parseval_weight(part: GridPartition, s: float) -> np.ndarray:
@@ -273,10 +297,18 @@ def _parseval_weight(part: GridPartition, s: float) -> np.ndarray:
     ``sum_j 2^{2js} |block_j f|_{L^2}^2 = sum_k W_s(k) |F(k)|^2``.  m(k)
     is :func:`halfstokes.transforms.half_multiplicity` of the last
     length."""
-    chi2 = sum(2.0 ** (2 * j * s) * chi ** 2
-               for j, chi in part.block_windows())
+    chi2 = np.zeros(part.modulus.shape)
+    for j, chi in part.block_windows():
+        chi2[..., :chi.shape[-1]] += 2.0 ** (2 * j * s) * chi ** 2
     return chi2 * (tr.half_multiplicity(part.lengths[-1])
                    * (part.cell / np.prod(part.lengths)))
+
+
+@grid_table
+def _spatial_weight(grid: HalfSpaceGrid, domain: str, s: float):
+    """The q = 2 mode weight of the spatial lattice of ``domain`` (see
+    :func:`_parseval_weight`)."""
+    return _parseval_weight(partition_for(grid, domain), s)
 
 
 @grid_table
@@ -285,7 +317,7 @@ def _half_weight(grid: HalfSpaceGrid, s: float) -> np.ndarray:
     transform is real, so the modes are Hermitian in the tangential
     wavenumbers alone: the whole-space weight keeps the halved last
     tangential axis, which takes its multiplicity."""
-    weight = _parseval_weight(partition_for(grid, "whole"), s)
+    weight = _spatial_weight(grid, "whole", s)
     halved = (slice(None),) * (grid.n_tan_axes - 1) \
         + (slice(0, grid.N_tan // 2 + 1),)
     return weight[halved] * tr.half_multiplicity(grid.N_tan)[:, None]
@@ -339,9 +371,9 @@ def _lp_norm_q(comps: np.ndarray, grid: HalfSpaceGrid, domain: str,
         return _parseval_sq(comps, _half_weight(grid, s),
                             tr.dct1_matrix(grid.N_vert))
     else:
-        part = partition_for(grid, domain)
         if q == 2.0:
-            return _parseval_sq(comps, _parseval_weight(part, s))
+            return _parseval_sq(comps, _spatial_weight(grid, domain, s))
+        part = partition_for(grid, domain)
     axes = tuple(range(len(part.lengths) + 1))
     acc = 0.0
     for j, block in _lp_blocks(comps, part):
@@ -413,7 +445,8 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
             modes = np.fft.rfftn(comps, axes=axes[1:], out=np.empty(
                 comps.shape[:1] + part.modulus.shape + (nt,), complex))
             with np.errstate(invalid="ignore"):  # inf modes times W = 0
-                modes *= np.sqrt(_parseval_weight(part, s_sp))[..., None]
+                modes *= np.sqrt(_spatial_weight(grid, domain,
+                                                 s_sp))[..., None]
             rows = np.ascontiguousarray(modes.reshape(-1, nt).T)
             D = _row_distances(rows.view(float), 2.0)
         else:

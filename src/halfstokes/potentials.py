@@ -7,7 +7,10 @@ subinterval (error-function closed forms) against piecewise-constant data;
 volume Duhamel integrals integrate the exponential factor exactly against
 piecewise-linear data, which keeps stiff modes accurate; their sweeps
 run in place on time-major modes, one contiguous slice per time node, and
-the operators return fields in C order, time last.  The volume potential
+the operators return fields in C order, time last.  One sweep serves the
+derivative along every axis (:func:`gradient_heat_potential`).  The wall
+trace of the heat evolution (:func:`heat_trace`) is formed without the
+evolution off the wall.  The volume potential
 works in n + 2 buffers of a :class:`Workspace`, one stress component at a
 time in one of them; one Picard solve owns a workspace and reuses its
 buffers at every step, and a buffer never becomes a field's data.
@@ -135,12 +138,12 @@ def _time_major(modes: np.ndarray) -> np.ndarray:
 
 def heat_volume_potential(f: Field) -> Field:
     """Causal space-time heat convolution (zero-padded past the window)."""
-    return _heat_volume(f, adjoint=False, axis=None)
+    return _heat_volume(f, adjoint=False)
 
 
 def heat_volume_potential_adjoint(f: Field) -> Field:
     """Anticausal counterpart; exact discrete adjoint of the causal one."""
-    return _heat_volume(f, adjoint=True, axis=None)
+    return _heat_volume(f, adjoint=True)
 
 
 @grid_table
@@ -150,20 +153,24 @@ def _spatial_k2(grid: HalfSpaceGrid) -> np.ndarray:
     return sum(k ** 2 for k in ks)
 
 
-def _heat_volume(f: Field, adjoint: bool, axis: int | None) -> Field:
-    """The causal or anticausal heat convolution of ``f``, differentiated
-    along spatial ``axis`` unless it is None."""
+def _duhamel_modes(f: Field, adjoint: bool) -> np.ndarray:
+    """Time-major modes of the causal or anticausal heat convolution of
+    ``f``, spatial axes as :func:`halfstokes.transforms.whole_fft` keeps
+    them."""
     if f.domain != "whole" or not f.time_dependent:
         raise ShapeMismatchError("expected a time-dependent whole-space field")
     grid = f.grid
     modes = _time_major(tr.whole_fft(f.data, grid, offset=f.ncomp_axes))
     apply = _duhamel_backward if adjoint else _duhamel_forward
-    apply(modes, _spatial_k2(grid), grid.dt)
-    if axis is not None:
-        modes *= 1j * tr.k_vectors(grid, "whole", grid.n_tan_axes + 1,
-                                   deriv=True)[axis]
-    data = tr.whole_ifft(np.moveaxis(modes, 0, -1), grid, offset=f.ncomp_axes)
-    return type(f)(grid, data, domain="whole")
+    return apply(modes, _spatial_k2(grid), grid.dt)
+
+
+def _heat_volume(f: Field, adjoint: bool) -> Field:
+    """The causal or anticausal heat convolution of ``f``."""
+    modes = _duhamel_modes(f, adjoint)
+    data = tr.whole_ifft(np.moveaxis(modes, 0, -1), f.grid,
+                         offset=f.ncomp_axes)
+    return type(f)(f.grid, data, domain="whole")
 
 
 # Below log(tiny), exp(arg) is subnormal: exact zeros there keep the exp and
@@ -171,21 +178,44 @@ def _heat_volume(f: Field, adjoint: bool, axis: int | None) -> Field:
 _LOG_TINY = np.log(np.finfo(float).tiny)
 
 
-def heat_semigroup(h: VectorField) -> VectorField:
-    """Heat evolution of whole-space initial data across all time nodes."""
+def _decay(k2: np.ndarray, grid: HalfSpaceGrid) -> np.ndarray:
+    """exp(-k2 t) at every time node, on a new last axis; exact zeros where
+    it is subnormal."""
+    arg = -k2[..., np.newaxis] * grid.time_nodes
+    return np.exp(arg, out=np.zeros(arg.shape), where=arg > _LOG_TINY)
+
+
+def _require_steady_whole(h: Field):
     if h.domain != "whole" or h.time_dependent:
         raise ShapeMismatchError("expected steady whole-space initial data")
-    grid = h.grid
-    modes = tr.whole_fft(h.data, grid, offset=1)
-    arg = -_spatial_k2(grid)[..., np.newaxis] * grid.time_nodes
-    decay = np.exp(arg, out=np.zeros(arg.shape), where=arg > _LOG_TINY)
-    data = tr.whole_ifft(modes[..., np.newaxis] * decay, grid, offset=1)
-    return VectorField(grid, data, domain="whole")
 
 
-def heat_trace(h: VectorField) -> BoundaryField:
-    """Wall trace of the heat evolution of whole-space initial data."""
-    return tr.trace_boundary(heat_semigroup(h))
+def heat_semigroup(h: Field) -> Field:
+    """Heat evolution of whole-space initial data across all time nodes."""
+    _require_steady_whole(h)
+    grid, offset = h.grid, h.ncomp_axes
+    modes = tr.whole_fft(h.data, grid, offset)
+    data = tr.whole_ifft(modes[..., np.newaxis] * _decay(_spatial_k2(grid),
+                                                         grid), grid, offset)
+    return type(h)(grid, data, domain="whole")
+
+
+def heat_trace(h: Field) -> BoundaryField:
+    """Wall trace of the heat evolution of whole-space initial data, without
+    the evolution off the wall: the vertical transform is complex, so that
+    at y = 0 its inverse is the mean of the vertical modes, and the halved
+    axis is the last tangential one."""
+    _require_steady_whole(h)
+    grid, offset, vaxis = h.grid, h.ncomp_axes, h.vert_axis
+    modes = tr.forward_half(h.data, (vaxis,) + tuple(range(offset, vaxis)))
+    ks = tr.k_vectors(grid, "boundary", grid.n_tan_axes + 1)
+    n_vert, dy = tr.spectral_axes(grid, "whole")[-1]
+    k_vert = 2.0 * np.pi * np.fft.fftfreq(n_vert, d=dy)
+    decay = _decay(sum(k ** 2 for k in ks) + k_vert ** 2, grid)
+    wall = np.einsum("...m,...mt->...t", modes, decay)
+    wall /= n_vert
+    data = tr.tan_ifft(wall, grid, offset)
+    return BoundaryField(grid, data if offset else data[np.newaxis])
 
 
 class Workspace:
@@ -253,10 +283,24 @@ def stokes_volume_potential(F: TensorField,
     return VectorField(grid, data, domain="whole")
 
 
-def gradient_heat_potential(f: Field, axis: int) -> Field:
-    """Duhamel integral against the derivative of the heat kernel along one
-    spatial axis (the smoothing gain of one derivative)."""
-    return _heat_volume(f, adjoint=False, axis=axis)
+def gradient_heat_potential(f: Field) -> list:
+    """Duhamel integral against the derivative of the heat kernel along each
+    spatial axis (the smoothing gain of one derivative), one field per axis:
+    one sweep serves every axis, each multiplied by its ``i k`` into one
+    scratch, the last in place, once the scratch is freed."""
+    modes = _duhamel_modes(f, adjoint=False)
+    grid = f.grid
+    ks = tr.k_vectors(grid, "whole", grid.n_tan_axes + 1, deriv=True)
+    scratch = np.empty_like(modes)
+    outs = []
+    for axis, k in enumerate(ks):
+        if axis == len(ks) - 1:
+            scratch = modes
+        np.multiply(modes, 1j * k, out=scratch)
+        data = tr.whole_ifft(np.moveaxis(scratch, 0, -1), grid,
+                             offset=f.ncomp_axes)
+        outs.append(type(f)(grid, data, domain="whole"))
+    return outs
 
 
 # ---------------------------------------------------------------------------

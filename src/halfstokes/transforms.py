@@ -21,7 +21,8 @@ symbol is even in k, or odd with the unpaired Nyquist mode zeroed
 
 Buffers: a forward transform writes all its passes into one fresh array
 (:func:`forward_half`); an inverse one (:func:`inverse_half`) runs its
-complex passes in place, so it overwrites the modes it is given.
+complex passes in place, so it overwrites the modes it is given, and skips
+the columns of the halved axis that its caller knows to vanish.
 """
 
 from __future__ import annotations
@@ -128,11 +129,16 @@ def forward_half(data: np.ndarray, axes: tuple) -> np.ndarray:
     return np.fft.rfftn(data, axes=axes, out=np.empty(shape, complex))
 
 
-def inverse_half(modes: np.ndarray, s, axes, out: np.ndarray) -> np.ndarray:
+def inverse_half(modes: np.ndarray, s, axes, out: np.ndarray,
+                 width: int | None = None) -> np.ndarray:
     """``irfftn(modes, s, axes)`` into ``out``; its complex passes, in the
-    order of ``irfftn``, overwrite ``modes`` in place."""
+    order of ``irfftn``, overwrite ``modes`` in place.  With ``width``, the
+    modes vanish past the first ``width`` columns of the halved axis: the
+    complex passes, which would keep them zero, skip them."""
+    cols = modes if width is None else \
+        modes[(slice(None),) * axes[-1] + (slice(0, width),)]
     for n, a in zip(s[:-1], axes[:-1]):
-        np.fft.ifft(modes, n, a, out=modes)
+        np.fft.ifft(cols, n, a, out=cols)
     return np.fft.irfft(modes, s[-1], axes[-1], out=out)
 
 

@@ -70,7 +70,7 @@ def _target_gradient_duhamel(index, grid, rng):
     # built here: a non-critical index may admit no default pair
     idx = index.with_default_force_pair() if index.beta is None else index
     f = datagen.random_whole_field(grid, rng, ncomp=1)
-    outs = [pot.gradient_heat_potential(f, axis) for axis in range(grid.n)]
+    outs = pot.gradient_heat_potential(f)
     out_norm = sum(_aniso_out(o, idx) ** idx.q for o in outs) ** (1.0 / idx.q)
     in_norm = besov.lq_time_lp_space(f, idx.beta, idx.p)
     return out_norm, in_norm

@@ -2,7 +2,9 @@
 of the linear and the quadratic system with its divergence-free test
 functions, pointwise kernels, the adjoint layer operators, the slab
 potential of a field, the Helmholtz projection and scalar potential of a
-whole-space field, and the lag correlation.
+whole-space field, the lag correlation, the gradient Duhamel integral one
+axis at a time, and the dyadic blocks of the norm engine over the whole
+half lattice.
 
 Each is checked against the package's fast paths or used to build their
 inputs; the package does not run them.
@@ -22,7 +24,8 @@ from halfstokes.errors import (InvalidDataError, NotDivergenceFreeError,
                                ShapeMismatchError)
 from halfstokes.navier_stokes import nonlinear_flux
 from halfstokes.numerics import trapezoid_weights
-from halfstokes.potentials import (heat_single_layer, kernel_quadrature,
+from halfstokes.potentials import (_duhamel_forward, _spatial_k2,
+                                   heat_single_layer, kernel_quadrature,
                                    strip_newton_modes)
 from halfstokes import transforms as tr
 from halfstokes.transforms import (_field_fft, _field_ifft,
@@ -404,3 +407,48 @@ def lag_correlate(weights, nodes_series):
     if np.isrealobj(weights) and np.isrealobj(z):
         out = out.real
     return out
+
+
+# ---------------------------------------------------------------------------
+# gradient Duhamel integral, one axis at a time
+# ---------------------------------------------------------------------------
+
+
+def gradient_heat_potential_axis(f: Field, axis: int) -> Field:
+    """The component of :func:`halfstokes.potentials.gradient_heat_potential`
+    along spatial ``axis``, by its own transform and Duhamel sweep."""
+    grid = f.grid
+    modes = np.ascontiguousarray(np.moveaxis(
+        tr.whole_fft(f.data, grid, offset=f.ncomp_axes), -1, 0))
+    _duhamel_forward(modes, _spatial_k2(grid), grid.dt)
+    modes *= 1j * k_vectors(grid, "whole", grid.n_tan_axes + 1,
+                            deriv=True)[axis]
+    data = whole_ifft(np.moveaxis(modes, 0, -1), grid, offset=f.ncomp_axes)
+    return type(f)(grid, data, domain="whole")
+
+
+# ---------------------------------------------------------------------------
+# dyadic blocks over the whole half lattice
+# ---------------------------------------------------------------------------
+
+
+def full_window(chi: np.ndarray, part) -> np.ndarray:
+    """A window of ``part``, cut to its support along the halved axis,
+    zero-padded back to the whole half lattice."""
+    full = np.zeros(part.modulus.shape)
+    full[..., :chi.shape[-1]] = chi
+    return full
+
+
+def unpruned_lp_blocks(comps: np.ndarray, part):
+    """The ``(j, block)`` of :func:`halfstokes.besov._lp_blocks`, each a
+    fresh ``irfftn`` of the modes times the window over the whole half
+    lattice, the columns where the window vanishes included."""
+    axes = tuple(range(1, len(part.lengths) + 1))
+    groups = [comps] if part.windows is None else [c[None] for c in comps]
+    for group in groups:
+        modes = np.fft.rfftn(group, axes=axes)
+        extra = (1,) * (group.ndim - len(axes) - 1)
+        for j, chi in part.block_windows():
+            window = full_window(chi, part).reshape(part.modulus.shape + extra)
+            yield j, np.fft.irfftn(modes * window, s=part.lengths, axes=axes)

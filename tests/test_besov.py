@@ -573,8 +573,9 @@ def test_gagliardo_of_overflowing_field_is_non_finite_without_warnings(
 # ---------------------------------------------------------------------------
 #
 # The engine transforms into buffers it allocates once per call.  The copies
-# below allocate a fresh transform per component and per block, as the
-# engine once did; the buffers must not move a bit.
+# below, and :func:`references.unpruned_lp_blocks`, allocate a fresh
+# transform per component and per block, as the engine once did; the
+# buffers must not move a bit.
 
 def _fresh_parseval_sq(comps, weight):
     axes = list(range(weight.ndim))
@@ -587,17 +588,6 @@ def _fresh_parseval_sq(comps, weight):
         acc = acc + np.einsum(weight, axes, power, list(range(power.ndim)),
                               list(range(weight.ndim, power.ndim)))
     return acc
-
-
-def _fresh_lp_blocks(comps, part):
-    axes = tuple(range(1, len(part.lengths) + 1))
-    groups = [comps] if part.windows is None else [c[None] for c in comps]
-    for group in groups:
-        modes = np.fft.rfftn(group, axes=axes)
-        extra = (1,) * (group.ndim - len(axes) - 1)
-        for j, chi in part.block_windows():
-            yield j, np.fft.irfftn(modes * chi.reshape(chi.shape + extra),
-                                   s=part.lengths, axes=axes)
 
 
 def _fresh_q2_pair_diffs(field, s):
@@ -656,13 +646,72 @@ def test_buffered_transforms_match_fresh_transforms_bitwise(field,
         pairs = besov._pair_diff_norms(field, 1.5, ("besov", -s))
         assert np.array_equal(besov._pair_diff_norms(field, 2.0, ("besov", s)),
                               _fresh_q2_pair_diffs(field, s))
-    monkeypatch.setattr(besov, "_lp_blocks", _fresh_lp_blocks)
+    monkeypatch.setattr(besov, "_lp_blocks", references.unpruned_lp_blocks)
     for (q, time), value in got.items():
         assert np.array_equal(
             value, besov._lp_norm_q(comps, grid, domain, s, q, time)), (q, time)
     if field.time_dependent:
         assert np.array_equal(
             pairs, besov._pair_diff_norms(field, 1.5, ("besov", -s)))
+
+
+def _blocks(comps, part, lp_blocks):
+    """Copies of every block that ``lp_blocks`` yields."""
+    return [(j, block.copy()) for j, block in lp_blocks(comps, part)]
+
+
+def _narrow_torus_fields():
+    """Whole fields on a torus much narrower than the vertical period, where
+    a window's support along the halved axis can be narrower than the one
+    before it."""
+    g = make_grid(2, L=0.2, N_tan=8, X=4.0, N_vert=9, T=1.0, N_time=5)
+    rng = np.random.default_rng(12)
+    return [ScalarField(g, rng.standard_normal(
+        g.tan_shape + (g.n_vert_whole,) + nt), domain="whole",
+        time_dependent=bool(nt)) for nt in ((), (g.N_time,))]
+
+
+def test_narrow_torus_has_a_narrower_later_window():
+    part = besov.partition_for(_narrow_torus_fields()[0].grid, "whole")
+    widths = [chi.shape[-1] for _, chi in part.block_windows()]
+    assert any(b < a for a, b in zip(widths, widths[1:])), widths
+
+
+@pytest.mark.parametrize("field", [f for f in _buffer_cases()
+                                   if f.domain != "half"]
+                         + _narrow_torus_fields(), ids=lambda f: (
+    f"{f.grid.n}d-{f.domain}-{f.data.shape[0] if f.ncomp_axes else 1}comp-"
+    + ("time" if f.time_dependent else "steady")
+    + ("-narrow" if f.grid.L < 1 else "")))
+def test_pruned_blocks_match_unpruned_reference_bitwise(field, monkeypatch):
+    # each block inverts the windowed modes over the window's support along
+    # the halved axis only; past it they vanish, so no bit may move
+    grid = field.grid
+    comps, domain = besov._components(field)
+    parts = [besov.partition_for(grid, domain)]
+    if field.time_dependent:
+        parts.append(besov._build_partition(grid, domain, True))
+    for part in parts:
+        widths = [chi.shape[-1] for _, chi in part.block_windows()]
+        assert widths[0] < part.modulus.shape[-1] == widths[-1]
+        got = _blocks(comps, part, besov._lp_blocks)
+        ref = _blocks(comps, part, references.unpruned_lp_blocks)
+        assert [j for j, _ in got] == [j for j, _ in ref]
+        for (j, block), (_, expected) in zip(got, ref):
+            assert np.array_equal(block, expected), (part.lengths, j)
+    lattices = (False, True) if field.time_dependent else (False,)
+    qs = (4.0 / 3.0, 2.5)
+    norms = {(q, time): besov._lp_norm_q(comps, grid, domain, 0.6, q, time)
+             for q in qs for time in lattices}
+    rows = {q: besov._pair_diff_norms(field, q, ("besov", -0.4))
+            for q in qs if field.time_dependent}
+    monkeypatch.setattr(besov, "_lp_blocks", references.unpruned_lp_blocks)
+    for (q, time), value in norms.items():
+        ref = besov._lp_norm_q(comps, grid, domain, 0.6, q, time)
+        assert np.array_equal(value, ref), (q, time)
+    for q, D in rows.items():
+        assert np.array_equal(D, besov._pair_diff_norms(field, q,
+                                                        ("besov", -0.4))), q
 
 
 def test_q2_norm_holds_one_modes_and_one_power_array():

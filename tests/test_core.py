@@ -235,6 +235,8 @@ GRID_TABLES = {
     "spacetime_weight": (lambda g: besov._spacetime_weight(g, "whole", -1.0),
                          besov._spacetime_weight),
     "half_weight": (lambda g: besov._half_weight(g, 0.5), besov._half_weight),
+    "spatial_weight": (lambda g: besov._spatial_weight(g, "boundary", 0.5),
+                       besov._spatial_weight),
     "dct1_matrix": (lambda g: transforms.dct1_matrix(g.N_vert),
                     transforms.dct1_matrix),
     "spatial_k2": (potentials._spatial_k2, potentials._spatial_k2),

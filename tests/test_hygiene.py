@@ -334,11 +334,27 @@ def test_inverse_transforms_write_a_fresh_array(name):
                                        and out.id in fresh), ast.unparse(call)
 
 
+def _is_modes_view(node):
+    """Whether ``node`` is ``modes``, a subscript of it, or a conditional
+    between such views."""
+    if isinstance(node, ast.IfExp):
+        return _is_modes_view(node.body) and _is_modes_view(node.orelse)
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "modes"
+
+
 def test_inverse_half_passes_run_in_place():
     # the one COMPLEX_ALLOWED entry of transforms.py admits in-place passes
-    # over the modes only: each complex FFT writes back into its input
+    # over the modes only: each complex FFT writes back into its input,
+    # which is the modes or, for the pruned passes, a view of them
     fn = _function(ast.parse((PACKAGE / "transforms.py").read_text()),
                    "inverse_half")
+    views = {"modes"} | {target.id for node in ast.walk(fn)
+                         if isinstance(node, ast.Assign)
+                         and _is_modes_view(node.value)
+                         for target in node.targets
+                         if isinstance(target, ast.Name)}
     calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
              and _callee(node.func) in COMPLEX_FFTS]
     assert calls
@@ -346,6 +362,8 @@ def test_inverse_half_passes_run_in_place():
         out = _keyword(call, "out")
         assert call.args and out is not None \
             and ast.dump(out) == ast.dump(call.args[0]), ast.unparse(call)
+        assert isinstance(out, ast.Name) and out.id in views, \
+            ast.unparse(call)
 
 
 def test_package_imports_only_numpy():

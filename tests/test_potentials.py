@@ -174,6 +174,59 @@ def test_heat_equation_residual_low_mode():
     assert rel < 1e-6
 
 
+def _steady_whole(n, N, rng, ncomp):
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=N // 2 + 1,
+                  T=1.0, N_time=6)
+    lead = (ncomp,) if ncomp else ()
+    data = rng.standard_normal(lead + g.tan_shape + (g.n_vert_whole,))
+    if ncomp:
+        return VectorField(g, data, domain="whole", time_dependent=False)
+    return ScalarField(g, data, domain="whole", time_dependent=False)
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (2, 15), (3, 8), (3, 7)])
+def test_heat_trace_is_the_wall_row_of_the_evolution(n, N):
+    # the trace sums the vertical modes at y = 0 instead of inverting the
+    # whole evolution; both are the same discrete operator
+    h = _steady_whole(n, N, np.random.default_rng(n + N), ncomp=n)
+    fast = pot.heat_trace(h)
+    ref = tr.trace_boundary(pot.heat_semigroup(h))
+    assert isinstance(fast, BoundaryField) and fast.time_dependent
+    assert fast.data.shape == ref.data.shape
+    assert np.max(np.abs(fast.data - ref.data)) \
+        <= 1e-13 * np.max(np.abs(ref.data))
+
+
+def test_heat_trace_and_semigroup_reject_other_input():
+    g = grid2(Nv=9, Nt=5)
+    rng = np.random.default_rng(3)
+    half = VectorField(g, rng.standard_normal((2, g.N_tan, g.N_vert)),
+                       domain="half", time_dependent=False)
+    evolving = VectorField(g, rng.standard_normal(
+        (2, g.N_tan, g.n_vert_whole, g.N_time)), domain="whole")
+    for op in (pot.heat_trace, pot.heat_semigroup):
+        for h in (half, evolving):
+            with pytest.raises(ShapeMismatchError, match="steady whole"):
+                op(h)
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
+def test_heat_trace_and_semigroup_take_scalar_fields(n, N):
+    # a steady whole-space scalar has no component axis: the operators
+    # transform from axis 0 on, as for the first component of a vector
+    rng = np.random.default_rng(n)
+    h = _steady_whole(n, N, rng, ncomp=0)
+    vec = VectorField(h.grid, np.stack([h.data] + [np.zeros_like(h.data)]
+                                       * (n - 1)),
+                      domain="whole", time_dependent=False)
+    v = pot.heat_semigroup(h)
+    assert isinstance(v, ScalarField) and v.time_dependent
+    assert np.array_equal(v.data, pot.heat_semigroup(vec).data[0])
+    wall = pot.heat_trace(h)
+    assert isinstance(wall, BoundaryField) and wall.ncomp == 1
+    assert np.array_equal(wall.data, pot.heat_trace(vec).data[:1])
+
+
 # -- causal volume potentials ----------------------------------------------
 
 def _rand_whole(g, rng):
@@ -516,9 +569,53 @@ def test_gradient_heat_potential_smoothing():
     g = grid2(N=8, Nv=9, Nt=17)
     rng = np.random.default_rng(4)
     f = datagen.random_whole_field(g, rng, ncomp=1)
-    out = pot.gradient_heat_potential(f, axis=0)
-    assert out.data.shape == f.data.shape
-    assert np.max(np.abs(out.data[..., 0])) == 0.0
+    outs = pot.gradient_heat_potential(f)
+    assert len(outs) == g.n
+    for out in outs:
+        assert out.data.shape == f.data.shape
+        assert np.max(np.abs(out.data[..., 0])) == 0.0
+
+
+@pytest.mark.parametrize("n, N, ncomp", [(2, 16, 0), (2, 15, 2), (3, 8, 0),
+                                         (3, 7, 3)])
+def test_gradient_heat_potential_matches_per_axis_reference(n, N, ncomp):
+    # one Duhamel sweep serves every axis; each component is bitwise the
+    # per-axis path, which sweeps the modes anew for its one axis
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=N // 2 + 1,
+                  T=1.0, N_time=6)
+    rng = np.random.default_rng(n + N)
+    lead = (ncomp,) if ncomp else ()
+    data = rng.standard_normal(lead + g.tan_shape + (g.n_vert_whole,
+                                                     g.N_time))
+    f = (VectorField if ncomp else ScalarField)(g, data, domain="whole")
+    outs = pot.gradient_heat_potential(f)
+    assert len(outs) == n
+    for axis, out in enumerate(outs):
+        ref = references.gradient_heat_potential_axis(f, axis)
+        assert type(out) is type(f) and out.domain == "whole"
+        assert out.data.flags.c_contiguous and np.all(np.isfinite(out.data))
+        assert np.array_equal(out.data, ref.data), axis
+
+
+def test_gradient_heat_potential_peaks_as_the_per_axis_calls():
+    # all n outputs are alive at once either way; the shared sweep's
+    # scratch is freed before the last axis, so the peak does not rise
+    g = make_grid(2, L=2 * np.pi, N_tan=32, X=np.pi, N_vert=33, T=1.0,
+                  N_time=31)
+    f = ScalarField(g, np.random.default_rng(8).standard_normal(
+        g.tan_shape + (g.n_vert_whole, g.N_time)), domain="whole")
+    peaks = []
+    for run in (lambda: pot.gradient_heat_potential(f),
+                lambda: [references.gradient_heat_potential_axis(f, axis)
+                         for axis in range(g.n)]):
+        run()  # the per-grid tables are built
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.02 * peaks[1]
 
 
 # -- Poisson extension ------------------------------------------------------
@@ -675,5 +772,5 @@ def test_whole_space_heat_operators_return_c_ordered_data(n, N):
                     time_dependent=False)
     for out in (pot.stokes_volume_potential(F), pot.heat_volume_potential(f),
                 pot.heat_volume_potential_adjoint(f),
-                pot.gradient_heat_potential(f, 0), pot.heat_semigroup(h)):
+                *pot.gradient_heat_potential(f), pot.heat_semigroup(h)):
         assert out.data.flags.c_contiguous

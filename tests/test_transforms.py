@@ -601,6 +601,39 @@ def test_transforms_match_plain_numpy_bitwise(g, data, domain, offset):
         assert got.flags.c_contiguous and np.array_equal(got, back)
 
 
+@pytest.mark.parametrize("n, N, time_dependent", [
+    (2, 12, False), (2, 12, True), (3, 6, False), (3, 7, True)])
+def test_inverse_half_skips_vanishing_columns(n, N, time_dependent,
+                                              monkeypatch):
+    # with a width, the complex passes run over the leading columns of the
+    # halved axis only; the modes past them vanish, so irfftn is matched
+    # bitwise, and the passes leave those columns as they found them
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=N // 2 + 1,
+                  T=1.0, N_time=5)
+    rng = np.random.default_rng(n + N)
+    nt = (g.N_time,) if time_dependent else ()
+    data = rng.standard_normal((2,) + g.tan_shape + (g.n_vert_whole,) + nt)
+    axes = tuple(range(1, n + 1))
+    s = g.tan_shape + (g.n_vert_whole,)
+    modes = tr.whole_fft(data, g, offset=1)
+    width = 3
+    past = (slice(None),) * n + (slice(width, None),)
+    modes[past] = 0.0
+    ref = np.fft.irfftn(modes, s=s, axes=axes)
+    seen, ifft = [], np.fft.ifft
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape[n])
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    got = tr.inverse_half(modes, s, axes, out=np.empty(ref.shape),
+                          width=width)
+    assert np.array_equal(got, ref)
+    assert seen == [width] * (n - 1)
+    assert not np.any(modes[past])
+
+
 def _traced_peak(fn, *args):
     """(result, peak bytes that ``fn(*args)`` allocated above the start)."""
     tracemalloc.start()
@@ -677,5 +710,5 @@ def test_solver_runs_without_complex_transforms(monkeypatch):
                 tr.spectral_gradient(references.q_potential(vec)),
                 pot.heat_semigroup(vec), pot.heat_volume_potential(f),
                 pot.heat_volume_potential_adjoint(f),
-                pot.gradient_heat_potential(f, 0)):
+                *pot.gradient_heat_potential(f)):
         assert np.all(np.isfinite(out.data))
