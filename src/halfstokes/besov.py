@@ -32,7 +32,7 @@ are one cell volume, so by Plancherel every norm is one weighted sum of
 |modes|^2 (B^s_{2,2} = H^s), with the mode weight of
 :func:`_parseval_weight`.  The block path serves every other q.  The
 Gagliardo pair distances at q = 2 come from one Gram matrix of the time
-increments (:func:`_row_distances`).
+increments (:func:`_pair_powers`).
 
 Buffers: a norm transforms into arrays it allocates once per call and
 reuses for every component and block, and keeps none of them between
@@ -427,40 +427,37 @@ def _pair_diff_norms(field: Field, q: float, spatial_norm) -> np.ndarray:
     """Matrix D[i, j] of spatial norms of f(t_i) - f(t_j)."""
     grid = field.grid
     nt = grid.N_time
-    data = field.data
-    D = np.zeros((nt, nt))
+
+    def rows(x):  # contiguous, one row per time node
+        return np.ascontiguousarray(x.reshape(-1, nt).T)
+
     if spatial_norm == "lq":
         # sum w |f_k - f_i|^q = sum |w^(1/q) f_k - w^(1/q) f_i|^q
-        w = _weights(grid, field.domain, data.ndim, field.ncomp_axes)
-        rows = np.ascontiguousarray((data * w ** (1.0 / q)).reshape(-1, nt).T)
-        D = _row_distances(rows, q)
+        w = _weights(grid, field.domain, field.data.ndim, field.ncomp_axes)
+        P = _pair_powers(rows(field.data * w ** (1.0 / q)), q)
     elif isinstance(spatial_norm, tuple) and spatial_norm[0] == "besov":
         s_sp = spatial_norm[1]
         comps, domain = _components(field)
         part = partition_for(grid, domain)
-        axes = tuple(range(len(part.lengths) + 1))
         if q == 2.0:
             # sum_k W |F_k - F_i|^2: the modes pre-scaled by W^(1/2), their
             # real and imaginary parts laid out as one real row per time
-            modes = np.fft.rfftn(comps, axes=axes[1:], out=np.empty(
+            axes = tuple(range(1, len(part.lengths) + 1))
+            modes = np.fft.rfftn(comps, axes=axes, out=np.empty(
                 comps.shape[:1] + part.modulus.shape + (nt,), complex))
             with np.errstate(invalid="ignore"):  # inf modes times W = 0
                 modes *= np.sqrt(_spatial_weight(grid, domain,
                                                  s_sp))[..., None]
-            rows = np.ascontiguousarray(modes.reshape(-1, nt).T)
-            D = _row_distances(rows.view(float), 2.0)
+            P = _pair_powers(rows(modes).view(float), 2.0)
         else:
             # blocks are linear in f: each is transformed once for all times
+            P = 0.0
             for j, block in _lp_blocks(comps, part):
-                for i in range(nt - 1):
-                    diff = block[..., i + 1:] - block[..., i:i + 1]
-                    np.abs(diff, out=diff)
-                    diff **= q
-                    D[i, i + 1:] += 2.0 ** (j * s_sp * q) * part.cell \
-                        * np.sum(diff, axis=axes)
-            D = D ** (1.0 / q)
+                P = P + 2.0 ** (j * s_sp * q) * part.cell \
+                    * _pair_powers(rows(block), q)
     else:
         raise InvalidDataError(f"unknown spatial norm spec {spatial_norm!r}")
+    D = P ** (1.0 / q)
     return D + D.T
 
 
@@ -475,11 +472,11 @@ def _block_sums(G: np.ndarray) -> np.ndarray:
     return np.cumsum(np.triu(np.diagonal(G) + 2.0 * above), axis=1)
 
 
-def _row_distances(rows: np.ndarray, q: float) -> np.ndarray:
-    """Upper triangle of ``D[i, k] = (sum |rows[k] - rows[i]|^q)^(1/q)``
-    for contiguous rows, one per time node.
+def _pair_powers(rows: np.ndarray, q: float) -> np.ndarray:
+    """Upper triangle of ``P[i, k] = sum |rows[k] - rows[i]|^q`` for
+    contiguous rows, one per time node.
 
-    At q = 2, ``D[i, k]^2 = sum_{l, m in [i, k)} G[l, m]``, with ``G = d d^T``
+    At q = 2, ``P[i, k] = sum_{l, m in [i, k)} G[l, m]``, with ``G = d d^T``
     the Gram matrix (one BLAS product) of the increments
     ``d_l = rows[l + 1] - rows[l]``.  It errs by ulps of
     ``sum |G[l, m]| <= (sum_l |d_l|)^2``, where the row form
@@ -488,7 +485,7 @@ def _row_distances(rows: np.ndarray, q: float) -> np.ndarray:
     times that sum, or not finite, is formed from its own difference row.
     Any other q takes one row block of differences at a time."""
     nt = len(rows)
-    D = np.zeros((nt, nt))
+    P = np.zeros((nt, nt))
     if q == 2.0:
         with np.errstate(over="ignore", invalid="ignore"):
             d = np.diff(rows, axis=0)
@@ -499,14 +496,14 @@ def _row_distances(rows: np.ndarray, q: float) -> np.ndarray:
             m = np.flatnonzero(redo[i])
             diff = rows[m + 1] - rows[i]
             D2[i, m] = np.einsum("ij,ij->i", diff, diff)
-        D[:-1, 1:] = np.sqrt(D2)
-        return D
+        P[:-1, 1:] = D2
+        return P
     for i in range(nt - 1):
         diff = rows[i + 1:] - rows[i]
         np.abs(diff, out=diff)
         diff **= q
-        D[i, i + 1:] = np.sum(diff, axis=1) ** (1.0 / q)
-    return D
+        P[i, i + 1:] = np.sum(diff, axis=1)
+    return P
 
 
 def gagliardo_time_norm(field: Field, s2: float, q: float,
@@ -528,7 +525,7 @@ def gagliardo_time_norm(field: Field, s2: float, q: float,
     dt = grid.dt
     D = _pair_diff_norms(field, q, spatial_norm)
     p = (1.0 - s2) * q  # exponent of |t-s| after inserting the slope model
-    slopes = np.array([D[l, l + 1] / dt for l in range(nt - 1)])
+    slopes = np.diagonal(D, 1) / dt
 
     # diagonal cells (both halves of the square)
     diag = 2.0 * np.sum(slopes ** q) * dt ** (p + 1.0) / (p * (p + 1.0))
@@ -537,27 +534,20 @@ def gagliardo_time_norm(field: Field, s2: float, q: float,
     adj = 2.0 * np.sum(m_eff ** q) * dt ** (p + 1.0) * (2.0 ** (p + 1.0) - 2.0) \
         / (p * (p + 1.0))
 
-    # distant cells: 2x2 Gauss with bilinear interpolation of D
-    total = diag + adj
-    if nt >= 4:
-        ncell = nt - 1
-        l_idx, k_idx = np.meshgrid(np.arange(ncell), np.arange(ncell), indexing="ij")
-        mask = (k_idx - l_idx) >= 2
-        if np.any(mask):
-            c00 = D[:-1, :-1][mask]
-            c01 = D[:-1, 1:][mask]
-            c10 = D[1:, :-1][mask]
-            c11 = D[1:, 1:][mask]
-            sep = (k_idx - l_idx)[mask].astype(float)
-            g = 0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)
-            cell = np.zeros_like(c00)
-            for eta in g:      # position inside the s-interval (index l)
-                for xi in g:   # position inside the t-interval (index k)
-                    G = (c00 * (1 - eta) * (1 - xi) + c01 * (1 - eta) * xi
-                         + c10 * eta * (1 - xi) + c11 * eta * xi)
-                    lag = (sep + xi - eta) * dt
-                    cell += 0.25 * G ** q / lag ** (1.0 + s2 * q)
-            total += 2.0 * np.sum(cell) * dt * dt
+    # distant cells (k - l >= 2): 2x2 Gauss with bilinear interpolation of D
+    l_idx, k_idx = np.triu_indices(nt - 1, 2)
+    c00, c01 = D[l_idx, k_idx], D[l_idx, k_idx + 1]
+    c10, c11 = D[l_idx + 1, k_idx], D[l_idx + 1, k_idx + 1]
+    sep = (k_idx - l_idx).astype(float)
+    g = 0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)
+    cell = np.zeros_like(c00)
+    for eta in g:      # position inside the s-interval (index l)
+        for xi in g:   # position inside the t-interval (index k)
+            G = (c00 * (1 - eta) * (1 - xi) + c01 * (1 - eta) * xi
+                 + c10 * eta * (1 - xi) + c11 * eta * xi)
+            lag = (sep + xi - eta) * dt
+            cell += 0.25 * G ** q / lag ** (1.0 + s2 * q)
+    total = diag + adj + 2.0 * np.sum(cell) * dt * dt
     return float(total) ** (1.0 / q)
 
 

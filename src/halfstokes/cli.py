@@ -198,10 +198,20 @@ def _fail(report, out_dir, code, message):
 def cmd_solve_stokes(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
     h, g, F = _build_data(cfg, grid, args.seed)
-    sol = stk.solve_stokes(h, g, F, index=index, with_norms=True)
+    # an overflow is reported below, as one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = stk.solve_stokes(h, g, F, index=index, with_norms=True)
     report["diagnostics"] = {k: v for k, v in sol.diagnostics.items()
                              if k != "norms"}
     report["norms"] = sol.diagnostics.get("norms", {})
+    bad = [k for k, v in {**report["diagnostics"], **report["norms"]}.items()
+           if not np.isfinite(v)]
+    if not np.all(np.isfinite(sol.u.data)):
+        bad.insert(0, "velocity")
+    if bad:
+        return _fail(report, out_dir, EXIT_VERIFY,
+                     f"overflow: {', '.join(bad)} not finite; reduce [data] "
+                     "amplitude")
     io.save_field(sol.u, out_dir / "velocity")
     io.export_csv_slice(sol.u, out_dir / "velocity_wall.csv")
     io.write_report(report, out_dir / "report.json")
@@ -222,8 +232,10 @@ def cmd_solve_ns(args) -> int:
         raise ConfigError(f"[picard] tol = {tol:g} must be finite and "
                           "positive")
     try:
-        u, trace = nsmod.picard_solve(h, g, index, max_iter=max_iter,
-                                      tol=tol * args.tolerance_scale)
+        # picard_solve stops on an overflow, which is reported as one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, trace = nsmod.picard_solve(h, g, index, max_iter=max_iter,
+                                          tol=tol * args.tolerance_scale)
     except PicardDivergenceError as exc:
         report["trace"] = exc.trace.as_dict() if exc.trace else []
         return _fail(report, out_dir, EXIT_DIVERGED, f"diverged: {exc}")
@@ -238,6 +250,9 @@ def cmd_solve_ns(args) -> int:
 
 def cmd_verify_ops(args) -> int:
     cfg, grid, index, out_dir, report = _common_setup(args)
+    if grid.n != 2:
+        raise ConfigError(f"verify-ops draws two-dimensional samples for "
+                          f"every ratio target, got [grid] n = {grid.n}")
     samples = _number(cfg, "verify", "samples", 20, int)
     if samples < 1:
         raise ConfigError(f"[verify] samples = {samples} must be at least 1")

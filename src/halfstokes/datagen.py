@@ -15,6 +15,7 @@ from numpy.polynomial import Polynomial
 from .core import (BoundaryField, HalfSpaceGrid, ScalarField, TensorField,
                    VectorField)
 from .errors import InvalidDataError, ShapeMismatchError
+from . import transforms as tr
 
 
 def _require_2d(grid: HalfSpaceGrid):
@@ -118,8 +119,6 @@ class ForcedManufactured:
         exactly solenoidal on every grid (matches the analytic velocity up to
         the sampling-aliasing level)."""
         _require_2d(grid)
-        from . import transforms as trm
-
         a = self.decay
         kx = 2.0 * np.pi * self.k1 / grid.L
         x = grid.tan_nodes[:, None]
@@ -128,10 +127,10 @@ class ForcedManufactured:
         psi = self.amplitude * self._c(0.0) * np.cos(kx * x) * p5 \
             * np.exp(-a * yw ** 2)
         psi_f = ScalarField(grid, psi, domain="whole", time_dependent=False)
-        gradpsi = trm.spectral_gradient(psi_f)
+        gradpsi = tr.spectral_gradient(psi_f)
         u_whole = VectorField(grid, np.stack([gradpsi.data[1], -gradpsi.data[0]]),
                               domain="whole", time_dependent=False)
-        return trm.restrict_half(u_whole)
+        return tr.restrict_half(u_whole)
 
     def boundary_data(self, grid: HalfSpaceGrid) -> BoundaryField:
         shape = (grid.n,) + grid.tan_shape + (grid.N_time,)
@@ -272,8 +271,6 @@ def random_divfree_whole(grid: HalfSpaceGrid, rng) -> VectorField:
     """Random solenoidal steady field on the whole reflected axis, as the
     discrete curl of a random band-limited stream function (modes k = 1, 2,
     m = 0, 1, 2); the normal component has a nonzero wall trace in general."""
-    from . import transforms as trm
-
     _require_2d(grid)
     x = grid.tan_nodes[:, None]
     y = grid.whole_vert_nodes[None, :]
@@ -286,7 +283,7 @@ def random_divfree_whole(grid: HalfSpaceGrid, rng) -> VectorField:
             psi += amp * np.cos(2 * np.pi * k * x / grid.L + phase) \
                 * np.cos(np.pi * m * y / grid.X + vphase)
     psi_f = ScalarField(grid, psi, domain="whole", time_dependent=False)
-    gp = trm.spectral_gradient(psi_f)
+    gp = tr.spectral_gradient(psi_f)
     return VectorField(grid, np.stack([gp.data[1], -gp.data[0]]),
                        domain="whole", time_dependent=False)
 

@@ -37,7 +37,7 @@ from .errors import NotDivergenceFreeError, ShapeMismatchError
 from .numerics import derivative_matrix
 
 # relative divergence above which a field is not solenoidal
-_SOLENOIDAL_TOL = 1e-8
+SOLENOIDAL_TOL = 1e-8
 
 # ---------------------------------------------------------------------------
 # lattices
@@ -310,7 +310,7 @@ def extend_solenoidal(h: VectorField) -> VectorField:
     package generates).  A nonzero wall trace of the normal component makes
     the odd reflection jump across the wall; that case is surfaced as a
     warning diagnostic and the extension proceeds.  Fields whose extension
-    divergence exceeds ``_SOLENOIDAL_TOL`` relative without a wall jump to
+    divergence exceeds ``SOLENOIDAL_TOL`` relative without a wall jump to
     blame are rejected.
     """
     if h.domain != "half":
@@ -333,10 +333,10 @@ def extend_solenoidal(h: VectorField) -> VectorField:
             f"normal component has wall trace of magnitude {wall_mag:.3e}; "
             "odd reflection extension jumps across the wall",
             RuntimeWarning, stacklevel=2)
-    elif rel > _SOLENOIDAL_TOL:
+    elif rel > SOLENOIDAL_TOL:
         raise NotDivergenceFreeError(
             f"relative extension divergence {rel:.3e} exceeds tolerance "
-            f"{_SOLENOIDAL_TOL:.1e}")
+            f"{SOLENOIDAL_TOL:.1e}")
     return ext
 
 
@@ -358,25 +358,3 @@ def trace_boundary(field: Field) -> BoundaryField:
     if isinstance(field, ScalarField):
         wall = wall[np.newaxis]
     return BoundaryField(field.grid, wall, time_dependent=field.time_dependent)
-
-
-def normal_trace_norm(u: VectorField, index) -> float:
-    """Negative-order boundary norm of the wall trace of the normal component
-    of a steady whole-space field.
-
-    For divergence-free u the wall trace of u_n controls in the
-    order -1/q boundary norm.
-    """
-    from . import besov
-
-    div = spectral_divergence(u)
-    scale = max(u.max_abs() / u.grid.X, 1e-300)
-    if div.max_abs() / scale > _SOLENOIDAL_TOL:
-        raise NotDivergenceFreeError(
-            "normal trace norm requires a solenoidal field")
-    wall = trace_boundary(u)
-    un = BoundaryField(u.grid, wall.data[u.grid.n - 1 : u.grid.n],
-                       time_dependent=u.time_dependent)
-    # LP realization directly: the order -1/q sits on the boundary
-    # -1 + 1/q of the duality window at q = 2
-    return besov.lp_norm(un, -1.0 / index.q, index.q)

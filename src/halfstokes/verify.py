@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (BesovIndex, BoundaryField, HalfSpaceGrid, VectorField,
                    parabolic_scale)
-from .errors import ConfigError
+from .errors import ConfigError, NotDivergenceFreeError
 from . import besov
 from . import datagen
 from . import potentials as pot
@@ -84,9 +84,29 @@ def _target_poisson_spatial(index, grid, rng):
     return out_norm, in_norm
 
 
+def normal_trace_norm(u: VectorField, index) -> float:
+    """Negative-order boundary norm of the wall trace of the normal component
+    of a steady whole-space field.
+
+    For divergence-free u the wall trace of u_n controls in the
+    order -1/q boundary norm.
+    """
+    div = tr.spectral_divergence(u)
+    scale = max(u.max_abs() / u.grid.X, 1e-300)
+    if div.max_abs() / scale > tr.SOLENOIDAL_TOL:
+        raise NotDivergenceFreeError(
+            "normal trace norm requires a solenoidal field")
+    wall = tr.trace_boundary(u)
+    un = BoundaryField(u.grid, wall.data[u.grid.n - 1 : u.grid.n],
+                       time_dependent=u.time_dependent)
+    # LP realization directly: the order -1/q sits on the boundary
+    # -1 + 1/q of the duality window at q = 2
+    return besov.lp_norm(un, -1.0 / index.q, index.q)
+
+
 def _target_normal_trace(index, grid, rng):
     u = datagen.random_divfree_whole(grid, rng)
-    out_norm = tr.normal_trace_norm(u, index)
+    out_norm = normal_trace_norm(u, index)
     in_norm = besov.field_lq(tr.restrict_half(u), index.q)
     return out_norm, in_norm
 

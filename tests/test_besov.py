@@ -528,7 +528,7 @@ def test_q2_row_distances_agree_with_difference_loop(kind, nt):
     # the increment Gram form, with near-returns formed again by the guard
     rows = _time_rows(kind, nt)
     ref = _loop_distances(rows, 2.0)
-    got = besov._row_distances(rows, 2.0)
+    got = besov._pair_powers(rows, 2.0) ** 0.5
     assert np.all(np.tril(got) == 0.0)
     iu = np.triu_indices(nt, 1)
     assert np.all(np.abs(got[iu] - ref[iu]) <= 1e-12 * ref[iu]), kind
@@ -536,14 +536,14 @@ def test_q2_row_distances_agree_with_difference_loop(kind, nt):
 
 def test_q2_row_distances_of_constant_rows_are_exact_zeros():
     rows = np.full((33, 50), 3.7)
-    assert np.all(besov._row_distances(rows, 2.0) == 0.0)
+    assert np.all(besov._pair_powers(rows, 2.0) ** 0.5 == 0.0)
 
 
 @pytest.mark.parametrize("q", [2.5, 1.5])
 @pytest.mark.parametrize("kind", ["smooth", "noise", "return"])
 def test_row_distances_off_q2_are_the_difference_loop(kind, q):
     rows = _time_rows(kind, 17)
-    assert np.array_equal(besov._row_distances(rows, q),
+    assert np.array_equal(besov._pair_powers(rows, q) ** (1.0 / q),
                           _loop_distances(rows, q))
 
 
@@ -597,7 +597,7 @@ def _fresh_q2_pair_diffs(field, s):
     modes = np.fft.rfftn(comps, axes=tuple(range(1, len(part.lengths) + 1)))
     modes *= np.sqrt(besov._parseval_weight(part, s))[..., None]
     rows = np.ascontiguousarray(modes.reshape(-1, nt).T)
-    D = besov._row_distances(rows.view(float), 2.0)
+    D = besov._pair_powers(rows.view(float), 2.0) ** 0.5
     return D + D.T
 
 

@@ -4,8 +4,9 @@ live under ``tests/``); every dataclass field is read in the package, its
 tests or its benchmark; every default is set by some caller; real data go
 through real transforms, and the one named exception still makes a complex
 call; the norm engine and the transforms write into buffers, and an
-inverse's complex passes run in place; the package imports no scipy; it
-tunes no allocator; and it memoizes only through ``core.grid_table``."""
+inverse's complex passes run in place; the package imports no scipy, and
+only at module level; it tunes no allocator; and it memoizes only through
+``core.grid_table``."""
 
 import ast
 import json
@@ -442,3 +443,14 @@ def test_package_memoizes_only_through_grid_table():
             found += [f"{path.name}:{line}"
                       for line in _memo_uses(ast.parse(path.read_text()))]
     assert not found, f"a cache outside core.grid_table: {found}"
+
+
+def test_package_imports_only_at_module_level():
+    # a function-level import hides an edge of the module graph, or a cycle
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert not found, f"imports inside package functions: {sorted(found)}"

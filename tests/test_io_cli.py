@@ -160,6 +160,52 @@ def test_cli_overflowing_picard_exits_diverged(tmp_path):
     assert steps and all(s["solution_norm"] is not None for s in steps)
 
 
+def _run_overflowing(tmp_path, command, amplitude):
+    """``command`` in a fresh interpreter, so that numpy warnings reach
+    stderr as a user sees them, on data of ``amplitude``."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(CONFIG.format(amplitude=amplitude, max_iter=20)
+                   .replace("n_time = 16", "n_time = 8"))
+    out = tmp_path / "blowup"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "halfstokes.cli", command,
+                          "--config", str(cfg), "--out", str(out)],
+                         capture_output=True, text=True, env=env)
+    return run, out
+
+
+def test_cli_solve_ns_overflowing_first_solve_prints_one_line(tmp_path):
+    run, out = _run_overflowing(tmp_path, "solve-ns", "1e306")
+    assert run.returncode == cli.EXIT_DIVERGED
+    assert run.stderr.splitlines() == ["error: diverged: overflow after 0 "
+                                       "steps"]
+    assert json.loads((out / "report.json").read_text())["error"]["code"] \
+        == cli.EXIT_DIVERGED
+
+
+@pytest.mark.parametrize("amplitude, first", [("1e306", "velocity"),
+                                               ("1e200", "div_residual")])
+def test_cli_overflowing_solve_stokes_is_verification_failure(
+        tmp_path, amplitude, first):
+    # 1e306 overflows the velocity, 1e200 only the squares of its residual
+    # and part norms; neither may print "ok" over null diagnostics
+    run, out = _run_overflowing(tmp_path, "solve-stokes", amplitude)
+    assert run.returncode == cli.EXIT_VERIFY
+    assert run.stdout == ""
+    assert run.stderr.splitlines() == [run.stderr.strip()]
+    assert run.stderr.startswith(f"error: overflow: {first}")
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["code"] == cli.EXIT_VERIFY
+    assert report["diagnostics"]["div_residual"] is None
+    assert not (out / "velocity.bin").exists()
+
+
+def test_cli_verify_ops_on_3d_grid_is_config_error(tmp_path, capsys):
+    # every ratio target draws two-dimensional samples
+    err = config_error(tmp_path, capsys, "verify-ops", {("grid", "n"): "3"})
+    assert err.startswith("config error: verify-ops") and "[grid] n = 3" in err
+
+
 def test_cli_nonfinite_amplitude_is_config_error(tmp_path):
     cfg = write_config(tmp_path, amplitude="nan")
     code = cli.main(["solve-stokes", "--config", cfg,

@@ -180,32 +180,6 @@ def test_trace_boundary_requires_wall_node():
     assert wall.data.shape == (1, g.N_tan, g.N_time)
 
 
-def test_normal_trace_norm_single_mode_closed_form():
-    g = grid2(Nv=17)
-    idx = BesovIndex.critical_index(1.0, 2)
-    rng = np.random.default_rng(7)
-    u = datagen.random_divfree_whole(g, rng)
-    val = tr.normal_trace_norm(u, idx)
-    # recompute from the wall trace directly through the block weights
-    from halfstokes import besov
-    wall = tr.trace_boundary(u)
-    un = BoundaryField(g, wall.data[1:2], time_dependent=False)
-    ref = besov.lp_norm(un, -1.0 / idx.q, idx.q)
-    assert np.isclose(val, ref)
-    # non-solenoidal input is rejected
-    bad = VectorField(g, np.stack([u.data[0], np.abs(u.data[1]) + 1.0]),
-                      domain="whole", time_dependent=False)
-    with pytest.raises(NotDivergenceFreeError):
-        tr.normal_trace_norm(bad, idx)
-    # only a steady whole-space field is accepted
-    with pytest.raises(ShapeMismatchError, match="whole-space"):
-        tr.normal_trace_norm(tr.restrict_half(u), idx)
-    moving = VectorField(g, np.repeat(u.data[..., None], g.N_time, axis=-1),
-                         domain="whole")
-    with pytest.raises(ShapeMismatchError, match="single time slice"):
-        tr.normal_trace_norm(moving, idx)
-
-
 def test_three_dimensional_projection_identities():
     g = make_grid(3, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=5, T=1.0,
                   N_time=2)

@@ -1,10 +1,17 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import halfstokes
 from halfstokes.core import (BesovIndex, BoundaryField, ScalarField,
                              VectorField, make_grid)
-from halfstokes.errors import HalfStokesError, ShapeMismatchError
+from halfstokes.errors import (HalfStokesError, NotDivergenceFreeError,
+                               ShapeMismatchError)
 from halfstokes import besov, datagen, potentials as pot, verify
+from halfstokes import transforms as tr
 
 import oracles
 import references
@@ -210,18 +217,73 @@ def test_trace_and_riesz_ratio_targets_bounded():
         assert all(np.isfinite(r) for r in rep[name]["levels"][0]["ratios"])
 
 
+def _divfree_whole():
+    g = make_grid(2, L=2 * np.pi, N_tan=16, X=np.pi, N_vert=17, T=1.0,
+                  N_time=4)
+    return datagen.random_divfree_whole(g, np.random.default_rng(7))
+
+
+def test_normal_trace_norm_single_mode_closed_form():
+    u = _divfree_whole()
+    val = verify.normal_trace_norm(u, IDX)
+    # recompute from the wall trace directly through the block weights
+    wall = tr.trace_boundary(u)
+    un = BoundaryField(u.grid, wall.data[1:2], time_dependent=False)
+    assert np.isclose(val, besov.lp_norm(un, -1.0 / IDX.q, IDX.q))
+
+
+def test_normal_trace_norm_rejects_a_non_solenoidal_field():
+    u = _divfree_whole()
+    bad = VectorField(u.grid, np.stack([u.data[0], np.abs(u.data[1]) + 1.0]),
+                      domain="whole", time_dependent=False)
+    with pytest.raises(NotDivergenceFreeError):
+        verify.normal_trace_norm(bad, IDX)
+
+
+def test_normal_trace_norm_takes_only_a_steady_whole_space_field():
+    u = _divfree_whole()
+    with pytest.raises(ShapeMismatchError, match="whole-space"):
+        verify.normal_trace_norm(tr.restrict_half(u), IDX)
+    moving = VectorField(u.grid, np.repeat(u.data[..., None], u.grid.N_time,
+                                           axis=-1), domain="whole")
+    with pytest.raises(ShapeMismatchError, match="single time slice"):
+        verify.normal_trace_norm(moving, IDX)
+
+
+def _grid_tables():
+    """Every memoized table of the package: the functions with ``entries``,
+    one per ``@grid_table`` in its source."""
+    tables, decorated = {}, 0
+    for info in pkgutil.iter_modules(halfstokes.__path__, "halfstokes."):
+        module = importlib.import_module(info.name)
+        decorated += inspect.getsource(module).count("\n@grid_table\n")
+        tables.update({f"{obj.__module__}.{obj.__name__}": obj
+                       for obj in vars(module).values()
+                       if hasattr(obj, "entries")})
+    assert len(tables) == decorated > 0
+    return tables
+
+
 def test_norm_caches_hold_one_ratio_study(monkeypatch):
-    # the per-grid partitions (with their windows) and the space-time q = 2
-    # weights of a whole study fit their caches: run again on the same
-    # grids, the study builds no dyadic window
+    # every per-grid table holds the working set of a whole study (the
+    # spatial weights need all TABLE_SIZE entries): run again on the same
+    # grids, the study finds each entry it uses, rebuilds none of them and
+    # builds no dyadic window
     g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0,
                   N_time=8)
     names = list(verify.ratio_targets(IDX))
+    assert len(names) == 13
+    tables = _grid_tables()
     verify.operator_ratio_study(names, IDX, g, samples=1, refinements=1)
+    first = {name: dict(t.entries) for name, t in tables.items()}
     built = []
     window = besov.DyadicPartition.window
     monkeypatch.setattr(besov.DyadicPartition, "window",
                         lambda self, j, kabs: built.append(j)
                         or window(self, j, kabs))
     verify.operator_ratio_study(names, IDX, g, samples=1, refinements=1)
+    rebuilt = sorted((name, len(t.entries)) for name, t in tables.items()
+                     if any(first[name].get(key) is not value
+                            for key, value in t.entries.items()))
+    assert not rebuilt, f"tables that rebuilt entries (size): {rebuilt}"
     assert built == []
