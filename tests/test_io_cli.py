@@ -200,6 +200,22 @@ def test_cli_overflowing_solve_stokes_is_verification_failure(
     assert not (out / "velocity.bin").exists()
 
 
+def test_cli_solve_stokes_below_boundary_order_leaves_compat_norm_null(
+        tmp_path):
+    # at alpha = 0.3, q = 4/1.3: alpha - 1/q < 0, so the compatibility norm
+    # is undefined (NaN) by design and is not an overflow
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(CONFIG.format(amplitude=0.2, max_iter=20)
+                   .replace("alpha = 1.0", "alpha = 0.3"))
+    out = tmp_path / "run"
+    assert cli.main(["solve-stokes", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["diagnostics"]["compat_norm"] is None
+    assert "error" not in report
+    assert (out / "velocity.bin").exists()
+
+
 def test_cli_verify_ops_on_3d_grid_is_config_error(tmp_path, capsys):
     # every ratio target draws two-dimensional samples
     err = config_error(tmp_path, capsys, "verify-ops", {("grid", "n"): "3"})
