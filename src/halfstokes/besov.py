@@ -241,18 +241,14 @@ def _check_exponent(q):
         raise NormOrderError(f"q must lie in (1, inf), got {q}")
 
 
-def _components(field: Field, extension: str = "even",
-                q: float | None = None):
-    """``(comps, domain)``: the components of ``field``, or of its
-    whole-space reflection (``extension``: "even", or "solenoidal" for
-    vector fields), flattened onto the first axis in the periodic layout
-    of the transforms, ``(component, *tan[, vert][, time])``.  At ``q`` = 2
-    the even reflection is not formed: a half-space field keeps its
+def _components(field: Field, q: float | None = None):
+    """``(comps, domain)``: the components of ``field``, or of its even
+    whole-space reflection, flattened onto the first axis in the periodic
+    layout of the transforms, ``(component, *tan[, vert][, time])``.  At
+    ``q`` = 2 the reflection is not formed: a half-space field keeps its
     samples and domain "half" (see :func:`_lp_norm_q`)."""
-    if field.domain != "half" or (q == 2.0 and extension == "even"):
+    if field.domain != "half" or q == 2.0:
         work = field
-    elif extension == "solenoidal" and isinstance(field, VectorField):
-        work = tr.extend_solenoidal(field)
     else:
         work = tr.extend_even(field)
     data = work.data
@@ -383,16 +379,14 @@ def _lp_norm_q(comps: np.ndarray, grid: HalfSpaceGrid, domain: str,
     return acc
 
 
-def lp_norm(field: Field, s: float, q: float,
-            extension: str = "even") -> float:
+def lp_norm(field: Field, s: float, q: float) -> float:
     """Homogeneous spatial Besov norm of order ``s``:
     ``( sum_j 2^{j s q} |block_j f|_{L^q}^q )^{1/q}``.
 
     Time-dependent fields are not accepted here (use
     :func:`lq_time_lp_space` or :func:`aniso_norm`).  Half-space fields are
-    measured through a vertical reflection (``extension``: "even" or
-    "solenoidal"); at q = 2 the even one is not formed, its vertical
-    transform is the DCT-I of the samples.
+    measured through their even vertical reflection; at q = 2 it is not
+    formed, its vertical transform is the DCT-I of the samples.
     """
     _check_order(s)
     _check_exponent(q)
@@ -400,7 +394,7 @@ def lp_norm(field: Field, s: float, q: float,
         raise ShapeMismatchError("lp_norm expects a single time slice")
     if field.data.size == 0:
         raise ShapeMismatchError("empty field")
-    comps, domain = _components(field, extension, q)
+    comps, domain = _components(field, q)
     return float(_lp_norm_q(comps, field.grid, domain, s, q)) ** (1.0 / q)
 
 
@@ -599,11 +593,11 @@ def _spacetime_weight(grid: HalfSpaceGrid, domain: str, s: float):
 
 
 def data_norm_M0(h: VectorField, g: BoundaryField, index) -> float:
-    """Composite size of the data pair: initial-data Besov norm, the
-    anisotropic boundary norm of g, and the two mixed norms of the normal
-    boundary component."""
+    """Composite size of the data pair: the Besov norm of the solenoidal
+    whole-space extension of h, the anisotropic boundary norm of g, and the
+    two mixed norms of the normal boundary component."""
     alpha, q = index.alpha, index.q
-    term_h = lp_norm(h, alpha - 2.0 / q, q, extension="solenoidal")
+    term_h = lp_norm(tr.extend_solenoidal(h), alpha - 2.0 / q, q)
     s_b = alpha - 1.0 / q
     if s_b <= 0:
         raise NormOrderError(

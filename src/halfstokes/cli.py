@@ -22,8 +22,9 @@ from . import navier_stokes as nsmod
 from . import stokes as stk
 from .core import (BesovIndex, BoundaryField, HalfSpaceGrid, VectorField,
                    make_grid)
-from .errors import (ConfigError, HalfStokesError, NormOrderError,
-                     PicardDivergenceError, ShapeMismatchError)
+from .errors import (ConfigError, HalfStokesError, InvalidDataError,
+                     NormOrderError, PicardDivergenceError,
+                     ShapeMismatchError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -170,33 +171,20 @@ def _build_data(cfg: dict, grid, seed: int):
     raise ConfigError(f"unknown data family {family!r}")
 
 
-def _common_setup(args):
+def _common_setup(args, report):
     if not 0.0 < args.tolerance_scale < np.inf:
         raise ConfigError(f"--tolerance-scale = {args.tolerance_scale:g} "
                           "must be finite and positive")
     if not 0 <= args.seed < 2 ** 64:
         raise ConfigError(f"--seed = {args.seed} must be an unsigned 64-bit "
                           "integer")
-    cfg = _parse_config(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    report["config"] = cfg = _parse_config(args.config)
     grid = _build_grid(cfg)
-    index = _build_index(cfg, grid.n)
-    report = io.base_report(cfg)
-    report["seed"] = args.seed
-    report["tolerance_scale"] = args.tolerance_scale
-    return cfg, grid, index, out_dir, report
+    return cfg, grid, _build_index(cfg, grid.n)
 
 
-def _fail(report, out_dir, code, message):
-    report["error"] = {"code": code, "message": message}
-    io.write_report(report, out_dir / "report.json")
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def cmd_solve_stokes(args) -> int:
-    cfg, grid, index, out_dir, report = _common_setup(args)
+def cmd_solve_stokes(args, report) -> int:
+    cfg, grid, index = _common_setup(args, report)
     h, g, F = _build_data(cfg, grid, args.seed)
     # an overflow is reported below, as one line
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,19 +200,17 @@ def cmd_solve_stokes(args) -> int:
     if not np.all(np.isfinite(sol.u.data)):
         bad.insert(0, "velocity")
     if bad:
-        return _fail(report, out_dir, EXIT_VERIFY,
-                     f"overflow: {', '.join(bad)} not finite; reduce [data] "
-                     "amplitude")
-    io.save_field(sol.u, out_dir / "velocity")
-    io.export_csv_slice(sol.u, out_dir / "velocity_wall.csv")
-    io.write_report(report, out_dir / "report.json")
+        raise InvalidDataError(f"overflow: {', '.join(bad)} not finite; "
+                               "reduce [data] amplitude")
+    io.save_field(sol.u, Path(args.out) / "velocity")
+    io.export_csv_slice(sol.u, Path(args.out) / "velocity_wall.csv")
     print(f"solve-stokes ok: residuals div={report['diagnostics']['div_residual']:.3e} "
           f"boundary={report['diagnostics']['boundary_residual']:.3e}")
     return EXIT_OK
 
 
-def cmd_solve_ns(args) -> int:
-    cfg, grid, index, out_dir, report = _common_setup(args)
+def cmd_solve_ns(args, report) -> int:
+    cfg, grid, index = _common_setup(args, report)
     _require_critical(index, "solve-ns")
     h, g, _ = _build_data(cfg, grid, args.seed)
     max_iter = _number(cfg, "picard", "max_iter", 50, int)
@@ -241,18 +227,17 @@ def cmd_solve_ns(args) -> int:
                                           tol=tol * args.tolerance_scale)
     except PicardDivergenceError as exc:
         report["trace"] = exc.trace.as_dict() if exc.trace else []
-        return _fail(report, out_dir, EXIT_DIVERGED, f"diverged: {exc}")
+        raise
     report["trace"] = trace.as_dict()
-    io.save_field(u, out_dir / "velocity")
-    io.write_report(report, out_dir / "report.json")
+    io.save_field(u, Path(args.out) / "velocity")
     ratios = trace.ratios()
     print(f"solve-ns ok: steps={len(trace.steps)} "
           f"last_ratio={ratios[-1] if ratios else float('nan'):.4f}")
     return EXIT_OK
 
 
-def cmd_verify_ops(args) -> int:
-    cfg, grid, index, out_dir, report = _common_setup(args)
+def cmd_verify_ops(args, report) -> int:
+    cfg, grid, index = _common_setup(args, report)
     if grid.n != 2:
         raise ConfigError(f"verify-ops draws two-dimensional samples for "
                           f"every ratio target, got [grid] n = {grid.n}")
@@ -286,20 +271,18 @@ def cmd_verify_ops(args) -> int:
         {"target": k, "max_ratios": [lv["max_ratio"] for lv in v["levels"]],
          "drift": v["drift"]}
         for k, v in study.items()]
-    io.write_report(report, out_dir / "report.json")
     limit = 0.25 * args.tolerance_scale
     bad = [k for k, v in study.items() if not v["drift"] < limit]
     for row in report["ratio_studies"]:
         print(f"{row['target']:24s} max={row['max_ratios']} "
               f"drift={row['drift']:.3f}")
     if bad:
-        return _fail(report, out_dir, EXIT_VERIFY,
-                     f"ratio drift beyond {limit:.2f}: {bad}")
+        raise HalfStokesError(f"ratio drift beyond {limit:.2f}: {bad}")
     return EXIT_OK
 
 
-def cmd_norms(args) -> int:
-    cfg, grid, index, out_dir, report = _common_setup(args)
+def cmd_norms(args, report) -> int:
+    cfg, grid, index = _common_setup(args, report)
     try:
         field = io.load_field(args.field)
     except (OSError, HalfStokesError) as exc:
@@ -309,33 +292,27 @@ def cmd_norms(args) -> int:
     if not np.all(np.isfinite(field.data)):
         raise ConfigError(f"field snapshot {args.field} holds non-finite "
                           "values")
-    sec = cfg.get("norms", {})
-    kind = sec.get("kind", "aniso")
+    norms = {"aniso": besov.aniso_norm, "lp": besov.lp_norm,
+             "lq": lambda f, s, q: besov.field_lq(f, q),
+             "lq_time_lp_space": besov.lq_time_lp_space}
+    kind = cfg.get("norms", {}).get("kind", "aniso")
+    if kind not in norms:
+        raise ConfigError(f"[norms] kind = {kind!r} is unknown: the known "
+                          f"kinds are {list(norms)}")
     s = _number(cfg, "norms", "s", index.alpha)
     q = _number(cfg, "norms", "q", index.q)
     try:
-        if kind == "aniso":
-            value = besov.aniso_norm(field, s, q)
-        elif kind == "lp":
-            value = besov.lp_norm(field, s, q)
-        elif kind == "lq":
-            value = besov.field_lq(field, q)
-        elif kind == "lq_time_lp_space":
-            value = besov.lq_time_lp_space(field, s, q)
-        else:
-            return _fail(report, out_dir, EXIT_CONFIG,
-                         f"unknown norm kind {kind!r}")
+        value = norms[kind](field, s, q)
     except (ShapeMismatchError, NormOrderError) as exc:
         raise ConfigError(f"norm kind {kind!r} does not fit the field: {exc}") \
             from exc
     report["norms"] = {kind: value, "s": s, "q": q}
-    io.write_report(report, out_dir / "report.json")
     print(f"{kind} norm = {value!r}")
     return EXIT_OK
 
 
-def cmd_scaling(args) -> int:
-    cfg, grid, index, out_dir, report = _common_setup(args)
+def cmd_scaling(args, report) -> int:
+    cfg, grid, index = _common_setup(args, report)
     _require_critical(index, "scaling")
     h, g, _ = _build_data(cfg, grid, args.seed)
     lambdas = _number(cfg, "scaling", "lambdas", "0.5,2.0",
@@ -344,16 +321,16 @@ def cmd_scaling(args) -> int:
     if bad:
         raise ConfigError(f"[scaling] lambdas must be finite and positive, "
                           f"got {bad}")
-    study = verify.scaling_invariance_check(h, g, index, lambdas)
+    # the study stops on an overflow, which is reported as one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        study = verify.scaling_invariance_check(h, g, index, lambdas)
     report["ratio_studies"] = [study]
-    io.write_report(report, out_dir / "report.json")
     limit = 0.03 * args.tolerance_scale
     worst = max(row["M0_deviation"] for row in study["rows"])
     for row in study["rows"]:
         print(f"lambda={row['lambda']}: M0 deviation {row['M0_deviation']:.4f}")
     if not worst <= limit:
-        return _fail(report, out_dir, EXIT_VERIFY,
-                     f"M0 deviation {worst:.4f} beyond {limit:.3f}")
+        raise HalfStokesError(f"M0 deviation {worst:.4f} beyond {limit:.3f}")
     return EXIT_OK
 
 
@@ -385,24 +362,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args, report) -> tuple[int, str]:
+    """Run the command of ``args`` on ``report``: (exit code, failure line)."""
     try:
-        return args.func(args)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return args.func(args, report), ""
+    except OSError as exc:
+        return EXIT_CONFIG, f"config error: --out {args.out}: {exc}"
     except (ConfigError, NormOrderError) as exc:
         # a NormOrderError here is an [index] the command cannot use
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, f"config error: {exc}"
     except MemoryError as exc:
-        print(f"config error: out of memory ({type(exc).__name__}: {exc}); "
-              "reduce the [grid] sizes", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, ("config error: out of memory "
+                             f"({type(exc).__name__}: {exc}); reduce the "
+                             "[grid] sizes")
     except PicardDivergenceError as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_DIVERGED, f"diverged: {exc}"
     except HalfStokesError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return EXIT_VERIFY, f"verification failure: {exc}"
+
+
+def main(argv=None) -> int:
+    """Every run ends here: its ``report.json`` is written, carrying the exit
+    code and the one stderr line of a failure."""
+    args = build_parser().parse_args(argv)
+    report = io.base_report({})
+    report.update(seed=args.seed, tolerance_scale=args.tolerance_scale)
+    code, line = _run(args, report)
+    if code:
+        report["error"] = {"code": code, "message": line}
+    try:
+        io.write_report(report, Path(args.out) / "report.json")
+    except OSError as exc:  # a failed run keeps its own line
+        code = code or EXIT_CONFIG
+        line = line or f"config error: --out {args.out}: {exc}"
+    if code:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ def picard_solve(h: VectorField, g: BoundaryField, index, max_iter: int = 50,
     M0 = besov.data_norm_M0(h, g, index)
     trace = IterationTrace(data_norm=M0, beta=index.beta, p=index.p)
 
-    sol = stk.solve_stokes(h, g, None, index=index, with_norms=False)
+    sol = stk.solve_stokes(h, g)
     u, v = sol.u, sol.v
     del sol  # frees the parts of the first solve that the loop does not use
     first_norm = besov.aniso_norm(u, alpha, q)

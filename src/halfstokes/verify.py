@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (BesovIndex, BoundaryField, HalfSpaceGrid, VectorField,
                    parabolic_scale)
-from .errors import ConfigError, NotDivergenceFreeError
+from .errors import ConfigError, InvalidDataError, NotDivergenceFreeError
 from . import besov
 from . import datagen
 from . import potentials as pot
@@ -224,6 +224,13 @@ def operator_ratio_study(target_names, index: BesovIndex,
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(name, value):
+    """A norm of the scaling study that overflowed is an InvalidDataError."""
+    if not np.isfinite(value):
+        raise InvalidDataError(f"overflow: {name} is not finite; the data are "
+                               "too large")
+
+
 def scaling_invariance_check(h: VectorField, g: BoundaryField,
                              index: BesovIndex, lambdas,
                              solve: bool = True) -> dict:
@@ -231,24 +238,26 @@ def scaling_invariance_check(h: VectorField, g: BoundaryField,
     under the parabolic rescaling, per scale factor."""
     if not index.critical:
         raise ConfigError("the scaling study requires a critical index")
+    alpha, q = index.alpha, index.q
     base_m0 = besov.data_norm_M0(h, g, index)
+    _require_finite("M0", base_m0)
     if not base_m0 > 0:
         raise ConfigError(f"the scaling study needs data of positive M0 "
                           f"norm, got M0 = {base_m0:g}")
     base_sol = None
     if solve:
-        sol = stk.solve_stokes(h, g, None, index=index, with_norms=False)
-        base_sol = besov.aniso_norm(sol.u, index.alpha, index.q)
+        base_sol = besov.aniso_norm(stk.solve_stokes(h, g).u, alpha, q)
+        _require_finite("the solution norm", base_sol)
     rows = []
     for lam in lambdas:
         h_s, g_s = parabolic_scale(h, g, lam)
         m0 = besov.data_norm_M0(h_s, g_s, index)
+        _require_finite(f"M0 at lambda = {lam:g}", m0)
         row = {"lambda": lam, "M0": m0,
                "M0_deviation": abs(m0 - base_m0) / base_m0}
         if solve:
-            sol_s = stk.solve_stokes(h_s, g_s, None, index=index,
-                                     with_norms=False)
-            norm_s = besov.aniso_norm(sol_s.u, index.alpha, index.q)
+            norm_s = besov.aniso_norm(stk.solve_stokes(h_s, g_s).u, alpha, q)
+            _require_finite(f"the solution norm at lambda = {lam:g}", norm_s)
             row["solution_norm"] = norm_s
             row["solution_deviation"] = abs(norm_s - base_sol) / base_sol
         rows.append(row)

@@ -189,8 +189,8 @@ def test_data_norm_m0_reduces_to_h_term():
     h = datagen.stream_mode_initial_data(g, k1=1, m=2)
     zero_g = BoundaryField(g, np.zeros((2, g.N_tan, g.N_time)))
     m0 = besov.data_norm_M0(h, zero_g, idx)
-    term_h = besov.lp_norm(h, idx.alpha - 2.0 / idx.q, idx.q,
-                           extension="solenoidal")
+    term_h = besov.lp_norm(tr.extend_solenoidal(h), idx.alpha - 2.0 / idx.q,
+                           idx.q)
     assert np.isclose(m0, term_h, rtol=1e-12)
     zero_h = VectorField(g, np.zeros((2, g.N_tan, g.N_vert)), domain="half",
                          time_dependent=False)

@@ -5,8 +5,9 @@ tests or its benchmark; every default is set by some caller; real data go
 through real transforms, and the one named exception still makes a complex
 call; the norm engine and the transforms write into buffers, and an
 inverse's complex passes run in place; the package imports no scipy, and
-only at module level; it tunes no allocator; and it memoizes only through
-``core.grid_table``."""
+only at module level; it tunes no allocator; it memoizes only through
+``core.grid_table``; and one function of the CLI writes every run's report
+and failure line."""
 
 import ast
 import json
@@ -454,3 +455,35 @@ def test_package_imports_only_at_module_level():
                 found |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert not found, f"imports inside package functions: {sorted(found)}"
+
+
+def _exit_path_calls(tree):
+    """``{call: set of functions}``: the module-level function (or
+    ``<module>``) around each call of ``io.write_report`` and of ``print``
+    to ``sys.stderr`` in ``tree``."""
+    found = {"io.write_report": set(), "print(file=sys.stderr)": set()}
+    for item in tree.body:
+        where = item.name if isinstance(item, ast.FunctionDef) else "<module>"
+        for node in ast.walk(item):
+            if not isinstance(node, ast.Call):
+                continue
+            if ast.unparse(node.func) == "io.write_report":
+                found["io.write_report"].add(where)
+            elif ast.unparse(node.func) == "print" and any(
+                    kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                    for kw in node.keywords):
+                found["print(file=sys.stderr)"].add(where)
+    return found
+
+
+def test_cli_ends_every_run_in_one_place():
+    # the report and the failure line are written by one function, main or
+    # a helper it calls, so that no second failure path can write its own
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main_calls = {ast.unparse(node.func) for node in
+                  ast.walk(_function(tree, "main"))
+                  if isinstance(node, ast.Call)}
+    for call, where in _exit_path_calls(tree).items():
+        assert len(where) == 1, f"{call} is called from {sorted(where)}"
+        assert where <= {"main"} | main_calls, \
+            f"{call} is called from {where}, which main does not call"

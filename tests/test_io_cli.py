@@ -177,8 +177,7 @@ def _run_overflowing(tmp_path, command, amplitude):
 def test_cli_solve_ns_overflowing_first_solve_prints_one_line(tmp_path):
     run, out = _run_overflowing(tmp_path, "solve-ns", "1e306")
     assert run.returncode == cli.EXIT_DIVERGED
-    assert run.stderr.splitlines() == ["error: diverged: overflow after 0 "
-                                       "steps"]
+    assert run.stderr.splitlines() == ["diverged: overflow after 0 steps"]
     assert json.loads((out / "report.json").read_text())["error"]["code"] \
         == cli.EXIT_DIVERGED
 
@@ -193,11 +192,83 @@ def test_cli_overflowing_solve_stokes_is_verification_failure(
     assert run.returncode == cli.EXIT_VERIFY
     assert run.stdout == ""
     assert run.stderr.splitlines() == [run.stderr.strip()]
-    assert run.stderr.startswith(f"error: overflow: {first}")
+    assert run.stderr.startswith(f"verification failure: overflow: {first}")
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["code"] == cli.EXIT_VERIFY
     assert report["diagnostics"]["div_residual"] is None
     assert not (out / "velocity.bin").exists()
+
+
+@pytest.mark.parametrize("amplitude", ["1e306", "1e155"])
+def test_cli_scaling_of_overflowing_data_is_verification_failure(
+        tmp_path, amplitude):
+    # 1e306 overflows M0 itself, 1e155 only its powers; the line names the
+    # overflow, not the sign of the data
+    run, out = _run_overflowing(tmp_path, "scaling", amplitude)
+    assert run.returncode == cli.EXIT_VERIFY
+    assert run.stderr.splitlines() == [
+        "verification failure: overflow: M0 is not finite; the data are too "
+        "large"]
+    assert json.loads((out / "report.json").read_text())["error"]["code"] \
+        == cli.EXIT_VERIFY
+
+
+def test_cli_failed_run_replaces_the_previous_report(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["solve-ns", "--config", cfg, "--out", str(out)]) == 0
+    velocity = (out / "velocity.bin").read_bytes()
+    bad = tmp_path / "bad.ini"
+    bad.write_text(Path(cfg).read_text().replace("max_iter = 20",
+                                                 "max_iter = 0"))
+    for config in (str(bad), str(tmp_path / "absent.ini")):
+        capsys.readouterr()
+        assert cli.main(["solve-ns", "--config", config,
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.splitlines()
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"] == {"code": cli.EXIT_CONFIG, "message": err}
+        assert report["trace"] == [] and report["seed"] == 0
+    # the config that did not load is recorded as empty
+    assert report["config"] == {} and "absent.ini" in err
+    # other files of the output directory are left alone
+    assert (out / "velocity.bin").read_bytes() == velocity
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_out_naming_a_file_is_config_error(tmp_path, capsys, below):
+    cfg = write_config(tmp_path)
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n")
+    out = path / "sub" if below else path
+    assert cli.main(["solve-stokes", "--config", cfg,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err, = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: --out {out}: ")
+    assert path.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("taken", ["velocity.bin", "report.json"])
+def test_cli_output_file_that_cannot_be_written_is_config_error(
+        tmp_path, capsys, taken):
+    # a directory where solve-stokes writes a file
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    (out / taken).mkdir(parents=True)
+    assert cli.main(["solve-stokes", "--config", cfg,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err, = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: --out {out}: ") and taken in err
+    if taken != "report.json":
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"] == {"code": cli.EXIT_CONFIG, "message": err}
+
+
+def test_cli_norms_unknown_kind_is_config_error(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, "norms", {("norms", "kind"): "l2"})
+    assert err.startswith("config error: [norms] kind = 'l2' is unknown")
+    assert all(f"'{kind}'" in err for kind in
+               ("aniso", "lp", "lq", "lq_time_lp_space"))
 
 
 def test_cli_solve_stokes_below_boundary_order_leaves_compat_norm_null(
@@ -250,8 +321,9 @@ def config_error(tmp_path, capsys, command, settings, steady=False,
                  flags=(), damage=None):
     """Run ``command`` with ``flags`` on the test config with ``settings``
     ({(section, key): value}) applied; assert it exits 2 with one line on
-    stderr, and return that line.  ``norms`` reads a small random snapshot
-    (with ``steady``, its first time slice), passed to ``damage`` first."""
+    stderr, which its report records with code 2, and return that line.
+    ``norms`` reads a small random snapshot (with ``steady``, its first time
+    slice), passed to ``damage`` first."""
     cp = configparser.ConfigParser()
     cp.read_string(CONFIG.format(amplitude=0.2, max_iter=20))
     for (section, key), value in settings.items():
@@ -278,6 +350,8 @@ def config_error(tmp_path, capsys, command, settings, steady=False,
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"] == {"code": cli.EXIT_CONFIG, "message": err[0]}
     return err[0]
 
 
@@ -606,6 +680,9 @@ FUZZ_SETTINGS = {("grid", "n_tan"): "8", ("grid", "n_vert"): "9",
 # missing (None), empty, non-numeric, non-finite, out of range and, for
 # [grid] n, a wrong dimension
 FUZZ_VALUES = (None, "", "abc", "nan", "inf", "-1", "0", "3")
+# values that do not parse or are not finite: each is accepted or is a
+# config error
+UNREADABLE = ("", "abc", "nan", "inf")
 COMMANDS = ("solve-stokes", "solve-ns", "verify-ops", "norms", "scaling")
 
 
@@ -649,8 +726,13 @@ def test_cli_config_fuzz_exits_with_a_code_and_one_line(tmp_path, capsys):
             code = cli.main([command, "--config", str(path),
                              "--out", str(tmp_path / "out")] + extra)
             err = capsys.readouterr().err.splitlines()
-            if code not in (0, 2, 3, 4) or len(err) != (code != 0):
-                failures.append((command, settings, code, err))
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            recorded = report["error"]["code"] if "error" in report else 0
+            codes = (0, 2) if set(settings.values()) & set(UNREADABLE) \
+                else (0, 2, 3, 4)
+            if code not in codes or len(err) != (code != 0) \
+                    or recorded != code:
+                failures.append((command, settings, code, recorded, err))
     assert not failures, failures
 
 
