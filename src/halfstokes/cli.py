@@ -226,9 +226,9 @@ def cmd_solve_ns(args, report) -> int:
             u, trace = nsmod.picard_solve(h, g, index, max_iter=max_iter,
                                           tol=tol * args.tolerance_scale)
     except PicardDivergenceError as exc:
-        report["trace"] = exc.trace.as_dict() if exc.trace else []
+        report["trace"] = dataclasses.asdict(exc.trace) if exc.trace else []
         raise
-    report["trace"] = trace.as_dict()
+    report["trace"] = dataclasses.asdict(trace)
     io.save_field(u, Path(args.out) / "velocity")
     ratios = trace.ratios()
     print(f"solve-ns ok: steps={len(trace.steps)} "
@@ -302,11 +302,16 @@ def cmd_norms(args, report) -> int:
     s = _number(cfg, "norms", "s", index.alpha)
     q = _number(cfg, "norms", "q", index.q)
     try:
-        value = norms[kind](field, s, q)
+        # an overflow is reported below, as one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = norms[kind](field, s, q)
     except (ShapeMismatchError, NormOrderError) as exc:
         raise ConfigError(f"norm kind {kind!r} does not fit the field: {exc}") \
             from exc
     report["norms"] = {kind: value, "s": s, "q": q}
+    if not np.isfinite(value):
+        raise InvalidDataError(f"overflow: the {kind} norm is not finite; the "
+                               "snapshot is too large")
     print(f"{kind} norm = {value!r}")
     return EXIT_OK
 
@@ -334,8 +339,15 @@ def cmd_scaling(args, report) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ConfigError on a flag it rejects."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halfstokes",
         description="Half-space Stokes / Navier-Stokes solves and estimate "
                     "verification")
@@ -385,17 +397,21 @@ def _run(args, report) -> tuple[int, str]:
 def main(argv=None) -> int:
     """Every run ends here: its ``report.json`` is written, carrying the exit
     code and the one stderr line of a failure."""
-    args = build_parser().parse_args(argv)
-    report = io.base_report({})
-    report.update(seed=args.seed, tolerance_scale=args.tolerance_scale)
-    code, line = _run(args, report)
-    if code:
-        report["error"] = {"code": code, "message": line}
     try:
-        io.write_report(report, Path(args.out) / "report.json")
-    except OSError as exc:  # a failed run keeps its own line
-        code = code or EXIT_CONFIG
-        line = line or f"config error: --out {args.out}: {exc}"
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:  # no --out to write a report into
+        code, line = EXIT_CONFIG, f"config error: {exc}"
+    else:
+        report = io.base_report({})
+        report.update(seed=args.seed, tolerance_scale=args.tolerance_scale)
+        code, line = _run(args, report)
+        if code:
+            report["error"] = {"code": code, "message": line}
+        try:
+            io.write_report(report, Path(args.out) / "report.json")
+        except OSError as exc:  # a failed run keeps its own line
+            code = code or EXIT_CONFIG
+            line = line or f"config error: --out {args.out}: {exc}"
     if code:
         print(line, file=sys.stderr)
     return code

@@ -246,9 +246,9 @@ class BoundaryField(Field):
 
     ncomp_axes = 1
 
-    def __init__(self, grid, data, ncomp=None, time_dependent=True):
+    def __init__(self, grid, data, time_dependent=True):
         data = np.asarray(data)
-        self.ncomp = int(data.shape[0]) if ncomp is None else int(ncomp)
+        self.ncomp = int(data.shape[0]) if data.ndim else 0
         if not 1 <= self.ncomp <= grid.n:
             raise ShapeMismatchError(f"boundary field needs 1..{grid.n} components")
         super().__init__(grid, data, domain="boundary", time_dependent=time_dependent)
@@ -257,8 +257,7 @@ class BoundaryField(Field):
         return (self.ncomp,)
 
     def _like(self, data):
-        return BoundaryField(self.grid, data, ncomp=self.ncomp,
-                             time_dependent=self.time_dependent)
+        return BoundaryField(self.grid, data, time_dependent=self.time_dependent)
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +394,6 @@ class IterationTrace:
     def ratios(self):
         return [s.ratio for s in self.steps if s.ratio is not None]
 
-    def as_dict(self):
-        return {
-            "data_norm": self.data_norm,
-            "beta": self.beta,
-            "p": self.p,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "steps": [
-                {"m": s.m, "solution_norm": s.solution_norm,
-                 "increment_norm": s.increment_norm, "ratio": s.ratio}
-                for s in self.steps
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # parabolic rescaling
@@ -429,6 +414,5 @@ def parabolic_scale(h: VectorField, g: BoundaryField, lam: float):
     new_grid = h.grid.scaled(lam)
     h_scaled = VectorField(new_grid, lam * h.data, domain=h.domain,
                            time_dependent=h.time_dependent)
-    g_scaled = BoundaryField(new_grid, lam * g.data, ncomp=g.ncomp,
-                             time_dependent=g.time_dependent)
+    g_scaled = BoundaryField(new_grid, lam * g.data, time_dependent=g.time_dependent)
     return h_scaled, g_scaled

@@ -146,13 +146,6 @@ def heat_volume_potential_adjoint(f: Field) -> Field:
     return _heat_volume(f, adjoint=True)
 
 
-@grid_table
-def _spatial_k2(grid: HalfSpaceGrid) -> np.ndarray:
-    """|k|^2 on the whole-space spatial lattice, shape (*tan, M)."""
-    ks = tr.k_vectors(grid, "whole", grid.n_tan_axes + 1)
-    return sum(k ** 2 for k in ks)
-
-
 def _duhamel_modes(f: Field, adjoint: bool) -> np.ndarray:
     """Time-major modes of the causal or anticausal heat convolution of
     ``f``, spatial axes as :func:`halfstokes.transforms.whole_fft` keeps
@@ -162,7 +155,7 @@ def _duhamel_modes(f: Field, adjoint: bool) -> np.ndarray:
     grid = f.grid
     modes = _time_major(tr.whole_fft(f.data, grid, offset=f.ncomp_axes))
     apply = _duhamel_backward if adjoint else _duhamel_forward
-    return apply(modes, _spatial_k2(grid), grid.dt)
+    return apply(modes, tr.k_squared(grid, "whole", False), grid.dt)
 
 
 def _heat_volume(f: Field, adjoint: bool) -> Field:
@@ -195,8 +188,8 @@ def heat_semigroup(h: Field) -> Field:
     _require_steady_whole(h)
     grid, offset = h.grid, h.ncomp_axes
     modes = tr.whole_fft(h.data, grid, offset)
-    data = tr.whole_ifft(modes[..., np.newaxis] * _decay(_spatial_k2(grid),
-                                                         grid), grid, offset)
+    k2 = tr.k_squared(grid, "whole", False)
+    data = tr.whole_ifft(modes[..., np.newaxis] * _decay(k2, grid), grid, offset)
     return type(h)(grid, data, domain="whole")
 
 
@@ -208,11 +201,10 @@ def heat_trace(h: Field) -> BoundaryField:
     _require_steady_whole(h)
     grid, offset, vaxis = h.grid, h.ncomp_axes, h.vert_axis
     modes = tr.forward_half(h.data, (vaxis,) + tuple(range(offset, vaxis)))
-    ks = tr.k_vectors(grid, "boundary", grid.n_tan_axes + 1)
     n_vert, dy = tr.spectral_axes(grid, "whole")[-1]
     k_vert = 2.0 * np.pi * np.fft.fftfreq(n_vert, d=dy)
-    decay = _decay(sum(k ** 2 for k in ks) + k_vert ** 2, grid)
-    wall = np.einsum("...m,...mt->...t", modes, decay)
+    k2 = tr.k_squared(grid, "boundary", False)[..., np.newaxis] + k_vert ** 2
+    wall = np.einsum("...m,...mt->...t", modes, _decay(k2, grid))
     wall /= n_vert
     data = tr.tan_ifft(wall, grid, offset)
     return BoundaryField(grid, data if offset else data[np.newaxis])
@@ -246,7 +238,7 @@ def _divergence_modes(F: TensorField, ks, work: Workspace):
     grid, data, n = F.grid, F.data, F.grid.n
     symmetric = all(np.array_equal(data[k, i], data[i, k])
                     for k in range(n) for i in range(k))
-    shape = _spatial_k2(grid).shape + (grid.N_time,)
+    shape = tr.k_squared(grid, "whole", False).shape + (grid.N_time,)
     fhat = work.buffer("fhat", (n,) + shape)
     stress, term = work.buffer("stress", shape), work.buffer("term", shape)
     fhat[...] = 0.0
@@ -278,7 +270,8 @@ def stokes_volume_potential(F: TensorField,
         grid, "whole", grid.n_tan_axes + 1, deriv=True)]
     fhat, stress, term = _divergence_modes(F, ks, work)
     tr.leray(fhat, ks, stress, term)  # stress is spent: the k.f scratch
-    _duhamel_forward(np.moveaxis(fhat, -1, 0), _spatial_k2(grid), grid.dt)
+    _duhamel_forward(np.moveaxis(fhat, -1, 0),
+                     tr.k_squared(grid, "whole", False), grid.dt)
     data = tr.whole_ifft(fhat, grid, offset=1)
     return VectorField(grid, data, domain="whole")
 
@@ -312,9 +305,8 @@ def gradient_heat_potential(f: Field) -> list:
 def harmonic_profile(grid: HalfSpaceGrid) -> np.ndarray:
     """exp(-|xi| x_n) on the tangential half lattice, shaped (*tan, N_vert,
     1) for modes whose vertical axis stands before the time axis."""
-    ks = tr.k_vectors(grid, "boundary", grid.n_tan_axes + 1)
-    lam = np.sqrt(sum(k ** 2 for k in ks))
-    return np.exp(-lam[..., np.newaxis, :] * grid.vert_nodes[:, None])
+    lam = np.sqrt(tr.k_squared(grid, "boundary", False))
+    return np.exp(-lam[..., None, None] * grid.vert_nodes[:, None])
 
 
 def poisson_extension(f: BoundaryField) -> ScalarField:

@@ -78,9 +78,9 @@ def build_grad_phi(psi: BoundaryField) -> VectorField:
         raise ShapeMismatchError("psi must be a scalar boundary field")
     grid = psi.grid
     modes = tr.tan_fft(psi.data, grid, offset=1)
-    ks = tr.k_vectors(grid, "boundary", modes.ndim, offset=1, deriv=True)
-    wall_modes = np.concatenate([modes * tr.riesz_symbol(ks, j)
-                                 for j in range(grid.n - 1)] + [modes])
+    wall_modes = np.concatenate(
+        [modes * tr.riesz_symbol(grid, "boundary", j)[..., np.newaxis]
+         for j in range(grid.n - 1)] + [modes])
     ext = wall_modes[..., np.newaxis, :] * pot.harmonic_profile(grid)
     return VectorField(grid, tr.tan_ifft(ext, grid, offset=1), domain="half")
 
@@ -182,7 +182,7 @@ def gradient_scale(u: VectorField) -> tuple[float, ScalarField]:
     grid = u.grid
     modes = tr.tan_fft(u.data, grid, offset=1)
     ks = tr.k_vectors(grid, "boundary", grid.n_tan_axes, deriv=True)
-    weight = sum(k ** 2 for k in ks) * tr.half_multiplicity(grid.N_tan)
+    weight = tr.k_squared(grid, "boundary", True) * tr.half_multiplicity(grid.N_tan)
     power = np.sum(modes.real ** 2 + modes.imag ** 2, axis=(0, -2, -1))
     tan_div = np.zeros_like(modes[0])
     for a in range(grid.n_tan_axes):

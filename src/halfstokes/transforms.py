@@ -55,10 +55,10 @@ def spectral_axes(grid: HalfSpaceGrid, domain: str) -> list:
     return axes + [(grid.n_vert_whole, grid.X / (grid.N_vert - 1))]
 
 
-def half_lattice(axes, ndim: int, offset: int = 0, deriv: bool = False):
+def half_lattice(axes, ndim: int, deriv: bool = False):
     """Wavenumbers of the half lattice of a real transform over ``axes``
     (``(length, spacing)`` pairs), one array per axis, broadcast into an
-    ``ndim``-array whose transformed axes start at ``offset``.  The last
+    ``ndim``-array whose leading axes are the transformed ones.  The last
     axis keeps its ``n // 2 + 1`` non-negative frequencies; with ``deriv``
     the unpaired Nyquist mode of an even length is zeroed (odd symbols)."""
     out = []
@@ -68,7 +68,7 @@ def half_lattice(axes, ndim: int, offset: int = 0, deriv: bool = False):
         if deriv and n % 2 == 0:
             k[n // 2] = 0.0
         shape = [1] * ndim
-        shape[offset + a] = len(k)
+        shape[a] = len(k)
         out.append(k.reshape(shape))
     return out
 
@@ -81,17 +81,23 @@ def half_multiplicity(n: int) -> np.ndarray:
     return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
 
 
-def k_vectors(grid: HalfSpaceGrid, domain: str, ndim: int, offset: int = 0,
+def k_vectors(grid: HalfSpaceGrid, domain: str, ndim: int,
               deriv: bool = False):
     """Half-lattice wavenumbers of the spatial axes of a boundary or
-    whole-space array, starting at axis ``offset`` of an ``ndim``-array."""
-    return half_lattice(spectral_axes(grid, domain), ndim, offset, deriv)
+    whole-space array, the leading axes of an ``ndim``-array."""
+    return half_lattice(spectral_axes(grid, domain), ndim, deriv)
+
+
+@grid_table
+def k_squared(grid: HalfSpaceGrid, domain: str, deriv: bool) -> np.ndarray:
+    """|k|^2 on the half lattice, shaped by ``domain``'s spatial axes alone."""
+    ks = k_vectors(grid, domain, len(spectral_axes(grid, domain)), deriv)
+    return sum(k ** 2 for k in ks)
 
 
 def tan_modulus(grid: HalfSpaceGrid, deriv: bool = False) -> np.ndarray:
     """|xi| on the tangential half lattice, flattened in C order."""
-    ks = k_vectors(grid, "boundary", grid.n_tan_axes, 0, deriv)
-    return np.sqrt(sum(k ** 2 for k in ks)).reshape(-1)
+    return np.sqrt(k_squared(grid, "boundary", deriv)).reshape(-1)
 
 
 def inv_or_zero(x: np.ndarray) -> np.ndarray:
@@ -206,21 +212,22 @@ def riesz_apply(field: Field, axis: int) -> Field:
     Boundary fields admit tangential axes only; whole-space fields any
     spatial axis.  The zero mode maps to zero.
     """
-    ks = k_vectors(field.grid, field.domain, field.data.ndim, field.ncomp_axes,
-                   deriv=True)
+    symbol = riesz_symbol(field.grid, field.domain, axis)
+    if field.time_dependent:
+        symbol = symbol[..., np.newaxis]
+    return field._like(_field_ifft(field, _field_fft(field) * symbol))
+
+
+@grid_table
+def riesz_symbol(grid: HalfSpaceGrid, domain: str, axis: int) -> np.ndarray:
+    """-i k_axis / |k| on the half lattice of the derivative wavenumbers,
+    shaped by ``domain``'s spatial axes alone; 0 on the zero mode."""
+    ks = k_vectors(grid, domain, len(spectral_axes(grid, domain)), deriv=True)
     if not 0 <= axis < len(ks):
-        raise ShapeMismatchError(
-            f"axis {axis} invalid for a {field.domain} field with {len(ks)} spatial axes")
-    modes = _field_fft(field) * riesz_symbol(ks, axis)
-    return field._like(_field_ifft(field, modes))
-
-
-def riesz_symbol(ks, axis: int) -> np.ndarray:
-    """-i k_axis / |k| on the lattice of the derivative wavenumbers ``ks``,
-    0 on the zero mode."""
-    kabs = np.sqrt(sum(k ** 2 for k in ks))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(kabs > 0, -1j * ks[axis] / np.where(kabs > 0, kabs, 1.0), 0.0)
+        raise ShapeMismatchError(f"axis {axis} invalid for a {domain} field "
+                                 f"with {len(ks)} spatial axes")
+    kabs = np.sqrt(k_squared(grid, domain, True))
+    return np.where(kabs > 0, -1j * ks[axis] / np.where(kabs > 0, kabs, 1.0), 0.0)
 
 
 def spectral_gradient(field: ScalarField) -> VectorField:
@@ -317,9 +324,9 @@ def extend_solenoidal(h: VectorField) -> VectorField:
         raise ShapeMismatchError("extension needs a half-space field")
     grid = h.grid
     vaxis = h.vert_axis
-    comps = [_reflect(h.data[i], vaxis - 1, +1) for i in range(grid.n - 1)]
-    comps.append(_reflect(h.data[grid.n - 1], vaxis - 1, -1))
-    ext = VectorField(grid, np.stack(comps), domain="whole",
+    data = _reflect(h.data, vaxis, +1)
+    data[grid.n - 1].swapaxes(0, vaxis - 1)[grid.N_vert - 1:] *= -1
+    ext = VectorField(grid, data, domain="whole",
                       time_dependent=h.time_dependent)
 
     scale = max(h.max_abs(), 1e-300)

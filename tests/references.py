@@ -24,9 +24,8 @@ from halfstokes.errors import (InvalidDataError, NotDivergenceFreeError,
                                ShapeMismatchError)
 from halfstokes.navier_stokes import nonlinear_flux
 from halfstokes.numerics import trapezoid_weights
-from halfstokes.potentials import (_duhamel_forward, _spatial_k2,
-                                   heat_single_layer, kernel_quadrature,
-                                   strip_newton_modes)
+from halfstokes.potentials import (_duhamel_forward, heat_single_layer,
+                                   kernel_quadrature, strip_newton_modes)
 from halfstokes import transforms as tr
 from halfstokes.transforms import (_field_fft, _field_ifft,
                                    _require_whole_vector, inv_or_zero,
@@ -297,7 +296,7 @@ def newton_kernel(x, n: int):
 
 def heat_single_layer_adjoint(g: BoundaryField) -> Field:
     """Time-reversed (anticausal) single layer; the adjoint in time."""
-    flipped = BoundaryField(g.grid, g.data[..., ::-1], ncomp=g.ncomp)
+    flipped = BoundaryField(g.grid, g.data[..., ::-1])
     out = heat_single_layer(flipped)
     return type(out)(g.grid, out.data[..., ::-1], domain="half")
 
@@ -420,7 +419,7 @@ def gradient_heat_potential_axis(f: Field, axis: int) -> Field:
     grid = f.grid
     modes = np.ascontiguousarray(np.moveaxis(
         tr.whole_fft(f.data, grid, offset=f.ncomp_axes), -1, 0))
-    _duhamel_forward(modes, _spatial_k2(grid), grid.dt)
+    _duhamel_forward(modes, tr.k_squared(grid, "whole", False), grid.dt)
     modes *= 1j * k_vectors(grid, "whole", grid.n_tan_axes + 1,
                             deriv=True)[axis]
     data = whole_ifft(np.moveaxis(modes, 0, -1), grid, offset=f.ncomp_axes)

@@ -200,6 +200,7 @@ def test_iteration_trace_bookkeeping():
     trace.add(1.9, increment_norm=0.5)
     trace.add(1.85, increment_norm=0.2)
     trace.validate()
+    assert [s.m for s in trace.steps] == [1, 2, 3]
     ratios = trace.ratios()
     assert len(ratios) == 1 and np.isclose(ratios[0], 0.4)
     with pytest.raises(InvalidDataError, match="solution norm"):
@@ -239,7 +240,10 @@ GRID_TABLES = {
                        besov._spatial_weight),
     "dct1_matrix": (lambda g: transforms.dct1_matrix(g.N_vert),
                     transforms.dct1_matrix),
-    "spatial_k2": (potentials._spatial_k2, potentials._spatial_k2),
+    "k_squared": (lambda g: transforms.k_squared(g, "whole", False),
+                  transforms.k_squared),
+    "riesz_symbol": (lambda g: transforms.riesz_symbol(g, "boundary", 0),
+                     transforms.riesz_symbol),
     "harmonic_profile": (potentials.harmonic_profile,
                          potentials.harmonic_profile),
 }

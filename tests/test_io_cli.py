@@ -264,6 +264,45 @@ def test_cli_output_file_that_cannot_be_written_is_config_error(
         assert report["error"] == {"code": cli.EXIT_CONFIG, "message": err}
 
 
+@pytest.mark.parametrize("kind", ["aniso", "lq"])
+def test_cli_norms_of_overflowing_snapshot_is_verification_failure(
+        tmp_path, capsys, kind):
+    # the snapshot is finite, but the squares of its values are not
+    g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0, N_time=5)
+    f = references.random_halfspace_field(g, np.random.default_rng(0))
+    io.save_field(1e160 * f, tmp_path / "snap")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(CONFIG.format(amplitude=0.2, max_iter=20)
+                   + f"\n[norms]\nkind = {kind}\n")
+    out = tmp_path / "run"
+    assert cli.main(["norms", "--config", str(cfg), "--out", str(out),
+                     "--field", str(tmp_path / "snap")]) == cli.EXIT_VERIFY
+    err, = capsys.readouterr().err.splitlines()
+    assert err == (f"verification failure: overflow: the {kind} norm is not "
+                   "finite; the snapshot is too large")
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] == {"code": cli.EXIT_VERIFY, "message": err}
+    assert report["norms"][kind] is None
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["solve-stokes", "--config", "cfg.ini", "--seed", "abc"],
+     "config error: argument --seed: invalid int value: 'abc'"),
+    ([], "config error: the following arguments are required: command"),
+], ids=["bad_seed", "no_command"])
+def test_cli_rejected_flag_is_one_config_error_line(tmp_path, capsys,
+                                                   monkeypatch, argv, err):
+    # no report: --out may be the flag that did not parse
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [err]
+    assert not list(tmp_path.iterdir())
+    for flag in ("--help", "--version"):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([flag])
+        assert stop.value.code == 0
+
+
 def test_cli_norms_unknown_kind_is_config_error(tmp_path, capsys):
     err = config_error(tmp_path, capsys, "norms", {("norms", "kind"): "l2"})
     assert err.startswith("config error: [norms] kind = 'l2' is unknown")
@@ -494,6 +533,12 @@ def _nan_value(prefix):
     data.tofile(path)
 
 
+def _boundary_without_components(prefix):
+    """A boundary snapshot of one value, whose sidecar records no axes."""
+    np.zeros(1).astype("<f8").tofile(prefix.with_suffix(".bin"))
+    _edit_sidecar(kind="BoundaryField", shape=[])(prefix)
+
+
 def _whole_with_top_slot(prefix):
     """A whole-space snapshot in the layout of [-X, X] with both ends
     stored, 2 N_vert - 1 vertical nodes, which fields no longer use."""
@@ -515,8 +560,12 @@ def _whole_with_top_slot(prefix):
     (_nan_value, "non-finite"),
     (_whole_with_top_slot, "ShapeMismatchError"),
     (_graded_sidecar(2.0), "InvalidDataError: grid grading = 2"),
+    (_boundary_without_components,
+     "InvalidDataError: ShapeMismatchError: boundary field needs 1..2 "
+     "components"),
 ], ids=["truncated_bin", "unparsable_sidecar", "missing_key", "unknown_kind",
-        "nan_value", "whole_with_top_slot", "graded_sidecar"])
+        "nan_value", "whole_with_top_slot", "graded_sidecar",
+        "boundary_without_components"])
 def test_cli_norms_bad_snapshot_is_config_error(tmp_path, capsys, damage,
                                                 what):
     err = config_error(tmp_path, capsys, "norms", {}, damage=damage)
@@ -528,8 +577,9 @@ def test_cli_norms_bad_snapshot_is_config_error(tmp_path, capsys, damage,
     (_edit_sidecar(kind=None), "KeyError"),
     (_edit_sidecar(kind="MatrixField"), "KeyError"),
     (_graded_sidecar(2.0), "uniform vertical nodes"),
+    (_boundary_without_components, "ShapeMismatchError"),
 ], ids=["truncated_bin", "unparsable_sidecar", "missing_key", "unknown_kind",
-        "graded_sidecar"])
+        "graded_sidecar", "boundary_without_components"])
 def test_load_field_raises_invalid_data_error(tmp_path, damage, cause):
     g = make_grid(2, L=2 * np.pi, N_tan=8, X=np.pi, N_vert=9, T=1.0, N_time=5)
     io.save_field(datagen.random_boundary_field(g, np.random.default_rng(0)),

@@ -176,7 +176,10 @@ def test_picard_trace_is_deterministic():
     h, gb = small_data(g, 0.2)
     _, t1 = ns.picard_solve(h, gb, IDX, tol=1e-9)
     _, t2 = ns.picard_solve(h, gb, IDX, tol=1e-9)
-    assert t1.as_dict() == t2.as_dict()
+    assert t1 == t2
+    # the report's trace records M0 of the data
+    assert t1.data_norm == besov.data_norm_M0(h, gb,
+                                              IDX.with_default_force_pair())
 
 
 def test_weak_ns_residual_zero_data():
@@ -258,7 +261,7 @@ def test_picard_workspace_matches_throwaway_workspaces(monkeypatch):
     assert seen[0] is None and len(seen) == len(trace.steps) >= 3
     assert all(w is seen[1] for w in seen[1:]) and seen[1] is not None
     assert np.array_equal(u.data, u_ref.data)
-    assert trace.as_dict() == trace_ref.as_dict()
+    assert trace == trace_ref
 
 
 def test_picard_solution_norms_bounded_and_cauchy():

@@ -386,6 +386,29 @@ def test_half_lattice_agrees_with_complex_reference(n, N):
             TensorField(g, stress, domain="half")).data, ref)
 
 
+@pytest.mark.parametrize("n, N", HALF_LATTICE_GRIDS)
+@pytest.mark.parametrize("domain", ["boundary", "whole"])
+def test_lattice_tables_equal_their_per_call_expressions(n, N, domain):
+    # the tables evaluate the expressions that each call used to, so every
+    # operator built on them keeps its output bit for bit
+    g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
+                  N_time=4)
+    n_axes = n - (domain == "boundary")
+    for deriv in (False, True):
+        ks = tr.k_vectors(g, domain, n_axes, deriv=deriv)
+        assert np.array_equal(tr.k_squared(g, domain, deriv),
+                              sum(k ** 2 for k in ks))
+    kabs = np.sqrt(sum(k ** 2 for k in ks))
+    for axis in range(n_axes):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = np.where(kabs > 0,
+                           -1j * ks[axis] / np.where(kabs > 0, kabs, 1.0), 0.0)
+        assert np.array_equal(tr.riesz_symbol(g, domain, axis), ref)
+    for axis in (-1, n_axes):
+        with pytest.raises(ShapeMismatchError, match=f"axis {axis} invalid"):
+            tr.riesz_symbol(g, domain, axis)
+
+
 def _off_by_one_ulp(stress, k, i):
     """``stress`` with one entry of component [k, i] moved by one ulp."""
     out = stress.copy()
@@ -495,7 +518,7 @@ def _duhamel_backward_ref(fhat, k2, dt):
 def test_duhamel_recurrences_match_strided_reference(n, N):
     g = make_grid(n, L=2 * np.pi, N_tan=N, X=np.pi, N_vert=5, T=1.0,
                   N_time=7)
-    k2 = pot._spatial_k2(g)
+    k2 = tr.k_squared(g, "whole", False)
     rng = np.random.default_rng(20 * n + N)
     shape = (n,) + k2.shape + (g.N_time,)
     f, h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
